@@ -13,11 +13,19 @@ rows only.
 The same expression helpers (``matmul``, ``sin``, ``rows``, ...) accept
 plain ndarrays and then evaluate eagerly without recording, so model code
 written against them runs both taped (training) and tape-free (evaluation).
+
+Three fused primitives collapse the blocks that run at every time step into
+one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``),
+``affine`` (``W x + b 1'``) and ``fbsde_step`` (the coupled state/value
+update, value ``[x'; y']``). Each has one forward kernel, shared by the taped
+and the tape-free path, and one hand-written backward. A fused node keeps
+what its backward needs (gate activations, intermediate products, the step
+constants) in its ``aux``; only ``value`` counts as the node's output.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -123,6 +131,9 @@ PRIMITIVES = {
     "sumsq": "sum-of-squares",
     "vstack": "concat-rows",
     "rows": "slice-rows",
+    "lstm_cell": "lstm-cell",
+    "affine": "affine",
+    "fbsde_step": "fbsde-step",
 }
 
 
@@ -228,7 +239,167 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
         full = np.zeros(values(ins[0]).shape)
         full[lo:hi] = g
         _acc(grads, ins[0], full)
+    elif op == "lstm_cell":
+        _lstm_cell_backward(node, g, grads, values)
+    elif op == "affine":
+        _affine_backward(node, g, grads, values)
+    elif op == "fbsde_step":
+        _fbsde_step_backward(node, g, grads, values)
     # leaf / const: nothing flows further
+
+
+# ---------------------------------------------------------------------------
+# fused primitives. Each forward kernel maps the input values to
+# (value, saved); the taped path stores ``saved`` as the node's aux for the
+# backward, the tape-free path drops it. The kernels keep the operation order
+# of the element-wise compositions they replace, so tape-free results are
+# bit-identical to those compositions.
+
+
+def _lstm_cell_kernel(vals, aux):
+    """Gates from ``(W x + U h) + b 1'``; returns [h'; c'] and (activations, tanh c')."""
+    W, U, b, x, h_prev, c_prev = vals
+    hid = U.shape[1]
+    if (W.shape[0] != 4 * hid or U.shape[0] != 4 * hid or b.shape != (4 * hid, 1)
+            or W.shape[1] != x.shape[0] or h_prev.shape != (hid, x.shape[1])
+            or c_prev.shape != h_prev.shape):
+        raise ShapeError(
+            f"lstm-cell: W {W.shape}, U {U.shape}, b {b.shape}, x {x.shape}, "
+            f"h {h_prev.shape}, c {c_prev.shape} do not conform"
+        )
+    act = W @ x
+    act += U @ h_prev
+    act += b
+    # rows (input, forget, candidate, output); activations in place
+    expit(act[: 2 * hid], out=act[: 2 * hid])
+    np.tanh(act[2 * hid : 3 * hid], out=act[2 * hid : 3 * hid])
+    expit(act[3 * hid :], out=act[3 * hid :])
+    gate_i, gate_f = act[:hid], act[hid : 2 * hid]
+    cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
+    out = np.empty((2 * hid, x.shape[1]))
+    c_new = np.multiply(gate_f, c_prev, out=out[hid:])
+    c_new += gate_i * cand
+    tanh_c = np.tanh(c_new)
+    np.multiply(gate_o, tanh_c, out=out[:hid])
+    return out, (act, tanh_c)
+
+
+def _lstm_cell_backward(node, g, grads, values) -> None:
+    i_w, i_u, i_b, i_x, i_h, i_c = node.inputs
+    act, tanh_c = node.aux
+    hid = tanh_c.shape[0]
+    gate_i, gate_f = act[:hid], act[hid : 2 * hid]
+    cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
+    g_h, g_c = g[:hid], g[hid:]
+    d_c = g_h * gate_o
+    d_c *= 1.0 - tanh_c * tanh_c
+    d_c += g_c
+    # gradient at the activations, then through them to the pre-activations
+    d_pre = np.empty_like(act)
+    np.multiply(d_c, cand, out=d_pre[:hid])
+    np.multiply(d_c, values(i_c), out=d_pre[hid : 2 * hid])
+    np.multiply(d_c, gate_i, out=d_pre[2 * hid : 3 * hid])
+    np.multiply(g_h, tanh_c, out=d_pre[3 * hid :])
+    slope = act * (1.0 - act)
+    slope[2 * hid : 3 * hid] = 1.0 - cand * cand
+    d_pre *= slope
+    _acc(grads, i_w, d_pre @ values(i_x).T)
+    _acc(grads, i_u, d_pre @ values(i_h).T)
+    _acc(grads, i_b, d_pre.sum(axis=1, keepdims=True))
+    _acc(grads, i_x, values(i_w).T @ d_pre)
+    _acc(grads, i_h, values(i_u).T @ d_pre)
+    _acc(grads, i_c, d_c * gate_f)
+
+
+def _affine_kernel(vals, aux):
+    """``W x + b 1'``."""
+    W, x, b = vals
+    if W.shape[1] != x.shape[0] or b.shape != (W.shape[0], 1):
+        raise ShapeError(f"affine: W {W.shape}, x {x.shape}, b {b.shape} do not conform")
+    out = W @ x
+    out += b
+    return out, None
+
+
+def _affine_backward(node, g, grads, values) -> None:
+    i_w, i_x, i_b = node.inputs
+    _acc(grads, i_w, g @ values(i_x).T)
+    _acc(grads, i_x, values(i_w).T @ g)
+    _acc(grads, i_b, g.sum(axis=1, keepdims=True))
+
+
+class StepConstants(NamedTuple):
+    """The non-differentiable inputs of one ``fbsde_step``.
+
+    ``inv_eps`` scales the adversary v* = z / epsilon; None leaves the
+    adversary out of the drift change altogether.
+    """
+
+    dw: np.ndarray  # (m, M) unit-normal increments
+    gamma_u: np.ndarray  # (m, p)
+    gain: np.ndarray  # (p, m); u* = gain z
+    s_mat: np.ndarray  # (m, m); generator quadratic form
+    sigma: np.ndarray  # (n, m)
+    dt: float
+    sqdt: float
+    inv_eps: float | None
+
+
+def _fbsde_step_kernel(vals, c: StepConstants):
+    """Euler step of the state and the compensated value; returns [x'; y'].
+
+    k = Gamma_u u* + v*, h = q - 0.5 z'S z, and
+    y' = y + (z'k - h) dt + z'dw sqrt(dt),
+    x' = x + f dt + Sigma (k dt + dw sqrt(dt)).
+    """
+    x, y, z, f, q = vals
+    n, cols = x.shape
+    m = z.shape[0]
+    if (y.shape != (1, cols) or z.shape[1] != cols or f.shape != x.shape
+            or q.shape != (1, cols) or c.dw.shape != z.shape or c.sigma.shape != (n, m)):
+        raise ShapeError(
+            f"fbsde-step: x {x.shape}, y {y.shape}, z {z.shape}, f {f.shape}, "
+            f"q {q.shape}, dw {c.dw.shape}, sigma {c.sigma.shape} do not conform"
+        )
+    k = c.gamma_u @ (c.gain @ z)
+    if c.inv_eps is not None:
+        k += z * c.inv_eps
+    ones = np.ones((1, m))
+    s_z = c.s_mat @ z
+    h_gen = q - (ones @ (z * s_z)) * 0.5
+    z_k = ones @ (z * k)
+    z_dw = ones @ (z * c.dw)
+    out = np.empty((n + 1, cols))
+    out[n:] = y + ((z_k - h_gen) * c.dt + z_dw * c.sqdt)
+    out[:n] = x + (f * c.dt + c.sigma @ (k * c.dt + c.dw * c.sqdt))
+    return out, (c, k, s_z)
+
+
+def _fbsde_step_backward(node, g, grads, values) -> None:
+    i_x, i_y, i_z, i_f, i_q = node.inputs
+    c, k, s_z = node.aux
+    n = g.shape[0] - 1
+    g_x, g_y = g[:n], g[n:]
+    z = values(i_z)
+    a = g_y * c.dt
+    half_a = 0.5 * a
+    d_k = a * z + c.sigma.T @ (g_x * c.dt)
+    d_z = a * k + half_a * s_z + c.s_mat.T @ (half_a * z) + (g_y * c.sqdt) * c.dw
+    d_z += c.gain.T @ (c.gamma_u.T @ d_k)
+    if c.inv_eps is not None:
+        d_z += c.inv_eps * d_k
+    _acc(grads, i_x, g_x)
+    _acc(grads, i_y, g_y)
+    _acc(grads, i_z, d_z)
+    _acc(grads, i_f, g_x * c.dt)
+    _acc(grads, i_q, -a)
+
+
+_FUSED = {
+    "lstm_cell": _lstm_cell_kernel,
+    "affine": _affine_kernel,
+    "fbsde_step": _fbsde_step_kernel,
+}
 
 
 class Tape:
@@ -266,7 +437,11 @@ class Tape:
             if not isinstance(v, Var) or v.tape is not self:
                 raise ValueError(f"{PRIMITIVES[op]}: inputs must be Vars of this tape")
         vals = tuple(v.value for v in inputs)
-        out = _forward(op, vals, aux)
+        kernel = _FUSED.get(op)
+        if kernel is None:
+            out = _forward(op, vals, aux)
+        else:
+            out, aux = kernel(vals, aux)
         return self._record(op, tuple(v.idx for v in inputs), out, aux)
 
     def backward(self, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
@@ -408,13 +583,6 @@ def rows(x, lo: int, hi: int):
     return np.asarray(x)[lo:hi]
 
 
-def ones_row(x):
-    """A constant (1, cols(x)) row of ones, for explicit bias broadcasting."""
-    if isinstance(x, Var):
-        return x.tape.constant(np.ones((1, x.shape[1])))
-    return np.ones((1, np.asarray(x).shape[1]))
-
-
 def colsum(x):
     """Column sums: contract an (r, c) value to (1, c) via a ones row."""
     if isinstance(x, Var):
@@ -422,6 +590,34 @@ def colsum(x):
         return x.tape.apply("matmul", left, x)
     arr = np.asarray(x)
     return np.ones((1, arr.shape[0])) @ arr
+
+
+def _fused(op: str, args: tuple, aux=None):
+    tape = _tape_of(*args)
+    if tape is None:
+        return _FUSED[op](tuple(np.asarray(a, dtype=np.float64) for a in args), aux)[0]
+    return tape.apply(op, *[_lift(tape, a) for a in args], aux=aux)
+
+
+def lstm_cell(W, U, b, x, h, c):
+    """One LSTM cell: W (4h, d), U (4h, h), b (4h, 1), x (d, M), h and c (h, M).
+
+    Gate rows are (input, forget, cell-candidate, output). Returns the
+    stacked new state [h'; c'], (2h, M).
+    """
+    return _fused("lstm_cell", (W, U, b, x, h, c))
+
+
+def affine(W, x, b):
+    """W x + b 1': a (k, 1) bias added to every column."""
+    return _fused("affine", (W, x, b))
+
+
+def fbsde_step(x, y, z, f, q, consts: StepConstants):
+    """One coupled Euler step from state x (n, M), value y (1, M), value
+    gradient z (m, M), drift f(x) (n, M) and running cost q(x) (1, M).
+    Returns [x'; y'], (n + 1, M); see ``_fbsde_step_kernel``."""
+    return _fused("fbsde_step", (x, y, z, f, q), consts)
 
 
 # ---------------------------------------------------------------------------

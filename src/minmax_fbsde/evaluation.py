@@ -408,7 +408,8 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
 
     Failed trainings become rows with status ``failed`` and the sweep moves
     on. A run counts as successful when its success rate clears the sweep
-    threshold.
+    threshold. Each row's ``checkpoint`` is relative to ``out_dir``, so the
+    table does not depend on where the sweep directory lives.
     """
     from . import config as config_mod
     from . import training
@@ -433,7 +434,7 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
             "success_rate": None,
             "total_state_variance": None,
             "mean_terminal_cost": None,
-            "checkpoint": ckpt,
+            "checkpoint": os.path.join(label, "checkpoint.ckpt"),
         }
         try:
             if os.path.exists(ckpt):

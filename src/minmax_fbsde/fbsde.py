@@ -24,7 +24,10 @@ the adversary; it is the epsilon -> infinity limit of the min-max mode.
 Everything is written against the dual-mode expression helpers: with a tape
 the whole rollout, including the drift, is differentiable end to end; without
 one it runs as plain vectorized numpy. Samples live in columns, so one tape
-carries the entire batch.
+carries the entire batch. Per time step the tape records the running cost and
+the drift as the system defines them, one fused ``fbsde_step`` node for both
+updates above, and the fused LSTM cells of the value-gradient predictor. The
+controls are recorded from values only; ``fbsde_step`` derives its own from z.
 """
 
 from __future__ import annotations
@@ -268,37 +271,23 @@ def _rollout_core(
     z_grads[0] = _value_of(z_cur)
 
     lstm_state = None
+    adv_scale = inv_eps if adversary else None
     with np.errstate(all="ignore"):
         for step in range(n_steps):
             t_now = grid.start + step * dt
-            u_star = minimizing_control(z_cur, gain)
+            z_vals = _value_of(z_cur)
+            controls[step] = minimizing_control(z_vals, gain)
             if adversary:
-                v_star = adversary_control(z_cur, inv_eps)
-                k_drift = ad.add(ad.matmul(gamma_u, u_star), v_star)
-                adv_controls[step] = _value_of(v_star)
-            else:
-                v_star = None
-                k_drift = ad.matmul(gamma_u, u_star)
-            controls[step] = _value_of(u_star)
+                adv_controls[step] = adversary_control(z_vals, inv_eps)
 
-            dw = noise[step]
-            dw_node = tape.constant(dw) if tape is not None else dw
-
-            # backward value update: y + (-h + z'K) dt + z'dw sqrt(dt)
             q_run = costs.running_expr(x_cur, t_now)
-            s_z = ad.matmul(s_mat, z_cur)
-            h_gen = ad.sub(q_run, ad.smul(ad.colsum(ad.mul(z_cur, s_z)), 0.5))
-            z_k = ad.colsum(ad.mul(z_cur, k_drift))
-            z_dw = ad.colsum(ad.mul(z_cur, dw_node))
-            y_cur = ad.add(
-                y_cur,
-                ad.add(ad.smul(ad.sub(z_k, h_gen), dt), ad.smul(z_dw, sqdt)),
-            )
-
-            # forward state update
             f_drift = sys.drift(x_cur, t_now)
-            injected = ad.matmul(sigma, ad.add(ad.smul(k_drift, dt), ad.smul(dw_node, sqdt)))
-            x_cur = ad.add(x_cur, ad.add(ad.smul(f_drift, dt), injected))
+            consts = ad.StepConstants(
+                noise[step], gamma_u, gain, s_mat, sigma, dt, sqdt, adv_scale
+            )
+            xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, consts)
+            x_cur = ad.rows(xy, 0, sys.n)
+            y_cur = ad.rows(xy, sys.n, sys.n + 1)
 
             x_vals = _value_of(x_cur)
             alive &= np.all(np.isfinite(x_vals), axis=0)

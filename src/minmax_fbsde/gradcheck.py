@@ -1,12 +1,14 @@
 """Gradient audits: every reverse-mode derivative in the package is compared
 against central finite differences at random points. The audit covers the
-primitive operations, one recurrent cell step, and a full multi-step rollout
-including the training loss.
+primitive operations (the fused ``lstm_cell``, ``affine`` and ``fbsde_step``
+included, the last in both minmax and baseline form), one recurrent cell
+step, and a full multi-step rollout including the training loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,74 +33,96 @@ class AuditRow:
         return bool(self.max_error < self.tolerance)
 
 
+@lru_cache(maxsize=None)
+def _weights(shape: tuple[int, int]) -> np.ndarray:
+    w = np.random.default_rng(12345).normal(size=shape)
+    w.flags.writeable = False  # one cached array is shared by every probe
+    return w
+
+
 def _scalarize(tape: Tape, var: ad.Var) -> ad.Var:
     """Contract any node to (1,1) with a fixed random weighting so the
     finite-difference probe exercises every output entry."""
-    rng = np.random.default_rng(12345)
-    w = rng.normal(size=var.shape)
-    return ad.total(ad.mul(var, tape.constant(w)))
+    return ad.total(ad.mul(var, tape.constant(_weights(var.shape))))
 
 
-def _audit_unary(op_name: str, fn, shape=(3, 4), points: int = 100, seed: int = 0,
-                 tol: float = 1e-4, low: float = -2.0, high: float = 2.0) -> AuditRow:
+def _audit(op_name: str, fn, shapes, points: int, seed: int) -> AuditRow:
+    """``fn`` applied to one leaf per shape, probed at ``points`` random points
+    drawn uniformly from [-2, 2]."""
     rng = np.random.default_rng(seed)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    bounds = np.cumsum([0] + sizes)
     worst = 0.0
     for _ in range(points):
-        x0 = rng.uniform(low, high, size=shape)
+        vec0 = rng.uniform(-2.0, 2.0, size=bounds[-1])
 
         def f(vec):
             tape = Tape()
-            x = tape.leaf(vec.reshape(shape))
-            out = _scalarize(tape, fn(x))
-            (g,) = tape.backward(out, [x])
-            return float(out.value[0, 0]), g.ravel()
-
-        worst = max(worst, finite_difference_check(f, x0.ravel()))
-    return AuditRow(op_name, points, worst, tol)
-
-
-def _audit_binary(op_name: str, fn, shape_a, shape_b, points: int = 100, seed: int = 1,
-                  tol: float = 1e-4) -> AuditRow:
-    rng = np.random.default_rng(seed)
-    size_a = int(np.prod(shape_a))
-    worst = 0.0
-    for _ in range(points):
-        vec0 = rng.uniform(-2.0, 2.0, size=size_a + int(np.prod(shape_b)))
-
-        def f(vec):
-            tape = Tape()
-            a = tape.leaf(vec[:size_a].reshape(shape_a))
-            b = tape.leaf(vec[size_a:].reshape(shape_b))
-            out = _scalarize(tape, fn(a, b))
-            ga, gb = tape.backward(out, [a, b])
-            return float(out.value[0, 0]), np.concatenate([ga.ravel(), gb.ravel()])
+            leaves = [tape.leaf(vec[lo:hi].reshape(shape))
+                      for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+            out = _scalarize(tape, fn(*leaves))
+            grads = tape.backward(out, leaves)
+            return float(out.value[0, 0]), np.concatenate([g.ravel() for g in grads])
 
         worst = max(worst, finite_difference_check(f, vec0))
-    return AuditRow(op_name, points, worst, tol)
+    return AuditRow(op_name, points, worst, 1e-4)
+
+
+def _step_constants(mode: str) -> ad.StepConstants:
+    """Random constants for a step with n=3, m=2, p=2 on two columns. S is
+    deliberately not symmetric, so the audit covers the general quadratic form."""
+    rng = np.random.default_rng(7)
+    n, m, p, cols, dt = 3, 2, 2, 2, 0.1
+    return ad.StepConstants(
+        dw=rng.normal(size=(m, cols)),
+        gamma_u=rng.normal(size=(m, p)),
+        gain=rng.normal(size=(p, m)),
+        s_mat=rng.normal(size=(m, m)),
+        sigma=rng.normal(size=(n, m)),
+        dt=dt,
+        sqdt=float(np.sqrt(dt)),
+        inv_eps=0.7 if mode == "minmax" else None,
+    )
 
 
 def audit_primitives(points: int = 100) -> list[AuditRow]:
-    rows = [
-        _audit_binary("matrix-multiply", ad.matmul, (3, 4), (4, 5)),
-        _audit_binary("add", ad.add, (3, 4), (3, 4)),
-        _audit_binary("subtract", ad.sub, (3, 4), (3, 4)),
-        _audit_binary("element-multiply", ad.mul, (3, 4), (3, 4)),
-        _audit_unary("scalar-multiply", lambda x: ad.smul(x, -1.7)),
-        _audit_unary("tanh", ad.tanh),
-        _audit_unary("sigmoid", ad.sigmoid),
-        _audit_unary("sin", ad.sin),
-        _audit_unary("cos", ad.cos),
-        _audit_unary("sum", ad.total),
-        _audit_unary("sum-of-squares", ad.sumsq),
-        _audit_unary("slice-rows", lambda x: ad.rows(x, 1, 3), shape=(4, 3)),
+    """Every primitive, fused ones included, at ``points`` random points each."""
+    unary = [
+        ("scalar-multiply", lambda x: ad.smul(x, -1.7)),
+        ("tanh", ad.tanh),
+        ("sigmoid", ad.sigmoid),
+        ("sin", ad.sin),
+        ("cos", ad.cos),
+        ("sum", ad.total),
+        ("sum-of-squares", ad.sumsq),
     ]
-
-    def stack3(a, b):
-        return ad.vstack([a, b, a])
-
-    rows.append(_audit_binary("concat-rows", stack3, (2, 3), (3, 3)))
-    for row in rows:
-        row.points = points
+    rows = [
+        _audit("matrix-multiply", ad.matmul, [(3, 4), (4, 5)], points, seed=1),
+        _audit("add", ad.add, [(3, 4), (3, 4)], points, seed=1),
+        _audit("subtract", ad.sub, [(3, 4), (3, 4)], points, seed=1),
+        _audit("element-multiply", ad.mul, [(3, 4), (3, 4)], points, seed=1),
+    ]
+    rows += [_audit(name, fn, [(3, 4)], points, seed=0) for name, fn in unary]
+    rows.append(_audit("slice-rows", lambda x: ad.rows(x, 1, 3), [(4, 3)], points, seed=0))
+    rows.append(_audit("concat-rows", lambda a, b: ad.vstack([a, b, a]),
+                       [(2, 3), (3, 3)], points, seed=1))
+    hid, d, cols = 2, 3, 2
+    rows.append(_audit(
+        "lstm-cell", ad.lstm_cell,
+        [(4 * hid, d), (4 * hid, hid), (4 * hid, 1), (d, cols), (hid, cols), (hid, cols)],
+        points, seed=2,
+    ))
+    rows.append(_audit("affine", ad.affine, [(2, 3), (3, 4), (2, 1)], points, seed=2))
+    for mode in ("minmax", "baseline"):
+        consts = _step_constants(mode)
+        n, m = consts.sigma.shape
+        cols = consts.dw.shape[1]
+        rows.append(_audit(
+            f"fbsde-step-{mode}",
+            lambda x, y, z, f, q, c=consts: ad.fbsde_step(x, y, z, f, q, c),
+            [(n, cols), (1, cols), (m, cols), (n, cols), (1, cols)],
+            points, seed=2,
+        ))
     return rows
 
 

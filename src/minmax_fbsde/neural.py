@@ -106,17 +106,8 @@ def init_net(
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev, c_prev):
     """One cell update; x is (d, M), states are (h, M). Returns (h, c)."""
     h = layer.hidden_size
-    pre = ad.add(
-        ad.add(ad.matmul(layer.W, x), ad.matmul(layer.U, h_prev)),
-        ad.matmul(layer.b, ad.ones_row(x)),
-    )
-    gate_i = ad.sigmoid(ad.rows(pre, 0, h))
-    gate_f = ad.sigmoid(ad.rows(pre, h, 2 * h))
-    cand = ad.tanh(ad.rows(pre, 2 * h, 3 * h))
-    gate_o = ad.sigmoid(ad.rows(pre, 3 * h, 4 * h))
-    c_new = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
-    h_new = ad.mul(gate_o, ad.tanh(c_new))
-    return h_new, c_new
+    state = ad.lstm_cell(layer.W, layer.U, layer.b, x, h_prev, c_prev)
+    return ad.rows(state, 0, h), ad.rows(state, h, 2 * h)
 
 
 def zero_state(net: NetParams, batch: int) -> tuple:
@@ -139,7 +130,7 @@ def lstm_stack_forward(net: NetParams, x, state=None):
     (h1, c1), (h2, c2) = state
     h1n, c1n = lstm_cell_forward(net.layer1, x, h1, c1)
     h2n, c2n = lstm_cell_forward(net.layer2, h1n, h2, c2)
-    out = ad.add(ad.matmul(net.out_w, h2n), ad.matmul(net.out_b, ad.ones_row(h2n)))
+    out = ad.affine(net.out_w, h2n, net.out_b)
     return out, ((h1n, c1n), (h2n, c2n))
 
 

@@ -160,10 +160,6 @@ class CostSpec:
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
             raise ValueError("R_u must be symmetric positive definite") from exc
 
-    @property
-    def r_u_cholesky(self):
-        return self._r_chol
-
     def solve_r(self, rhs: np.ndarray) -> np.ndarray:
         """R_u^{-1} @ rhs via the cached factorization (no explicit inverse)."""
         return scipy.linalg.cho_solve(self._r_chol, rhs)

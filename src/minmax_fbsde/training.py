@@ -8,7 +8,6 @@ batch chunking.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -393,6 +392,25 @@ class CheckpointError(ValueError):
     pass
 
 
+def _manifest_entries(manifest, prefix: str = "") -> list[tuple[str, int, int]]:
+    """(name, rows, cols) of every payload entry; CheckpointError if malformed."""
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{prefix}manifest lacks the 'entries' list")
+    out = []
+    for i, e in enumerate(entries):
+        try:
+            name, rows, cols = str(e["name"]), int(e["rows"]), int(e["cols"])
+        except (KeyError, TypeError, ValueError):
+            raise CheckpointError(
+                f"{prefix}manifest entry {i} lacks a name, rows or cols"
+            ) from None
+        if rows < 0 or cols < 0:
+            raise CheckpointError(f"{prefix}manifest entry {name!r} has a negative shape")
+        out.append((name, rows, cols))
+    return out
+
+
 def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
     """Rebuild a ParamStore (parameters and optimizer moments) from disk."""
     if not os.path.exists(path):
@@ -406,21 +424,24 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         manifest = json.loads(head.decode())
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointError(
             f"{path}: schema {manifest.get('schema')!r}, expected {CHECKPOINT_SCHEMA!r}"
         )
-    expected = sum(e["rows"] * e["cols"] for e in manifest["entries"]) * 8
+    entries = _manifest_entries(manifest, f"{path}: ")
+    expected = sum(rows * cols for _, rows, cols in entries) * 8
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: expected {expected} payload bytes, found {len(payload)}"
         )
     arrays = {}
     offset = 0
-    for e in manifest["entries"]:
-        count = e["rows"] * e["cols"]
+    for name, rows, cols in entries:
+        count = rows * cols
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays[e["name"]] = arr.reshape(e["rows"], e["cols"]).astype(np.float64)
+        arrays[name] = arr.reshape(rows, cols).astype(np.float64)
         offset += count * 8
 
     def grab(name):
@@ -436,11 +457,16 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         out_b=grab("out.b"),
     )
     store = ParamStore(net=net, y0=grab("psi.y0"), z0=grab("psi.z0"), adam=None)
-    meta = manifest["adam"]
-    adam = neural.AdamState(
-        lr=meta["lr"], beta1=meta["beta1"], beta2=meta["beta2"], eps=meta["eps"],
-        t=int(meta["t"]), m={}, v={},
-    )
+    try:
+        meta = manifest["adam"]
+        adam = neural.AdamState(
+            lr=float(meta["lr"]), beta1=float(meta["beta1"]), beta2=float(meta["beta2"]),
+            eps=float(meta["eps"]), t=int(meta["t"]), m={}, v={},
+        )
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointError(
+            f"{path}: manifest lacks the optimizer state 'adam' (t, lr, beta1, beta2, eps)"
+        ) from None
     for name, _ in store.named_parameters():
         adam.m[name] = grab(f"adam.m.{name}")
         adam.v[name] = grab(f"adam.v.{name}")
@@ -460,7 +486,7 @@ def expected_shapes(sys: SystemModel, hidden_size: int) -> dict[str, tuple[int, 
 
 def validate_checkpoint(manifest: dict, shapes: dict[str, tuple[int, int]], config_hash: str | None = None) -> None:
     """Reject a checkpoint whose shapes or config hash do not match."""
-    listed = {e["name"]: (e["rows"], e["cols"]) for e in manifest["entries"]}
+    listed = {name: (rows, cols) for name, rows, cols in _manifest_entries(manifest)}
     for name, shape in shapes.items():
         if name not in listed:
             raise CheckpointError(f"manifest lacks entry {name!r}")
@@ -473,9 +499,3 @@ def validate_checkpoint(manifest: dict, shapes: dict[str, tuple[int, int]], conf
             f"config hash mismatch: checkpoint {manifest.get('config_hash')!r}, "
             f"expected {config_hash!r}"
         )
-
-
-def config_fingerprint(payload: dict) -> str:
-    """Short stable hash of the model-defining configuration subset."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]

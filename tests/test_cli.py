@@ -258,6 +258,20 @@ class TestCommands:
         assert code == 1
         assert "shape mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["entries", "adam"])
+    def test_eval_malformed_manifest_exits_one(self, tmp_path, capsys, key):
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--out", str(out)]) == 0
+        ckpt = out / "checkpoint.ckpt"
+        head, _, payload = ckpt.read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        del manifest[key]
+        ckpt.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+        capsys.readouterr()
+        assert main(["eval", *MICRO, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
     def test_flag_overrides_win(self, tmp_path):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--out", str(out), "--seed", "5",

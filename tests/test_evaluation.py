@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -352,3 +353,20 @@ class TestSweep:
         again = epsilon_sweep(cfg, [0.5], str(tmp_path))
         assert again == rows
         assert (tmp_path / "eps_0.5" / "checkpoint.ckpt").read_bytes() == before
+
+    def test_checkpoint_paths_relative_to_sweep_dir(self, tmp_path):
+        cfg = default_config("lq")
+        cfg.train.iterations = 2
+        cfg.train.batch_size = 4
+        cfg.train.steps = 5
+        cfg.train.horizon = 0.1
+        cfg.eval.batch_size = 8
+        out = tmp_path / "sweep"
+        rows = epsilon_sweep(cfg, [0.5], str(out))
+        assert [r["checkpoint"] for r in rows] == [
+            os.path.join("baseline", "checkpoint.ckpt"),
+            os.path.join("eps_0.5", "checkpoint.ckpt"),
+        ]
+        for row in rows:
+            assert (out / row["checkpoint"]).exists()
+        assert str(tmp_path) not in (out / "sweep.csv").read_text()

@@ -1,0 +1,252 @@
+"""The fused tape primitives against the element-wise compositions they
+replace. The compositions below are the oracle: they spell each block out in
+the unfused primitives, in the same operation order as the fused kernels."""
+
+import math
+
+import numpy as np
+import pytest
+
+from minmax_fbsde import autodiff as ad
+from minmax_fbsde import fbsde, gradcheck, training
+from minmax_fbsde.autodiff import StepConstants, Tape
+from minmax_fbsde.config import build_runtime, default_config
+from minmax_fbsde.fbsde import bsde_step, fsde_step, h_drift, h_quadratic
+
+
+def _ones_row(x):
+    cols = x.shape[1] if isinstance(x, ad.Var) else np.asarray(x).shape[1]
+    return np.ones((1, cols))
+
+
+def lstm_cell_composed(W, U, b, x, h_prev, c_prev):
+    hid = U.shape[1]
+    pre = ad.add(
+        ad.add(ad.matmul(W, x), ad.matmul(U, h_prev)),
+        ad.matmul(b, _ones_row(x)),
+    )
+    gate_i = ad.sigmoid(ad.rows(pre, 0, hid))
+    gate_f = ad.sigmoid(ad.rows(pre, hid, 2 * hid))
+    cand = ad.tanh(ad.rows(pre, 2 * hid, 3 * hid))
+    gate_o = ad.sigmoid(ad.rows(pre, 3 * hid, 4 * hid))
+    c_new = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
+    h_new = ad.mul(gate_o, ad.tanh(c_new))
+    return ad.vstack([h_new, c_new])
+
+
+def affine_composed(W, x, b):
+    return ad.add(ad.matmul(W, x), ad.matmul(b, _ones_row(x)))
+
+
+def fbsde_step_composed(x, y, z, f, q, c):
+    k = ad.matmul(c.gamma_u, ad.matmul(c.gain, z))
+    if c.inv_eps is not None:
+        k = ad.add(k, ad.smul(z, c.inv_eps))
+    s_z = ad.matmul(c.s_mat, z)
+    h_gen = ad.sub(q, ad.smul(ad.colsum(ad.mul(z, s_z)), 0.5))
+    z_k = ad.colsum(ad.mul(z, k))
+    z_dw = ad.colsum(ad.mul(z, c.dw))
+    y_new = ad.add(y, ad.add(ad.smul(ad.sub(z_k, h_gen), c.dt), ad.smul(z_dw, c.sqdt)))
+    injected = ad.matmul(c.sigma, ad.add(ad.smul(k, c.dt), ad.smul(c.dw, c.sqdt)))
+    x_new = ad.add(x, ad.add(ad.smul(f, c.dt), injected))
+    return ad.vstack([x_new, y_new])
+
+
+def lstm_inputs(rng, hid=5, d=3, cols=7):
+    return (
+        rng.normal(size=(4 * hid, d)), rng.normal(size=(4 * hid, hid)),
+        rng.normal(size=(4 * hid, 1)), rng.normal(size=(d, cols)),
+        rng.normal(size=(hid, cols)), rng.normal(size=(hid, cols)),
+    )
+
+
+def affine_inputs(rng, k=4, d=5, cols=7):
+    return rng.normal(size=(k, d)), rng.normal(size=(d, cols)), rng.normal(size=(k, 1))
+
+
+def step_inputs(rng, mode, n=3, m=2, p=2, cols=7):
+    consts = StepConstants(
+        dw=rng.normal(size=(m, cols)), gamma_u=rng.normal(size=(m, p)),
+        gain=rng.normal(size=(p, m)), s_mat=rng.normal(size=(m, m)),
+        sigma=rng.normal(size=(n, m)), dt=0.02, sqdt=math.sqrt(0.02),
+        inv_eps=0.5 if mode == "minmax" else None,
+    )
+    vals = (rng.normal(size=(n, cols)), rng.normal(size=(1, cols)),
+            rng.normal(size=(m, cols)), rng.normal(size=(n, cols)),
+            rng.normal(size=(1, cols)))
+    return vals, consts
+
+
+def make_case(name, rng):
+    """(fused, composed, input values, trailing constants) for one primitive."""
+    if name == "lstm_cell":
+        return ad.lstm_cell, lstm_cell_composed, lstm_inputs(rng), ()
+    if name == "affine":
+        return ad.affine, affine_composed, affine_inputs(rng), ()
+    vals, consts = step_inputs(rng, name.rsplit("_", 1)[1])
+    return ad.fbsde_step, fbsde_step_composed, vals, (consts,)
+
+
+CASES = ["lstm_cell", "affine", "fbsde_step_minmax", "fbsde_step_baseline"]
+
+
+def taped(fn, vals, extra):
+    """Value and input gradients of a fixed random weighting of fn's output."""
+    tape = Tape()
+    leaves = [tape.leaf(v) for v in vals]
+    out = fn(*leaves, *extra)
+    w = np.random.default_rng(99).normal(size=out.shape)
+    loss = ad.total(ad.mul(out, w))
+    return out.value, tape.backward(loss, leaves)
+
+
+class TestPrimitives:
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tapefree_bit_identical(self, case, seed):
+        fused, composed, vals, extra = make_case(case, np.random.default_rng(seed))
+        assert np.array_equal(fused(*vals, *extra), composed(*vals, *extra))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_taped_forward_and_gradients(self, case):
+        fused, composed, vals, extra = make_case(case, np.random.default_rng(3))
+        out_f, grads_f = taped(fused, vals, extra)
+        out_c, grads_c = taped(composed, vals, extra)
+        np.testing.assert_allclose(out_f, out_c, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out_f, fused(*vals, *extra))
+        for g_f, g_c in zip(grads_f, grads_c):
+            scale = max(1.0, float(np.max(np.abs(g_c))))
+            assert np.max(np.abs(g_f - g_c)) <= 1e-10 * scale
+
+    def test_one_node_each(self):
+        for case in CASES:
+            fused, _, vals, extra = make_case(case, np.random.default_rng(4))
+            tape = Tape()
+            leaves = [tape.leaf(v) for v in vals]
+            fused(*leaves, *extra)
+            assert len(tape) == len(vals) + 1, case
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(5)
+        W, U, b, x, h, c = lstm_inputs(rng)
+        with pytest.raises(ad.ShapeError, match="lstm-cell"):
+            ad.lstm_cell(W, U, b, x, h[:, :3], c)
+        Wa, xa, ba = affine_inputs(rng)
+        with pytest.raises(ad.ShapeError, match="affine"):
+            ad.affine(Wa, xa, ba[:2])
+        vals, consts = step_inputs(rng, "minmax")
+        with pytest.raises(ad.ShapeError, match="fbsde-step"):
+            ad.fbsde_step(vals[0], vals[1], vals[2], vals[3][:2], vals[4], consts)
+
+
+def small_runtime(system, mode, steps=8):
+    cfg = default_config(system)
+    cfg.mode = mode
+    cfg.train.steps = steps
+    cfg.train.horizon = steps * 0.02
+    setup = build_runtime(cfg)
+    store = training.init_store(setup.system, setup.train)
+    store.y0[:] = 0.4
+    store.z0[:] = 0.3  # nonzero, so the controls act from the first step
+    return setup, store
+
+
+def taped_rollout(setup, store, adversary, batch=5, seed=3):
+    tape = Tape()
+    lifted, leaves = store.lift(tape)
+    out = fbsde.rollout_batch(
+        lifted, setup.system, setup.costs, setup.grid, batch, seed,
+        mode=setup.train.mode, adversary=adversary, tape=tape,
+    )
+    h = out.handles
+    loss = fbsde.training_loss_expr(h.y_star, h.y_terminal,
+                                    [leaves[n] for n in training.THETA_NAMES],
+                                    setup.costs.beta, setup.costs.weight_decay, batch)
+    names = list(leaves)
+    grads = tape.backward(loss, [leaves[n] for n in names])
+    return out, float(loss.value[0, 0]), dict(zip(names, grads))
+
+
+ROLLOUTS = [(s, mode, adv) for s in ("pendulum", "quadcopter", "lq")
+            for mode, adv in (("minmax", True), ("minmax", False), ("baseline", False))]
+
+
+class TestRollout:
+    @pytest.mark.parametrize("system,mode,adversary", ROLLOUTS)
+    def test_matches_composition(self, system, mode, adversary, monkeypatch):
+        setup, store = small_runtime(system, mode)
+        fused_free = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid,
+                                         6, 2, mode=mode, adversary=adversary)
+        fused_taped, fused_loss, fused_grads = taped_rollout(setup, store, adversary)
+        monkeypatch.setattr(ad, "lstm_cell", lstm_cell_composed)
+        monkeypatch.setattr(ad, "affine", affine_composed)
+        monkeypatch.setattr(ad, "fbsde_step", fbsde_step_composed)
+        plain_free = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid,
+                                         6, 2, mode=mode, adversary=adversary)
+        plain_taped, plain_loss, plain_grads = taped_rollout(setup, store, adversary)
+
+        for key in ("states", "values", "z_grads", "controls", "adversary_controls",
+                    "terminal_targets"):
+            assert np.array_equal(getattr(fused_free, key), getattr(plain_free, key)), key
+            np.testing.assert_allclose(getattr(fused_taped, key), getattr(plain_taped, key),
+                                       rtol=0, atol=1e-12)
+        assert fused_loss == pytest.approx(plain_loss, rel=1e-12, abs=1e-12)
+        for name, g in plain_grads.items():
+            scale = max(1e-300, float(np.max(np.abs(g))))
+            assert np.max(np.abs(fused_grads[name] - g)) <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("system", ["pendulum", "quadcopter"])
+    @pytest.mark.parametrize("mode,adversary", [("minmax", True), ("minmax", False),
+                                                ("baseline", False)])
+    def test_columns_match_single_vector_steps(self, system, mode, adversary):
+        setup, _ = small_runtime(system, mode)
+        sys, costs, grid = setup.system, setup.costs, setup.grid
+        rng = np.random.default_rng(6)
+        cols = 4
+        x = sys.x0.reshape(-1, 1) + 0.3 * rng.normal(size=(sys.n, cols))
+        y = rng.normal(size=(1, cols))
+        z = rng.normal(size=(sys.m, cols))
+        dw = rng.normal(size=(sys.m, cols))
+        inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
+        gain = -costs.solve_r(sys.gamma_u.T)
+        consts = StepConstants(dw, sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps),
+                               sys.sigma, grid.dt, math.sqrt(grid.dt),
+                               inv_eps if adversary else None)
+        t = grid.start
+        xy = ad.fbsde_step(x, y, z, sys.drift(x, t), costs.running_expr(x, t), consts)
+        for i in range(cols):
+            u = gain @ z[:, i]
+            v = z[:, i] * inv_eps if adversary else np.zeros(sys.m)
+            h = h_drift(x[:, i], z[:, i], costs, sys.gamma_u, t=t, mode=mode)
+            np.testing.assert_allclose(
+                xy[: sys.n, i], fsde_step(x[:, i], u, v, dw[:, i], sys, grid, t),
+                rtol=1e-12, atol=1e-12)
+            assert xy[sys.n, i] == pytest.approx(
+                bsde_step(y[0, i], z[:, i], h, u, v, sys.gamma_u, dw[:, i], grid),
+                rel=1e-12, abs=1e-12)
+
+
+def test_pendulum_step_node_budget():
+    """One pendulum training step stays within 25 tape nodes per time step."""
+    setup = build_runtime(default_config("pendulum"))
+    store = training.init_store(setup.system, setup.train)
+    result = training.training_step(store, setup.system, setup.costs, setup.grid,
+                                     4, 0, 0, setup.train.mode)
+    assert len(result.batch.handles.tape) <= 25 * setup.grid.steps
+
+
+def test_audit_honours_points_and_covers_fused(monkeypatch):
+    calls = []
+    real = gradcheck.finite_difference_check
+
+    def counting(f, point, step=1e-6):
+        calls.append(1)
+        return real(f, point, step)
+
+    monkeypatch.setattr(gradcheck, "finite_difference_check", counting)
+    rows = gradcheck.audit_primitives(points=2)
+    names = [row.name for row in rows]
+    for fused in ("lstm-cell", "affine", "fbsde-step-minmax", "fbsde-step-baseline"):
+        assert fused in names
+    assert len(calls) == 2 * len(rows)
+    assert all(row.points == 2 and row.passed for row in rows)

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -331,6 +332,51 @@ class TestCheckpoint:
         _, manifest = load_checkpoint(path)
         validate_checkpoint(manifest, expected_shapes(sys, cfg.hidden_size),
                             config_hash="whatever")
+
+    @staticmethod
+    def _rewrite_manifest(path, edit):
+        head, _, payload = open(path, "rb").read().partition(b"\n")
+        manifest = json.loads(head)
+        edit(manifest)
+        open(path, "wb").write(json.dumps(manifest).encode() + b"\n" + payload)
+        return manifest
+
+    @pytest.mark.parametrize("key", ["entries", "adam"])
+    def test_manifest_missing_section(self, tmp_path, key):
+        sys, costs, cfg = small_problem()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_store(sys, cfg), path)
+        manifest = self._rewrite_manifest(path, lambda m: m.pop(key))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+        if key == "entries":
+            with pytest.raises(CheckpointError, match=key):
+                validate_checkpoint(manifest, expected_shapes(sys, cfg.hidden_size))
+
+    @pytest.mark.parametrize("field", ["name", "rows", "cols"])
+    def test_manifest_entry_missing_field(self, tmp_path, field):
+        sys, costs, cfg = small_problem()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_store(sys, cfg), path)
+        manifest = self._rewrite_manifest(path, lambda m: m["entries"][3].pop(field))
+        with pytest.raises(CheckpointError, match="entry 3"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="entry 3"):
+            validate_checkpoint(manifest, expected_shapes(sys, cfg.hidden_size))
+
+    def test_manifest_negative_shape(self, tmp_path):
+        # negating both sides keeps the payload size consistent
+        sys, costs, cfg = small_problem()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(init_store(sys, cfg), path)
+
+        def negate(m):
+            m["entries"][3]["rows"] *= -1
+            m["entries"][3]["cols"] *= -1
+
+        self._rewrite_manifest(path, negate)
+        with pytest.raises(CheckpointError, match="negative shape"):
+            load_checkpoint(path)
 
 
 class TestHistoryCsv:
