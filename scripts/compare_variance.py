@@ -6,7 +6,8 @@ budgets and compares their closed-loop dispersion on a shared test set.
 
 Both runs use the same training seed and the same counter-based noise
 streams, so the only difference between them is the adversary. Checkpoints
-are cached per mode: re-running the script reuses finished trainings.
+are cached per mode: re-running the script reuses finished trainings as long
+as the configuration and the solver source are unchanged.
 
 Example:
     python scripts/compare_variance.py --out runs/variance
@@ -26,23 +27,12 @@ from minmax_fbsde import evaluation, training
 def train_or_load(cfg, label: str):
     setup = config_mod.build_runtime(cfg)
     job_dir = os.path.join(cfg.out, label)
-    ckpt = os.path.join(job_dir, "checkpoint.ckpt")
-    if os.path.exists(ckpt):
-        store, manifest = training.load_checkpoint(ckpt)
-        training.validate_checkpoint(
-            manifest,
-            training.expected_shapes(setup.system, setup.train.hidden_size),
-            setup.model_hash,
-        )
-        print(f"[{label}] reusing {ckpt}")
+    print(f"[{label}] {setup.train.iterations} iterations at batch "
+          f"{setup.train.batch_size} in {job_dir}")
+    store, history = training.train_or_load(setup, job_dir)
+    if history is None:
+        print(f"[{label}] reused the cached checkpoint")
     else:
-        os.makedirs(job_dir, exist_ok=True)
-        print(f"[{label}] training {setup.train.iterations} iterations "
-              f"at batch {setup.train.batch_size}")
-        store, history = training.train(
-            setup.system, setup.costs, setup.train,
-            out_dir=job_dir, config_hash=setup.model_hash,
-        )
         print(f"[{label}] final loss {history[-1].loss:.6g}")
     return store, setup
 

@@ -50,23 +50,12 @@ def main() -> int:
     print(f"target (NED): {target_ned}  "
           f"horizon {setup.grid.end}s  steps {setup.grid.steps}")
 
-    ckpt = setup.checkpoint_path
-    if os.path.exists(ckpt):
-        store, manifest = training.load_checkpoint(ckpt)
-        training.validate_checkpoint(
-            manifest,
-            training.expected_shapes(setup.system, setup.train.hidden_size),
-            setup.model_hash,
-        )
-        print(f"reusing {ckpt}")
+    print(f"{setup.train.iterations} iterations at batch {setup.train.batch_size} "
+          f"(training takes a while unless {setup.out} holds a matching checkpoint)")
+    store, history = training.train_or_load(setup, setup.out)
+    if history is None:
+        print("reused the cached checkpoint")
     else:
-        os.makedirs(setup.out, exist_ok=True)
-        print(f"training {setup.train.iterations} iterations at batch "
-              f"{setup.train.batch_size} (this takes a while)")
-        store, history = training.train(
-            setup.system, setup.costs, setup.train,
-            out_dir=setup.out, config_hash=setup.model_hash,
-        )
         print(f"final loss {history[-1].loss:.6g}")
 
     report = evaluation.evaluate(

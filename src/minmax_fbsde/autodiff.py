@@ -21,6 +21,11 @@ update, value ``[x'; y']``). Each has one forward kernel, shared by the taped
 and the tape-free path, and one hand-written backward. A fused node keeps
 what its backward needs (gate activations, intermediate products, the step
 constants) in its ``aux``; only ``value`` counts as the node's output.
+
+A fourth, ``column_map``, is the generic form: the caller supplies the
+forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
+``vjp(g, x, saved) -> dx``. The system drifts and the quadratic costs are
+written this way, so each records one node per call.
 """
 
 from __future__ import annotations
@@ -134,6 +139,7 @@ PRIMITIVES = {
     "lstm_cell": "lstm-cell",
     "affine": "affine",
     "fbsde_step": "fbsde-step",
+    "column_map": "column-map",
 }
 
 
@@ -245,6 +251,9 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
         _affine_backward(node, g, grads, values)
     elif op == "fbsde_step":
         _fbsde_step_backward(node, g, grads, values)
+    elif op == "column_map":
+        vjp, saved = node.aux
+        _acc(grads, ins[0], vjp(g, values(ins[0]), saved))
     # leaf / const: nothing flows further
 
 
@@ -395,10 +404,21 @@ def _fbsde_step_backward(node, g, grads, values) -> None:
     _acc(grads, i_q, -a)
 
 
+def _column_map_kernel(vals, aux):
+    """``fn(x)``, whose value must keep the column count of x."""
+    fn, vjp = aux
+    (x,) = vals
+    out, saved = fn(x)
+    if out.ndim != 2 or out.shape[1] != x.shape[1]:
+        raise ShapeError(f"column-map: value {out.shape} from input {x.shape} changes the columns")
+    return out, (vjp, saved)
+
+
 _FUSED = {
     "lstm_cell": _lstm_cell_kernel,
     "affine": _affine_kernel,
     "fbsde_step": _fbsde_step_kernel,
+    "column_map": _column_map_kernel,
 }
 
 
@@ -618,6 +638,17 @@ def fbsde_step(x, y, z, f, q, consts: StepConstants):
     gradient z (m, M), drift f(x) (n, M) and running cost q(x) (1, M).
     Returns [x'; y'], (n + 1, M); see ``_fbsde_step_kernel``."""
     return _fused("fbsde_step", (x, y, z, f, q), consts)
+
+
+def column_map(x, fn: Callable, vjp: Callable):
+    """One node for a map of the (n, M) columns of x to (k, M).
+
+    ``fn(x) -> (value, saved)`` is the forward on plain arrays and
+    ``vjp(g, x, saved) -> dx`` its vector-Jacobian product; ``saved`` is
+    whatever the forward computed that the product reuses. Tape-free, the
+    call is ``fn(x)[0]``.
+    """
+    return _fused("column_map", (x,), (fn, vjp))
 
 
 # ---------------------------------------------------------------------------

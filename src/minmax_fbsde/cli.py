@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         args.mode = "baseline"
     try:
         cfg = resolve_config(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
 

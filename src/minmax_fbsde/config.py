@@ -205,8 +205,18 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     defaulted pendulum config."""
     data: dict = {}
     if path is not None:
-        with open(path) as fh:
-            loaded = yaml.safe_load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                loaded = yaml.safe_load(fh)
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file {path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from exc
+        except yaml.YAMLError as exc:
+            detail = " ".join(str(exc).split())
+            raise ConfigError(f"config file {path}: invalid YAML: {detail}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

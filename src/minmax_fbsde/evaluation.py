@@ -404,7 +404,8 @@ def _csv_cell(v) -> str:
 
 def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]:
     """Train and evaluate one controller per adversary temperature, plus the
-    risk-neutral baseline, reusing cached checkpoints when present.
+    risk-neutral baseline, reusing a cached checkpoint only where
+    ``training.train_or_load`` finds it trained by the same code and settings.
 
     Failed trainings become rows with status ``failed`` and the sweep moves
     on. A run counts as successful when its success rate clears the sweep
@@ -425,8 +426,6 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
         label = "baseline" if eps is None else f"eps_{eps:g}"
         job_cfg = config_mod.override(config, mode=mode, epsilon=eps)
         setup = config_mod.build_runtime(job_cfg)
-        job_dir = os.path.join(out_dir, label)
-        ckpt = os.path.join(job_dir, "checkpoint.ckpt")
         row = {
             "epsilon": eps,
             "mode": mode,
@@ -437,19 +436,7 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
             "checkpoint": os.path.join(label, "checkpoint.ckpt"),
         }
         try:
-            if os.path.exists(ckpt):
-                store, manifest = training.load_checkpoint(ckpt)
-                training.validate_checkpoint(
-                    manifest,
-                    training.expected_shapes(setup.system, setup.train.hidden_size),
-                    setup.model_hash,
-                )
-            else:
-                os.makedirs(job_dir, exist_ok=True)
-                store, _ = training.train(
-                    setup.system, setup.costs, setup.train,
-                    out_dir=job_dir, config_hash=setup.model_hash,
-                )
+            store, _ = training.train_or_load(setup, os.path.join(out_dir, label))
             report = evaluate(
                 store, setup.system, setup.costs, setup.grid,
                 setup.eval_batch, setup.eval_seed, mode=mode, adversary=False,

@@ -24,10 +24,14 @@ the adversary; it is the epsilon -> infinity limit of the min-max mode.
 Everything is written against the dual-mode expression helpers: with a tape
 the whole rollout, including the drift, is differentiable end to end; without
 one it runs as plain vectorized numpy. Samples live in columns, so one tape
-carries the entire batch. Per time step the tape records the running cost and
-the drift as the system defines them, one fused ``fbsde_step`` node for both
-updates above, and the fused LSTM cells of the value-gradient predictor. The
-controls are recorded from values only; ``fbsde_step`` derives its own from z.
+carries the entire batch. Per time step the tape records 12 nodes on the
+pendulum and the quadcopter (13 on ``lq``, whose linear drift is a constant
+matrix times x): one each for the running cost and the drift (``column_map``
+nodes, see ``systems``), one fused ``fbsde_step`` for both updates above plus two
+row slices that take x' and y' out of it, and for the value-gradient predictor
+two fused LSTM cells with two row slices each and one ``affine`` read-out.
+The controls are recorded from values only; ``fbsde_step`` derives its own
+from z.
 """
 
 from __future__ import annotations

@@ -1,8 +1,11 @@
 """Gradient audits: every reverse-mode derivative in the package is compared
 against central finite differences at random points. The audit covers the
 primitive operations (the fused ``lstm_cell``, ``affine`` and ``fbsde_step``
-included, the last in both minmax and baseline form), one recurrent cell
-step, and a full multi-step rollout including the training loss.
+included, the last in both minmax and baseline form), the hand-written
+``column_map`` products of the system drifts (``drift-pendulum``,
+``drift-quadcopter``) and of the angle-wrapped quadratic cost
+(``quadratic-cost``), one recurrent cell step, and a full multi-step rollout
+including the training loss.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import fbsde
 from .autodiff import Tape, finite_difference_check
 from .fbsde import HorizonGrid
 from .neural import init_net, lstm_stack_forward
-from .systems import lq_double_integrator, pendulum
+from .systems import CostSpec, lq_double_integrator, pendulum, quadcopter
 from .training import ParamStore, init_store, TrainConfig
 
 
@@ -123,6 +126,18 @@ def audit_primitives(points: int = 100) -> list[AuditRow]:
             [(n, cols), (1, cols), (m, cols), (n, cols), (1, cols)],
             points, seed=2,
         ))
+    cols = 2
+    quad = quadcopter()
+    for sys in (pendulum(), quad):
+        rows.append(_audit(f"drift-{sys.name}", sys.drift, [(sys.n, cols)], points, seed=3))
+    # targets at pi on the quadcopter's angle dims: probes in [-2, 2] then
+    # deviate by up to 2 + pi, so about half of them take the wrap path
+    target = np.full(quad.n, 0.5)
+    target[list(quad.angle_dims)] = np.pi
+    weights = np.linspace(0.5, 2.0, quad.n)
+    costs = CostSpec(running_weights=weights, terminal_weights=weights, target=target,
+                     r_u=np.eye(quad.p), epsilon=1.0, angle_dims=quad.angle_dims)
+    rows.append(_audit("quadratic-cost", costs.running_expr, [(quad.n, cols)], points, seed=3))
     return rows
 
 
@@ -169,8 +184,6 @@ def audit_rollout(steps: int = 5, batch: int = 2, seed: int = 11,
                   tol: float = 1e-4, system: str = "pendulum") -> AuditRow:
     """Full solver pass: multi-step importance-sampled rollout plus training
     loss, differentiated with respect to every trainable parameter."""
-    from .systems import CostSpec
-
     if system == "pendulum":
         sys = pendulum(noise="low")
         running = np.array([1.0, 0.1])

@@ -8,16 +8,17 @@ batch chunking.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from . import fbsde, neural
+from . import fbsde, neural, systems
 from .autodiff import Tape
 from .fbsde import HorizonGrid, RolloutBatch
 from .systems import CostSpec, SystemModel
@@ -347,6 +348,72 @@ def train(
     if ckpt_path:
         save_checkpoint(store, ckpt_path, seed=cfg.seed, config_hash=config_hash)
     flush()
+    return store, history
+
+
+# ---------------------------------------------------------------------------
+# cached training: reuse a checkpoint only if the same code trained it under
+# the same settings
+
+PROVENANCE_FILE = "provenance"
+
+
+def source_hash() -> str:
+    """sha256 of the source of every module that shapes the trained numbers."""
+    digest = hashlib.sha256()
+    for path in (ad.__file__, neural.__file__, fbsde.__file__, systems.__file__, __file__):
+        with open(path, "rb") as fh:
+            digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
+def provenance_key(setup) -> str:
+    """Hash of a runtime setup's resolved training config, costs and system,
+    and of ``source_hash()``. A cached checkpoint is valid for this key only."""
+    costs = {f.name: getattr(setup.costs, f.name) for f in fields(setup.costs)}
+    payload = {
+        "system": [setup.system.name, setup.system.params],
+        "train": asdict(setup.train),
+        "costs": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in costs.items()},
+        "source": source_hash(),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def train_or_load(setup, job_dir: str) -> tuple[ParamStore, list[HistoryRow] | None]:
+    """Train ``setup`` into ``job_dir``, or reuse the checkpoint found there.
+
+    The checkpoint is reused only when the ``provenance`` file next to it
+    holds ``provenance_key(setup)``, so a changed budget, cost or solver
+    source retrains. Returns the store and the loss history, which is None
+    when the checkpoint was reused.
+    """
+    key = provenance_key(setup)
+    ckpt = os.path.join(job_dir, "checkpoint.ckpt")
+    sidecar = os.path.join(job_dir, PROVENANCE_FILE)
+    try:
+        with open(sidecar) as fh:
+            fresh = fh.read().strip() == key
+    except OSError:
+        fresh = False
+    if fresh:
+        try:
+            store, manifest = load_checkpoint(ckpt)
+            validate_checkpoint(
+                manifest, expected_shapes(setup.system, setup.train.hidden_size), setup.model_hash
+            )
+            return store, None
+        except (CheckpointError, OSError):
+            pass  # unreadable cache: retrain below
+    os.makedirs(job_dir, exist_ok=True)
+    if os.path.exists(sidecar):
+        os.remove(sidecar)  # an interrupted retrain must not look finished
+    store, history = train(
+        setup.system, setup.costs, setup.train, out_dir=job_dir, config_hash=setup.model_hash
+    )
+    with open(sidecar, "w") as fh:
+        fh.write(key + "\n")
     return store, history
 
 

@@ -3,8 +3,9 @@
 Each test checks one release criterion and prints a single PASS/FAIL line,
 so a full run reads as a checklist. The training-backed criteria cache
 their checkpoints under runs/acceptance/; the first run trains everything
-(roughly fifteen minutes on one CPU), later runs reuse the artifacts.
-Delete runs/acceptance/ to retrain from scratch.
+(roughly fifteen minutes on one CPU), later runs reuse the artifacts as long
+as the budgets and the solver source are unchanged (see
+``training.train_or_load``). Delete runs/acceptance/ to retrain from scratch.
 
 Budgets are deliberately smaller than the shipped defaults where the quick
 setting already clears the bar from the default training seed; the defaults
@@ -49,23 +50,10 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 def _train_or_load(cfg, label: str):
-    """Train under runs/acceptance/<label>, or reuse a cached checkpoint."""
+    """Train under runs/acceptance/<label>, or reuse a checkpoint trained by
+    the current code under the same settings."""
     setup = build_runtime(cfg)
-    job_dir = ACCEPT_DIR / label
-    ckpt = job_dir / "checkpoint.ckpt"
-    shapes = training.expected_shapes(setup.system, setup.train.hidden_size)
-    if ckpt.exists():
-        try:
-            store, manifest = training.load_checkpoint(str(ckpt))
-            training.validate_checkpoint(manifest, shapes, setup.model_hash)
-            return store, setup
-        except (training.CheckpointError, FileNotFoundError):
-            pass  # stale cache: retrain below
-    job_dir.mkdir(parents=True, exist_ok=True)
-    store, _ = training.train(
-        setup.system, setup.costs, setup.train,
-        out_dir=str(job_dir), config_hash=setup.model_hash,
-    )
+    store, _ = training.train_or_load(setup, str(ACCEPT_DIR / label))
     return store, setup
 
 

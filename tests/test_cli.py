@@ -303,6 +303,27 @@ class TestCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,fragment", [
+        ("yaml", "invalid YAML"),
+        ("directory", "directory"),
+        ("latin-1", "not UTF-8"),
+    ])
+    def test_unreadable_config_file_exits_two(self, tmp_path, capsys, kind, fragment):
+        path = tmp_path / "exp.yaml"
+        if kind == "yaml":
+            path.write_text("system: [\n")
+        elif kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("system: pendulum  # r\xe9glage\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config(str(path))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert err.count("\n") == 1
+
     def test_grad_check_passes(self, tmp_path, capsys):
         out = tmp_path / "audit"
         code = main(["grad-check", "--out", str(out)])

@@ -1,6 +1,8 @@
 """The fused tape primitives against the element-wise compositions they
 replace. The compositions below are the oracle: they spell each block out in
-the unfused primitives, in the same operation order as the fused kernels."""
+the unfused primitives, in the same operation order as the fused kernels.
+That includes the system drifts and the quadratic cost, which the solver
+records as one ``column_map`` node each."""
 
 import math
 
@@ -12,6 +14,7 @@ from minmax_fbsde import fbsde, gradcheck, training
 from minmax_fbsde.autodiff import StepConstants, Tape
 from minmax_fbsde.config import build_runtime, default_config
 from minmax_fbsde.fbsde import bsde_step, fsde_step, h_drift, h_quadratic
+from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
 
 
 def _ones_row(x):
@@ -50,6 +53,93 @@ def fbsde_step_composed(x, y, z, f, q, c):
     injected = ad.matmul(c.sigma, ad.add(ad.smul(k, c.dt), ad.smul(c.dw, c.sqdt)))
     x_new = ad.add(x, ad.add(ad.smul(f, c.dt), injected))
     return ad.vstack([x_new, y_new])
+
+
+def pendulum_drift_composed(sys):
+    damping, gravity = sys.params["damping"], sys.params["gravity"]
+    inertia = sys.params["mass"] * sys.params["length"] ** 2
+    grav_coeff = sys.params["mass"] * gravity * sys.params["length"]
+
+    def drift(X, t=0.0):
+        theta = ad.rows(X, 0, 1)
+        omega = ad.rows(X, 1, 2)
+        acc = (omega * (-damping) + ad.sin(theta) * (-grav_coeff)) * (1.0 / inertia)
+        return ad.vstack((omega, acc))
+
+    return drift
+
+
+def _one_like(x):
+    if isinstance(x, ad.Var):
+        return x.tape.constant(np.ones(x.shape))
+    return np.ones(np.asarray(x).shape)
+
+
+def quadcopter_drift_composed(sys):
+    jx, jy, jz = sys.params["jx"], sys.params["jy"], sys.params["jz"]
+    gravity = sys.params["gravity"]
+
+    def drift(X, t=0.0):
+        phi, th, psi = ad.rows(X, 3, 4), ad.rows(X, 4, 5), ad.rows(X, 5, 6)
+        u, v, w = ad.rows(X, 6, 7), ad.rows(X, 7, 8), ad.rows(X, 8, 9)
+        pr, qr, rr = ad.rows(X, 9, 10), ad.rows(X, 10, 11), ad.rows(X, 11, 12)
+        sphi, cphi = ad.sin(phi), ad.cos(phi)
+        sth, cth = ad.sin(th), ad.cos(th)
+        spsi, cpsi = ad.sin(psi), ad.cos(psi)
+        pn_dot = ad.add(
+            ad.mul(ad.mul(cth, cpsi), u),
+            ad.add(
+                ad.mul(ad.sub(ad.mul(ad.mul(sphi, sth), cpsi), ad.mul(cphi, spsi)), v),
+                ad.mul(ad.add(ad.mul(ad.mul(cphi, sth), cpsi), ad.mul(sphi, spsi)), w),
+            ),
+        )
+        pe_dot = ad.add(
+            ad.mul(ad.mul(cth, spsi), u),
+            ad.add(
+                ad.mul(ad.add(ad.mul(ad.mul(sphi, sth), spsi), ad.mul(cphi, cpsi)), v),
+                ad.mul(ad.sub(ad.mul(ad.mul(cphi, sth), spsi), ad.mul(sphi, cpsi)), w),
+            ),
+        )
+        pd_dot = ad.add(
+            ad.mul(ad.smul(sth, -1.0), u),
+            ad.add(ad.mul(ad.mul(sphi, cth), v), ad.mul(ad.mul(cphi, cth), w)),
+        )
+        u_dot = ad.sub(ad.sub(ad.mul(rr, v), ad.mul(qr, w)), ad.smul(sth, gravity))
+        v_dot = ad.add(ad.sub(ad.mul(pr, w), ad.mul(rr, u)), ad.smul(ad.mul(cth, sphi), gravity))
+        w_dot = ad.add(
+            ad.sub(ad.mul(qr, u), ad.mul(pr, v)),
+            ad.smul(ad.sub(ad.mul(cth, cphi), _one_like(u)), gravity),
+        )
+        p_dot = ad.smul(ad.mul(qr, rr), (jy - jz) / jx)
+        q_dot = ad.smul(ad.mul(pr, rr), (jz - jx) / jy)
+        r_dot = ad.smul(ad.mul(pr, qr), (jx - jy) / jz)
+        return ad.vstack(
+            (pn_dot, pe_dot, pd_dot, pr, qr, rr, u_dot, v_dot, w_dot, p_dot, q_dot, r_dot)
+        )
+
+    return drift
+
+
+DRIFTS = {"pendulum": (pendulum, pendulum_drift_composed),
+          "quadcopter": (quadcopter, quadcopter_drift_composed)}
+
+
+def quad_composed(costs, X, weights):
+    """The quadratic cost with the angle offsets taken from values."""
+    vals = X.value if isinstance(X, ad.Var) else np.asarray(X)
+    n, cols = vals.shape
+    target = costs.target
+    offsets = np.repeat(target.reshape(n, 1), cols, axis=1)
+    for j in costs.angle_dims:
+        raw = vals[j] - target[j]
+        offsets[j] += raw - wrap_angle(raw)
+    dev = ad.sub(X, offsets)
+    return ad.smul(ad.matmul(weights.reshape(1, -1), ad.mul(dev, dev)), 0.5)
+
+
+def quadcopter_costs():
+    setup = build_runtime(default_config("quadcopter"))
+    return setup.costs
 
 
 def lstm_inputs(rng, hid=5, d=3, cols=7):
@@ -139,6 +229,71 @@ class TestPrimitives:
             ad.fbsde_step(vals[0], vals[1], vals[2], vals[3][:2], vals[4], consts)
 
 
+def map_points(rng, n, cols=9, spread=6.0):
+    """Random states whose angles reach well beyond +-pi."""
+    return rng.uniform(-spread, spread, size=(n, cols))
+
+
+def assert_close_rel(actual, expected, rel=1e-12):
+    scale = max(1e-300, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(actual - expected)) <= rel * scale
+
+
+class TestSystemMaps:
+    @pytest.mark.parametrize("system", sorted(DRIFTS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drift_tapefree_bit_identical(self, system, seed):
+        factory, composed = DRIFTS[system]
+        sys = factory()
+        X = map_points(np.random.default_rng(seed), sys.n)
+        assert np.array_equal(sys.drift(X), composed(sys)(X))
+
+    @pytest.mark.parametrize("system", sorted(DRIFTS))
+    def test_drift_taped_gradients(self, system):
+        factory, composed = DRIFTS[system]
+        sys = factory(damping=0.3) if system == "pendulum" else factory(jx=4e-3)
+        X = map_points(np.random.default_rng(3), sys.n)
+        out_f, (g_f,) = taped(sys.drift, (X,), ())
+        out_c, (g_c,) = taped(composed(sys), (X,), ())
+        assert np.array_equal(out_f, out_c)
+        assert_close_rel(g_f, g_c)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cost_tapefree_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        for costs in (quadcopter_costs(), build_runtime(default_config("pendulum")).costs):
+            X = map_points(rng, costs.target.size)
+            assert np.any(np.abs(X[list(costs.angle_dims)]) > np.pi)
+            assert np.array_equal(costs.running_expr(X),
+                                  quad_composed(costs, X, costs.running_weights))
+            assert np.array_equal(costs.terminal_expr(X),
+                                  quad_composed(costs, X, costs.terminal_weights))
+
+    def test_cost_taped_gradients(self):
+        costs = quadcopter_costs()
+        X = map_points(np.random.default_rng(4), costs.target.size)
+        for weights, fused in ((costs.running_weights, costs.running_expr),
+                               (costs.terminal_weights, costs.terminal_expr)):
+            out_f, (g_f,) = taped(fused, (X,), ())
+            out_c, (g_c,) = taped(lambda x: quad_composed(costs, x, weights), (X,), ())
+            assert np.array_equal(out_f, out_c)
+            assert_close_rel(g_f, g_c)
+
+    def test_one_node_per_call(self):
+        costs = quadcopter_costs()
+        sys = quadcopter()
+        tape = Tape()
+        x = tape.leaf(map_points(np.random.default_rng(5), sys.n))
+        sys.drift(x)
+        costs.running_expr(x)
+        costs.terminal_expr(x)
+        assert len(tape) == 4
+
+    def test_column_map_rejects_changed_columns(self):
+        with pytest.raises(ad.ShapeError, match="column-map"):
+            ad.column_map(np.ones((2, 3)), lambda x: (x[:, :2], None), None)
+
+
 def small_runtime(system, mode, steps=8):
     cfg = default_config(system)
     cfg.mode = mode
@@ -181,6 +336,10 @@ class TestRollout:
         monkeypatch.setattr(ad, "lstm_cell", lstm_cell_composed)
         monkeypatch.setattr(ad, "affine", affine_composed)
         monkeypatch.setattr(ad, "fbsde_step", fbsde_step_composed)
+        if system in DRIFTS:
+            monkeypatch.setattr(setup.system, "drift", DRIFTS[system][1](setup.system))
+        monkeypatch.setattr(setup.costs, "_quad",
+                            lambda X, weights, costs=setup.costs: quad_composed(costs, X, weights))
         plain_free = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid,
                                          6, 2, mode=mode, adversary=adversary)
         plain_taped, plain_loss, plain_grads = taped_rollout(setup, store, adversary)
@@ -226,13 +385,22 @@ class TestRollout:
                 rel=1e-12, abs=1e-12)
 
 
-def test_pendulum_step_node_budget():
-    """One pendulum training step stays within 25 tape nodes per time step."""
-    setup = build_runtime(default_config("pendulum"))
+def nodes_per_time_step(system):
+    setup = build_runtime(default_config(system))
     store = training.init_store(setup.system, setup.train)
     result = training.training_step(store, setup.system, setup.costs, setup.grid,
                                      4, 0, 0, setup.train.mode)
-    assert len(result.batch.handles.tape) <= 25 * setup.grid.steps
+    return len(result.batch.handles.tape) / setup.grid.steps
+
+
+def test_pendulum_step_node_budget():
+    """One pendulum training step stays within 13 tape nodes per time step."""
+    assert nodes_per_time_step("pendulum") <= 13
+
+
+def test_quadcopter_step_node_budget():
+    """The quadcopter drift and cost record one node each, like the pendulum's."""
+    assert nodes_per_time_step("quadcopter") <= 13
 
 
 def test_audit_honours_points_and_covers_fused(monkeypatch):
@@ -246,7 +414,8 @@ def test_audit_honours_points_and_covers_fused(monkeypatch):
     monkeypatch.setattr(gradcheck, "finite_difference_check", counting)
     rows = gradcheck.audit_primitives(points=2)
     names = [row.name for row in rows]
-    for fused in ("lstm-cell", "affine", "fbsde-step-minmax", "fbsde-step-baseline"):
+    for fused in ("lstm-cell", "affine", "fbsde-step-minmax", "fbsde-step-baseline",
+                  "drift-pendulum", "drift-quadcopter", "quadratic-cost"):
         assert fused in names
     assert len(calls) == 2 * len(rows)
     assert all(row.points == 2 and row.passed for row in rows)

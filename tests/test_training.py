@@ -395,3 +395,50 @@ class TestHistoryCsv:
         _, loss, tc, _ = line.split(",")
         assert float(loss) == row.loss
         assert float(tc) == row.mean_terminal_cost
+
+
+class TestTrainOrLoad:
+    def setup_for(self, iterations=2):
+        from minmax_fbsde.config import build_runtime, default_config
+
+        cfg = default_config("pendulum")
+        cfg.train.iterations = iterations
+        cfg.train.batch_size = 4
+        cfg.train.steps = 3
+        cfg.train.horizon = 0.06
+        cfg.train.hidden_size = 4
+        return build_runtime(cfg)
+
+    def test_reuses_only_its_own_checkpoint(self, tmp_path):
+        job = str(tmp_path / "job")
+        store, history = training.train_or_load(self.setup_for(), job)
+        assert len(history) == 2
+        again, reused = training.train_or_load(self.setup_for(), job)
+        assert reused is None
+        for (name, a), (_, b) in zip(store.named_parameters(), again.named_parameters()):
+            assert np.array_equal(a, b), name
+
+    def test_changed_iterations_retrain(self, tmp_path):
+        job = str(tmp_path / "job")
+        training.train_or_load(self.setup_for(2), job)
+        _, history = training.train_or_load(self.setup_for(3), job)
+        assert history is not None and len(history) == 3
+
+    def test_changed_source_retrains(self, tmp_path, monkeypatch):
+        job = str(tmp_path / "job")
+        training.train_or_load(self.setup_for(), job)
+        monkeypatch.setattr(training, "source_hash", lambda: "edited solver")
+        _, history = training.train_or_load(self.setup_for(), job)
+        assert history is not None
+        _, history = training.train_or_load(self.setup_for(), job)
+        assert history is None
+
+    def test_checkpoint_without_provenance_retrains(self, tmp_path):
+        setup = self.setup_for()
+        job = tmp_path / "job"
+        train(setup.system, setup.costs, setup.train, out_dir=str(job),
+              config_hash=setup.model_hash)
+        _, history = training.train_or_load(setup, str(job))
+        assert history is not None
+        assert (job / training.PROVENANCE_FILE).read_text().strip() == \
+            training.provenance_key(setup)
