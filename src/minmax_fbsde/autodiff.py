@@ -26,6 +26,9 @@ A fourth, ``column_map``, is the generic form: the caller supplies the
 forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
 ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic costs are
 written this way, so each records one node per call.
+
+The sigmoid is NumPy's own ``0.5 tanh(a / 2) + 0.5`` (``_sigmoid``), so
+importing the package does not load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -143,6 +145,20 @@ PRIMITIVES = {
 }
 
 
+def _sigmoid(a, out=None):
+    """Logistic function as 0.5 tanh(a / 2) + 0.5, in place when ``out`` is given.
+
+    NumPy ufuncs only; it cannot overflow, maps -inf and +inf to exactly 0
+    and 1, propagates NaN and is within 2.3e-16 absolute of the exact value.
+    The LSTM kernel, the taped primitive and the eager helper all call it,
+    so they agree bit for bit.
+    """
+    half = np.tanh(np.multiply(a, 0.5, out=out), out=out)
+    half *= 0.5
+    half += 0.5
+    return half
+
+
 def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ShapeError(
@@ -172,7 +188,7 @@ def _forward(op: str, vals: tuple[np.ndarray, ...], aux) -> np.ndarray:
     if op == "tanh":
         return np.tanh(vals[0])
     if op == "sigmoid":
-        return expit(vals[0])
+        return _sigmoid(vals[0])
     if op == "sin":
         return np.sin(vals[0])
     if op == "cos":
@@ -280,9 +296,9 @@ def _lstm_cell_kernel(vals, aux):
     act += U @ h_prev
     act += b
     # rows (input, forget, candidate, output); activations in place
-    expit(act[: 2 * hid], out=act[: 2 * hid])
+    _sigmoid(act[: 2 * hid], out=act[: 2 * hid])
     np.tanh(act[2 * hid : 3 * hid], out=act[2 * hid : 3 * hid])
-    expit(act[3 * hid :], out=act[3 * hid :])
+    _sigmoid(act[3 * hid :], out=act[3 * hid :])
     gate_i, gate_f = act[:hid], act[hid : 2 * hid]
     cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
     out = np.empty((2 * hid, x.shape[1]))
@@ -560,7 +576,7 @@ def tanh(x):
 def sigmoid(x):
     if isinstance(x, Var):
         return x.tape.apply("sigmoid", x)
-    return expit(x)
+    return _sigmoid(x)
 
 
 def sin(x):

@@ -20,7 +20,7 @@ from . import __version__
 from . import config as config_mod
 from . import evaluation, gradcheck, training
 from .config import ConfigError
-from .evaluation import default_lq_benchmark, riccati_oracle
+from .evaluation import riccati_oracle
 from .fbsde import HorizonGrid
 from .training import CheckpointError
 
@@ -175,13 +175,7 @@ def cmd_oracle_check(cfg) -> int:
                    f"|P(0) - P_half(0)| = {abs(p0 - p0_fine):.2e}"))
 
     setup = config_mod.build_runtime(cfg)
-    bench = evaluation.LqBenchmark(
-        a_mat=[[0.0, 1.0], [0.0, 0.0]], b_mat=[[0.0], [1.0]],
-        sigma=setup.system.sigma,
-        q_mat=np.diag(setup.costs.running_weights.ravel()),
-        qf_mat=np.diag(setup.costs.terminal_weights.ravel()),
-        r_mat=setup.costs.r_u, x0=setup.system.x0,
-    )
+    bench = evaluation.lq_benchmark(setup)
     oracle = riccati_oracle(bench, setup.grid)
     v0 = oracle.value(bench.x0, 0)
     z0_ref = oracle.z_of(bench.x0.reshape(-1, 1), 0)

@@ -27,17 +27,23 @@ TRAJECTORY_SCHEMA = "minmax-fbsde.trajectories.v1"
 SWEEP_SCHEMA = "minmax-fbsde.sweep.v1"
 
 
-def task_success(trajectory: np.ndarray, sys: SystemModel) -> bool:
-    """True iff the terminal state lands in the per-dimension tolerance box
-    around the target (angle dimensions compared on the circle)."""
-    trajectory = np.asarray(trajectory, dtype=np.float64)
-    terminal = trajectory[-1]
-    if not np.all(np.isfinite(terminal)):
-        return False
-    dev = terminal - sys.target
+def terminal_success(terminal: np.ndarray, sys: SystemModel) -> np.ndarray:
+    """(M,) bool: which columns of the (n, M) terminal states are finite and
+    land in the per-dimension tolerance box around the target (angle
+    dimensions compared on the circle)."""
+    terminal = np.asarray(terminal, dtype=np.float64)
+    ok = np.all(np.isfinite(terminal), axis=0)
+    dev = terminal[:, ok] - sys.target.reshape(-1, 1)
     for j in sys.angle_dims:
         dev[j] = wrap_angle(dev[j])
-    return bool(np.all(np.abs(dev) <= sys.success_tol))
+    ok[ok] = np.all(np.abs(dev) <= sys.success_tol.reshape(-1, 1), axis=0)
+    return ok
+
+
+def task_success(trajectory: np.ndarray, sys: SystemModel) -> bool:
+    """``terminal_success`` of one trajectory's last state; (steps, n) input."""
+    terminal = np.asarray(trajectory, dtype=np.float64)[-1]
+    return bool(terminal_success(terminal.reshape(-1, 1), sys)[0])
 
 
 def total_state_variance(trajectories: np.ndarray) -> float:
@@ -157,7 +163,7 @@ def summarize(
     y_term = batch.values[-1, 0, alive]
 
     trajs = np.moveaxis(states, 2, 0)  # (Mv, N+1, n)
-    successes = sum(task_success(trajs[i], sys) for i in range(m_valid))
+    successes = int(np.count_nonzero(terminal_success(states[-1], sys)))
 
     return EvalReport(
         mode=mode,
@@ -234,6 +240,26 @@ def default_lq_benchmark(noise_scale: float = 0.2) -> LqBenchmark:
         qf_mat=np.diag([10.0, 1.0]),
         r_mat=[[1.0]],
         x0=[1.0, 0.0],
+    )
+
+
+def lq_benchmark(setup) -> LqBenchmark:
+    """The linear-quadratic problem an ``lq`` runtime setup trains on.
+
+    A is the system's drift matrix, B its actuation Sigma Gamma_u, Q and Qf
+    the diagonal cost weights, R the control price and x0 the start state.
+    """
+    sys, costs = setup.system, setup.costs
+    if "drift_matrix" not in sys.params:
+        raise ValueError(f"system {sys.name!r} has no linear drift; the oracle needs 'lq'")
+    return LqBenchmark(
+        a_mat=sys.params["drift_matrix"],
+        b_mat=sys.actuation,
+        sigma=sys.sigma,
+        q_mat=np.diag(costs.running_weights),
+        qf_mat=np.diag(costs.terminal_weights),
+        r_mat=costs.r_u,
+        x0=sys.x0,
     )
 
 

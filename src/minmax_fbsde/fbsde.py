@@ -32,6 +32,12 @@ row slices that take x' and y' out of it, and for the value-gradient predictor
 two fused LSTM cells with two row slices each and one ``affine`` read-out.
 The controls are recorded from values only; ``fbsde_step`` derives its own
 from z.
+
+The increments dw are counter-based: sample i of a batch draws from a Philox
+stream keyed by ``SeedSequence(seed, spawn_key=(purpose, iteration, i))``
+(``noise_block``). ``sample_noise`` derives the keys of the whole batch in one
+vectorized pass and re-keys a single generator per sample, bit for bit the
+same draws as ``noise_block`` column by column.
 """
 
 from __future__ import annotations
@@ -90,12 +96,69 @@ def noise_block(seed: int, purpose: int, iteration: int, sample: int, steps: int
     return gen.standard_normal((steps, m))
 
 
+# NumPy's SeedSequence constants: hashmix, mix, and generate_state
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> int:
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _sample_keys(seed: int, purpose: int, iteration: int, batch: int) -> np.ndarray:
+    """Philox keys of ``SeedSequence(seed, spawn_key=(purpose, iteration, i))``
+    for i < batch, (batch, 2) uint64, computed for all i at once.
+
+    Sample i's entropy is the parent's, ``spawn_key=(purpose, iteration)``,
+    plus the one word i. So its pool is the parent's pool with i hashed into
+    every word, the hash constant continuing after the parent's
+    ``pool_size * words`` hashmix calls, and its key is
+    ``generate_state(2, uint64)`` of that pool. uint32 arrays wrap
+    silently, so the arithmetic below is NumPy's to the bit.
+    """
+    parent = np.random.SeedSequence(int(seed), spawn_key=(purpose, iteration))
+    size = parent.pool_size
+    words = max(size, _uint32_words(seed)) + _uint32_words(purpose) + _uint32_words(iteration)
+    hash_a = _HASH_INIT_A * pow(_HASH_MULT_A, size * words, 1 << 32) & _MASK32
+    hash_b = _HASH_INIT_B
+    sample = np.arange(batch, dtype=np.uint32)
+    shift = np.uint32(16)
+    state = np.empty((batch, size), dtype=np.uint32)
+    for d in range(size):
+        hashed = sample ^ np.uint32(hash_a)
+        hash_a = hash_a * _HASH_MULT_A & _MASK32
+        hashed *= np.uint32(hash_a)
+        hashed ^= hashed >> shift
+        word = np.uint32(_MIX_MULT_L * int(parent.pool[d]) & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        word ^= word >> shift
+        word ^= np.uint32(hash_b)
+        hash_b = hash_b * _HASH_MULT_B & _MASK32
+        word *= np.uint32(hash_b)
+        word ^= word >> shift
+        state[:, d] = word
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def sample_noise(seed: int, purpose: int, iteration: int, batch: int, steps: int, m: int) -> np.ndarray:
-    """Stacked increments for a batch, (steps, m, batch); column i is sample i."""
-    out = np.empty((steps, m, batch))
+    """Stacked increments for a batch, (steps, m, batch); column i is sample i.
+
+    Bit-identical to ``noise_block`` column by column, which stays the
+    definition: the keys of all samples come from ``_sample_keys`` in one
+    pass, and one Philox generator is re-keyed per sample.
+    """
+    keys = _sample_keys(seed, purpose, iteration, batch)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = np.zeros(4, dtype=np.uint64)
+    out = np.empty((batch, steps, m))
     for i in range(batch):
-        out[:, :, i] = noise_block(seed, purpose, iteration, i, steps, m)
-    return out
+        state["state"] = {"counter": counter, "key": keys[i]}
+        bitgen.state = state
+        gen.standard_normal(out=out[i])
+    return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

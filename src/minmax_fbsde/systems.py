@@ -415,9 +415,12 @@ def lq_double_integrator(noise: Any = 0.2) -> SystemModel:
 
     x_dot = v, v_dot = u + noise; the closed-form value function of the
     quadratic problem built on top of this system is the solver's oracle.
+    The drift is ``params["drift_matrix"]`` times x, so the oracle reads A
+    from the system (``evaluation.lq_benchmark``).
     """
     scale = resolve_noise_scale(noise)
-    a_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+    drift_matrix = [[0.0, 1.0], [0.0, 0.0]]
+    a_mat = np.array(drift_matrix)
 
     def drift(X, t=0.0):
         return ad.matmul(a_mat, X)
@@ -442,7 +445,7 @@ def lq_double_integrator(noise: Any = 0.2) -> SystemModel:
         state_labels=("position", "velocity"),
         success_tol=np.array([0.25, 0.5]),
         angle_dims=(),
-        params={"noise_scale": scale},
+        params={"noise_scale": scale, "drift_matrix": drift_matrix},
     )
 
 

@@ -28,6 +28,7 @@ from minmax_fbsde.evaluation import (
     default_lq_benchmark,
     epsilon_sweep,
     evaluate,
+    lq_benchmark,
     riccati_oracle,
     variance_reduction,
 )
@@ -107,13 +108,7 @@ def test_criterion_02_lq_value_oracle(capsys):
     cfg.mode = "baseline"
     validate_config(cfg)
     store, setup = _train_or_load(cfg, "lq_baseline")
-    bench = LqBenchmark(
-        a_mat=[[0.0, 1.0], [0.0, 0.0]], b_mat=[[0.0], [1.0]],
-        sigma=setup.system.sigma,
-        q_mat=np.diag(setup.costs.running_weights.ravel()),
-        qf_mat=np.diag(setup.costs.terminal_weights.ravel()),
-        r_mat=setup.costs.r_u, x0=setup.system.x0,
-    )
+    bench = lq_benchmark(setup)
     v0 = riccati_oracle(bench, setup.grid).value(bench.x0, 0)
     y0 = float(store.y0[0, 0])
     rel = abs(y0 - v0) / abs(v0)

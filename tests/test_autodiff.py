@@ -131,6 +131,55 @@ class TestForward:
         assert ad.colsum(np.ones((3, 2))).shape == (1, 2)
 
 
+class TestSigmoid:
+    """The one NumPy sigmoid behind ``ad.sigmoid``, the taped primitive and
+    the LSTM kernel; ``scipy.special.expit`` is the oracle here only."""
+
+    GRID = np.concatenate([np.linspace(-750.0, 750.0, 300_001), np.linspace(-40.0, 40.0, 80_001)])
+
+    def test_matches_expit(self):
+        from scipy.special import expit
+
+        assert np.max(np.abs(ad.sigmoid(self.GRID) - expit(self.GRID))) <= 1e-15
+
+    def test_eager_and_taped_agree(self):
+        x = np.linspace(-40.0, 40.0, 64 * 40).reshape(64, 40)
+        taped = ad.sigmoid(Tape().leaf(x)).value
+        assert taped.tobytes() == ad.sigmoid(x).tobytes()
+
+    def test_infinities_saturate_exactly(self):
+        out = ad.sigmoid(np.array([[np.inf, -np.inf]]))
+        assert out[0, 0] == 1.0 and out[0, 1] == 0.0
+
+    def test_nan_propagates(self):
+        assert np.isnan(ad.sigmoid(np.array([[np.nan, 0.0]])))[0].tolist() == [True, False]
+
+    def test_finite_inputs_raise_no_warning(self):
+        import warnings
+
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            ad.sigmoid(self.GRID)
+            ad.sigmoid(Tape().leaf(self.GRID.reshape(1, -1)))
+            # LSTM gates driven to both saturations by the bias alone
+            hid, cols = 2, 8
+            bias = np.resize([1e300, -1e300, 750.0, -750.0], (4 * hid, 1))
+            ad.lstm_cell(np.zeros((4 * hid, 1)), np.zeros((4 * hid, hid)), bias,
+                         np.zeros((1, cols)), np.zeros((hid, cols)), np.ones((hid, cols)))
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        import minmax_fbsde
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(minmax_fbsde.__file__)))
+        code = "import sys, minmax_fbsde; sys.exit('scipy.special' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
 class TestBackward:
     def test_requires_scalar_output(self):
         tape = Tape()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from minmax_fbsde.config import default_config, override
+from minmax_fbsde.config import build_runtime, default_config, override
 from minmax_fbsde.evaluation import (
     EVAL_SCHEMA,
     LqBenchmark,
@@ -13,16 +13,18 @@ from minmax_fbsde.evaluation import (
     default_lq_benchmark,
     epsilon_sweep,
     evaluate,
+    lq_benchmark,
     lq_cost_spec,
     riccati_oracle,
     summarize,
     sweep_to_csv,
     task_success,
+    terminal_success,
     total_state_variance,
     variance_reduction,
 )
 from minmax_fbsde.fbsde import HorizonGrid, rollout_batch, sample_noise
-from minmax_fbsde.systems import CostSpec, pendulum
+from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
 from minmax_fbsde.training import TrainConfig, init_store
 
 
@@ -73,6 +75,75 @@ class TestTaskSuccess:
         sys = pendulum()
         traj = np.array([[99.0, 99.0], [np.pi, 0.0]])
         assert task_success(traj, sys)
+
+
+def task_success_oracle(terminal, sys):
+    """The per-trajectory check spelled out state by state."""
+    if not np.all(np.isfinite(terminal)):
+        return False
+    dev = terminal - sys.target
+    for j in sys.angle_dims:
+        dev[j] = wrap_angle(dev[j])
+    return bool(np.all(np.abs(dev) <= sys.success_tol))
+
+
+def terminal_states(sys, cols, seed):
+    """(n, cols) terminal states around the target: about half inside the
+    box, angle rows shifted by whole and half turns beyond +-pi, some
+    columns exactly on the tolerance boundary and some non-finite."""
+    rng = np.random.default_rng(seed)
+    tol = np.where(np.isfinite(sys.success_tol), sys.success_tol, 10.0)
+    dev = rng.uniform(-1.3, 1.3, size=(sys.n, cols)) * tol.reshape(-1, 1)
+    for j in sys.angle_dims:
+        dev[j] += 2 * np.pi * rng.integers(-3, 4, size=cols)
+        dev[j, ::11] += np.pi
+    x = sys.target.reshape(-1, 1) + dev
+    zero_target = [j for j in range(sys.n) if sys.target[j] == 0.0 and np.isfinite(sys.success_tol[j])]
+    for j in zero_target:
+        x[j, 1::7] = sys.success_tol[j]
+        x[j, 2::7] = -sys.success_tol[j]
+        x[j, 3::7] = np.nextafter(sys.success_tol[j], np.inf)
+    x[0, 4::13] = np.nan
+    x[-1, 5::17] = np.inf
+    x[1, 6::19] = -np.inf
+    return x
+
+
+class TestTerminalSuccess:
+    @pytest.mark.parametrize("system", [pendulum, quadcopter])
+    def test_columns_agree_with_per_trajectory_check(self, system):
+        sys = system()
+        x = terminal_states(sys, 400, seed=3)
+        mask = terminal_success(x, sys)
+        assert mask.shape == (400,) and mask.dtype == bool
+        want = [task_success_oracle(x[:, i].copy(), sys) for i in range(400)]
+        assert mask.tolist() == want
+        assert mask.tolist() == [task_success(x[:, i].reshape(1, -1), sys) for i in range(400)]
+        assert 50 < sum(want) < 350  # both outcomes well represented
+        assert not mask[4::13].any()
+
+    def test_boundary_is_inside(self):
+        sys = pendulum()
+        x = np.array([[np.pi, np.pi, np.pi], [1.0, -1.0, np.nextafter(1.0, 2.0)]])
+        assert terminal_success(x, sys).tolist() == [True, True, False]
+
+    def test_input_left_unchanged(self):
+        sys = quadcopter()
+        x = terminal_states(sys, 50, seed=4)
+        before = x.copy()
+        terminal_success(x, sys)
+        np.testing.assert_array_equal(x, before)
+
+    def test_summarize_counts_live_columns(self):
+        sys, costs, grid, store = pendulum_setup(batch=64)
+        batch = rollout_batch(store, sys, costs, grid, 64, 5, mode="minmax", adversary=False)
+        batch.states[-1] = terminal_states(sys, 64, seed=5)
+        batch.alive &= np.all(np.isfinite(batch.states[-1]), axis=0)
+        report = summarize(batch, sys, costs, grid, "minmax", False, 5)
+        live = np.flatnonzero(batch.alive)
+        hits = sum(task_success_oracle(batch.states[-1, :, i].copy(), sys) for i in live)
+        assert report.success_rate == hits / live.size
+        assert 0 < hits < live.size
 
 
 class TestVariance:
@@ -268,6 +339,30 @@ class TestRiccati:
         cols = np.column_stack([x, 2 * x])
         np.testing.assert_allclose(
             ric.z_of(cols, 2), bench.sigma.T @ ric.p_mats[2] @ cols)
+
+
+class TestLqBenchmarkFromSetup:
+    def test_default_lq_runtime_is_the_default_benchmark(self):
+        bench = lq_benchmark(build_runtime(default_config("lq")))
+        ref = default_lq_benchmark()
+        for name in ("a_mat", "b_mat", "sigma", "q_mat", "qf_mat", "r_mat", "x0"):
+            np.testing.assert_array_equal(getattr(bench, name), getattr(ref, name), err_msg=name)
+
+    def test_reads_the_runtime(self):
+        cfg = override(default_config("lq"), noise=0.5)
+        cfg.cost.running_weights = [2.0, 0.3]
+        cfg.cost.control_weight = 4.0
+        setup = build_runtime(cfg)
+        bench = lq_benchmark(setup)
+        np.testing.assert_array_equal(bench.sigma, [[0.0], [0.5]])
+        np.testing.assert_array_equal(bench.q_mat, np.diag([2.0, 0.3]))
+        np.testing.assert_array_equal(bench.r_mat, [[4.0]])
+        x = np.array([[0.3, -1.0], [2.0, 0.5]])
+        np.testing.assert_array_equal(setup.system.drift(x), bench.a_mat @ x)
+
+    def test_nonlinear_system_rejected(self):
+        with pytest.raises(ValueError, match="lq"):
+            lq_benchmark(build_runtime(default_config("pendulum")))
 
 
 class TestLqCostSpec:

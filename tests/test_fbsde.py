@@ -88,6 +88,22 @@ class TestNoise:
         assert abs(noise.mean()) < 0.02
         assert abs(noise.std() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3])
+    @pytest.mark.parametrize("purpose", [0, 1, 2])
+    @pytest.mark.parametrize("iteration", [0, 5, 2**32 + 1])
+    def test_batched_keys_match_per_sample_oracle(self, seed, purpose, iteration):
+        # the batched key derivation must reproduce noise_block bit for bit,
+        # including seeds and iterations that take two uint32 words
+        for batch in (0, 1, 3, 257):
+            for m in (1, 6):
+                for steps in (0, 4):
+                    got = sample_noise(seed, purpose, iteration, batch, steps, m)
+                    want = np.empty((steps, m, batch))
+                    for i in range(batch):
+                        want[:, :, i] = noise_block(seed, purpose, iteration, i, steps, m)
+                    assert got.shape == want.shape and got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes(), (batch, m, steps)
+
 
 class TestControls:
     def test_zero_gradient_zero_controls(self):
