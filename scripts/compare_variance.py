@@ -58,7 +58,6 @@ def main() -> int:
         report = evaluation.evaluate(
             store, setup.system, setup.costs, setup.grid,
             setup.eval_batch, setup.eval_seed, mode=mode, adversary=False,
-            workers=setup.workers,
         )
         reports[mode] = report
         print(f"[{mode}] success {report.success_rate:.3f}  "

@@ -61,7 +61,6 @@ def main() -> int:
     report = evaluation.evaluate(
         store, setup.system, setup.costs, setup.grid,
         setup.eval_batch, setup.eval_seed, mode=cfg.mode, adversary=False,
-        workers=setup.workers,
     )
     print()
     print(f"success rate: {report.success_rate:.3f} "

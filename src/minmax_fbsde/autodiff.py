@@ -27,8 +27,8 @@ forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
 ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic costs are
 written this way, so each records one node per call.
 
-The sigmoid is NumPy's own ``0.5 tanh(a / 2) + 0.5`` (``_sigmoid``), so
-importing the package does not load ``scipy.special``.
+The sigmoid is NumPy's own ``0.5 tanh(a / 2) + 0.5`` (``_sigmoid``); the
+package needs no special-function library.
 """
 
 from __future__ import annotations

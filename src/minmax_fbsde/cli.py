@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="overrides", help="override a config entry by dotted path")
         cmd.add_argument("--out", metavar="DIR", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="training seed")
-        cmd.add_argument("--workers", type=int, default=None, help="parallel rollout workers")
         cmd.add_argument("--mode", choices=("minmax", "baseline"), default=None,
                          help="controller mode")
     return parser
@@ -58,8 +57,6 @@ def resolve_config(args) -> config_mod.ExperimentConfig:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
     if args.mode is not None:
         cfg.mode = args.mode
     config_mod.validate_config(cfg)
@@ -113,7 +110,6 @@ def cmd_eval(cfg) -> int:
     report = evaluation.evaluate(
         store, setup.system, setup.costs, setup.grid,
         setup.eval_batch, setup.eval_seed, mode=cfg.mode, adversary=False,
-        workers=setup.workers,
     )
     write_run_metadata(cfg.out, cfg, "eval")
     with open(os.path.join(cfg.out, "eval_report.json"), "w") as fh:

@@ -77,7 +77,7 @@ class ExperimentConfig:
     mode: str = "minmax"
     noise: Any = "low"  # preset name or explicit scale
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # accepted for existing configs; rollouts are serial, so only 1
     out: str = "runs/pendulum"
     physics: dict = field(default_factory=dict)
     cost: CostSection = field(default_factory=CostSection)
@@ -277,7 +277,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     else:
         _require(_num(cfg.noise, "noise") >= 0, "noise", "scale must be >= 0")
     _int(cfg.seed, "seed")
-    _require(_int(cfg.workers, "workers") >= 1, "workers", "must be >= 1")
+    _require(_int(cfg.workers, "workers") == 1, "workers",
+             f"must be 1, got {cfg.workers}: the batch runs serially")
     _require(isinstance(cfg.out, str) and cfg.out, "out", "must be a non-empty path")
     for key, value in cfg.physics.items():
         _num(value, f"physics.{key}")
@@ -375,7 +376,7 @@ class RuntimeSetup:
     train: TrainConfig
     eval_batch: int
     eval_seed: int
-    workers: int
+    workers: int  # always 1
     model_hash: str
     out: str
     checkpoint_path: str

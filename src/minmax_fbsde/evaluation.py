@@ -9,10 +9,9 @@ multiplier), which a structural test can verify by stubbing it out.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,13 +133,16 @@ def evaluate(
     Diverged samples are excluded from every statistic and reported in
     ``diverged``. With ``adversary`` False (the default, and always for
     baseline mode) the adversarial control is structurally absent.
+    ``workers`` accepts only 1: the whole batch is one vectorized rollout.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}: the batch runs serially")
     if batch_size < 2:
         raise ValueError("evaluation needs at least two trajectories")
     batch = fbsde.rollout_batch(
         store, sys, costs, grid, batch_size, seed,
         mode=mode, adversary=adversary, purpose=fbsde.PURPOSE_EVAL,
-        noise=noise, workers=workers,
+        noise=noise,
     )
     return summarize(batch, sys, costs, grid, mode=mode, adversary=adversary, seed=seed)
 
@@ -466,7 +468,6 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
             report = evaluate(
                 store, setup.system, setup.costs, setup.grid,
                 setup.eval_batch, setup.eval_seed, mode=mode, adversary=False,
-                workers=setup.workers,
             )
             row["success_rate"] = report.success_rate
             row["total_state_variance"] = report.total_state_variance

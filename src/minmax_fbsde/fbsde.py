@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def noise_block(seed: int, purpose: int, iteration: int, sample: int, steps: int
 
     Counter-based: the block is a pure function of (seed, purpose,
     iteration, sample), so any sample's draws can be regenerated in
-    isolation and are independent of batch layout or worker count.
+    isolation and are independent of the batch size and column order.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(purpose, iteration, sample))
     gen = np.random.Generator(np.random.Philox(ss))
@@ -176,16 +176,17 @@ def adversary_control(z, inv_epsilon: float):
 
 
 def optimal_controls(z, gamma_u, r_u, epsilon: float):
-    """Feedback controls (u*, v*) for a single value-gradient vector z (m,)."""
-    import scipy.linalg
+    """Feedback controls (u*, v*) for a single value-gradient vector z (m,).
 
+    Raises ``LinAlgError`` unless R_u is positive definite.
+    """
     z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
     gamma_u = np.atleast_2d(np.asarray(gamma_u, dtype=np.float64))
     r_u = np.atleast_2d(np.asarray(r_u, dtype=np.float64))
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    chol = scipy.linalg.cho_factor(r_u)
-    gain = -scipy.linalg.cho_solve(chol, gamma_u.T)
+    np.linalg.cholesky(r_u)
+    gain = -np.linalg.solve(r_u, gamma_u.T)
     u = minimizing_control(z, gain)
     v = adversary_control(z, 1.0 / epsilon)
     return np.asarray(u).ravel(), np.asarray(v).ravel()
@@ -288,25 +289,63 @@ def _broadcast_cols(vec, batch: int, tape: Tape | None):
     return tape.constant(out) if tape is not None else out
 
 
-def _rollout_core(
-    net: neural.NetParams | None,
-    y0,
-    z0,
+def rollout_batch(
+    params,
     sys: SystemModel,
     costs: CostSpec,
     grid: HorizonGrid,
-    noise: np.ndarray,
-    mode: str,
-    adversary: bool,
-    tape: Tape | None,
-    z_fn: Callable | None,
-):
-    """Roll one column chunk. Returns (record dict, handles or None).
+    batch_size: int,
+    seed: int,
+    *,
+    mode: str = "minmax",
+    adversary: bool | None = None,
+    iteration: int = 0,
+    purpose: int = PURPOSE_TRAIN,
+    tape: Tape | None = None,
+    noise: np.ndarray | None = None,
+    z_fn: Callable | None = None,
+    y0=None,
+    z0=None,
+) -> RolloutBatch:
+    """Simulate a batch of coupled forward/backward trajectories.
 
-    Columns are independent throughout (every cross-entry contraction runs
-    over rows only), so a sample that goes non-finite cannot contaminate its
-    neighbours; it is flagged in ``alive`` and its tail records are garbage.
+    ``params`` needs attributes ``net`` (NetParams), ``y0`` (1, 1) and ``z0``
+    (m, 1); during training those hold tape Vars. With ``tape`` set the whole
+    batch is recorded on it and ``.handles`` exposes the terminal nodes.
+    ``z_fn(x_values, step) -> (m, M)`` substitutes an external value-gradient
+    predictor (tape-free only).
+
+    Noise defaults to the counter-based stream indexed by
+    (seed, purpose, iteration, sample, step); pass ``noise`` explicitly to
+    couple grids or force specific increments.
+
+    Samples sit in columns and stay independent throughout (every
+    cross-entry contraction runs over rows only), so a sample that goes
+    non-finite cannot contaminate its neighbours; it is flagged in ``alive``
+    and its tail records are garbage.
     """
+    if mode not in ("minmax", "baseline"):
+        raise ValueError(f"mode must be 'minmax' or 'baseline', got {mode!r}")
+    if adversary is None:
+        adversary = mode == "minmax"
+    if mode == "baseline":
+        adversary = False
+    if z_fn is not None and tape is not None:
+        raise ValueError("an injected value-gradient predictor runs tape-free only")
+
+    if noise is None:
+        noise = sample_noise(seed, purpose, iteration, batch_size, grid.steps, sys.m)
+    else:
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape != (grid.steps, sys.m, batch_size):
+            raise ValueError(
+                f"noise must have shape {(grid.steps, sys.m, batch_size)}, got {noise.shape}"
+            )
+
+    net = params.net if params is not None else None
+    y0 = params.y0 if y0 is None else y0
+    z0 = params.z0 if z0 is None else z0
+
     n_steps = grid.steps
     batch = noise.shape[2]
     dt = grid.dt
@@ -319,10 +358,7 @@ def _rollout_core(
     gamma_u = sys.gamma_u
 
     x0 = np.repeat(sys.x0.reshape(-1, 1), batch, axis=1)
-    if tape is not None:
-        x_cur = tape.constant(x0)
-    else:
-        x_cur = x0
+    x_cur = tape.constant(x0) if tape is not None else x0
     y_cur = _broadcast_cols(y0, batch, tape)
     z_cur = _broadcast_cols(z0, batch, tape)
 
@@ -372,108 +408,18 @@ def _rollout_core(
 
         y_star = costs.terminal_expr(x_cur)
 
-    record = {
-        "states": states,
-        "values": values,
-        "z_grads": z_grads,
-        "controls": controls,
-        "adversary_controls": adv_controls,
-        "terminal_targets": _value_of(y_star).reshape(1, batch),
-        "alive": alive,
-    }
     handles = None
     if tape is not None:
         handles = TapeHandles(tape=tape, y_terminal=y_cur, y_star=y_star, x_terminal=x_cur)
-    return record, handles
-
-
-def rollout_batch(
-    params,
-    sys: SystemModel,
-    costs: CostSpec,
-    grid: HorizonGrid,
-    batch_size: int,
-    seed: int,
-    *,
-    mode: str = "minmax",
-    adversary: bool | None = None,
-    iteration: int = 0,
-    purpose: int = PURPOSE_TRAIN,
-    tape: Tape | None = None,
-    noise: np.ndarray | None = None,
-    z_fn: Callable | None = None,
-    y0=None,
-    z0=None,
-    workers: int = 1,
-) -> RolloutBatch:
-    """Simulate a batch of coupled forward/backward trajectories.
-
-    ``params`` needs attributes ``net`` (NetParams), ``y0`` (1, 1) and ``z0``
-    (m, 1); during training those hold tape Vars. With ``tape`` set the whole
-    batch is recorded on it and ``.handles`` exposes the terminal nodes; the
-    tape path always runs as a single chunk. ``z_fn(x_values, step) -> (m, M)``
-    substitutes an external value-gradient predictor (tape-free only).
-
-    Noise defaults to the counter-based stream indexed by
-    (seed, purpose, iteration, sample, step); pass ``noise`` explicitly to
-    couple grids or force specific increments.
-    """
-    if mode not in ("minmax", "baseline"):
-        raise ValueError(f"mode must be 'minmax' or 'baseline', got {mode!r}")
-    if adversary is None:
-        adversary = mode == "minmax"
-    if mode == "baseline":
-        adversary = False
-    if z_fn is not None and tape is not None:
-        raise ValueError("an injected value-gradient predictor runs tape-free only")
-
-    if noise is None:
-        noise = sample_noise(seed, purpose, iteration, batch_size, grid.steps, sys.m)
-    else:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != (grid.steps, sys.m, batch_size):
-            raise ValueError(
-                f"noise must have shape {(grid.steps, sys.m, batch_size)}, got {noise.shape}"
-            )
-
-    net = params.net if params is not None else None
-    y0 = params.y0 if y0 is None else y0
-    z0 = params.z0 if z0 is None else z0
-
-    if tape is not None or workers <= 1 or batch_size <= 1:
-        record, handles = _rollout_core(
-            net, y0, z0, sys, costs, grid, noise, mode, adversary, tape, z_fn
-        )
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        n_chunks = min(workers, batch_size)
-        bounds = np.linspace(0, batch_size, n_chunks + 1).astype(int)
-        spans = [(bounds[i], bounds[i + 1]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
-
-        def run(span):
-            lo, hi = span
-            return _rollout_core(
-                net, y0, z0, sys, costs, grid, noise[:, :, lo:hi], mode, adversary, None, z_fn
-            )[0]
-
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(run, spans))
-        record = {
-            key: np.concatenate([p[key] for p in parts], axis=-1)
-            for key in parts[0]
-        }
-        handles = None
-
     return RolloutBatch(
-        states=record["states"],
-        values=record["values"],
-        z_grads=record["z_grads"],
-        controls=record["controls"],
-        adversary_controls=record["adversary_controls"],
+        states=states,
+        values=values,
+        z_grads=z_grads,
+        controls=controls,
+        adversary_controls=adv_controls,
         noise=noise,
-        terminal_targets=record["terminal_targets"],
-        alive=record["alive"],
+        terminal_targets=_value_of(y_star).reshape(1, batch),
+        alive=alive,
         mode=mode,
         seed=seed,
         handles=handles,

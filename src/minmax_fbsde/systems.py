@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 
@@ -155,16 +154,18 @@ class CostSpec:
             raise ValueError(f"weight decay must be nonnegative, got {self.weight_decay}")
         if self.r_u.ndim != 2 or self.r_u.shape[0] != self.r_u.shape[1]:
             raise ValueError(f"R_u must be square, got shape {self.r_u.shape}")
+        if not np.all(np.isfinite(self.r_u)):
+            raise ValueError("R_u must be finite")
         if not np.allclose(self.r_u, self.r_u.T, atol=1e-12):
             raise ValueError("R_u must be symmetric positive definite")
         try:
-            self._r_chol = scipy.linalg.cho_factor(self.r_u)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+            np.linalg.cholesky(self.r_u)
+        except np.linalg.LinAlgError as exc:
             raise ValueError("R_u must be symmetric positive definite") from exc
 
     def solve_r(self, rhs: np.ndarray) -> np.ndarray:
-        """R_u^{-1} @ rhs via the cached factorization (no explicit inverse)."""
-        return scipy.linalg.cho_solve(self._r_chol, rhs)
+        """R_u^{-1} @ rhs by a linear solve (no explicit inverse)."""
+        return np.linalg.solve(self.r_u, rhs)
 
     def _quad(self, X, weights: np.ndarray):
         w_row, w_col = weights.reshape(1, -1), weights.reshape(-1, 1)
@@ -193,14 +194,6 @@ class CostSpec:
     def terminal_cost(self, x) -> float:
         out = self.terminal_expr(np.asarray(x, dtype=np.float64).reshape(-1, 1))
         return float(np.asarray(out)[0, 0])
-
-
-def eval_running_cost(costs: CostSpec, x, t: float = 0.0) -> float:
-    return costs.running_cost(x, t)
-
-
-def eval_terminal_cost(costs: CostSpec, x) -> float:
-    return costs.terminal_cost(x)
 
 
 # ---------------------------------------------------------------------------

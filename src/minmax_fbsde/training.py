@@ -2,8 +2,8 @@
 initial value/gradient pair, checkpointing, and a deterministic loss history.
 
 All stochasticity flows through counter-based streams keyed by the run seed,
-so a (config, seed) pair reproduces every draw bit for bit regardless of
-batch chunking.
+so a (config, seed) pair reproduces every draw bit for bit. A step records
+the whole batch on one tape, samples in columns.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,7 @@ class TrainConfig:
     checkpoint_every: int = 500
     clip_norm: float | None = None
     forget_bias: float = 1.0
-    workers: int = 1
+    workers: int = 1  # accepted for existing callers; only 1 is valid
     divergence_tolerance: float = 0.1
 
     def __post_init__(self):
@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError("training needs at least one time step")
         if self.mode not in ("minmax", "baseline"):
             raise ValueError(f"mode must be 'minmax' or 'baseline', got {self.mode!r}")
+        if self.workers != 1:
+            raise ValueError(f"workers must be 1, got {self.workers!r}: the batch runs serially")
 
 
 @dataclass
@@ -158,15 +160,13 @@ def training_step(
 
     Samples that go non-finite are dropped and the tape is rebuilt on the
     survivors (their noise streams are untouched by the exclusion); more than
-    ``divergence_tolerance`` dead samples aborts the run.
+    ``divergence_tolerance`` dead samples aborts the run. ``workers`` accepts
+    only 1: the whole batch is one taped pass.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}: the batch runs serially")
     noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, iteration, batch_size, grid.steps, sys.m)
     beta, weight_decay = costs.beta, costs.weight_decay
-
-    if workers > 1:
-        return _training_step_chunked(
-            store, sys, costs, grid, noise, mode, workers, divergence_tolerance, iteration
-        )
 
     tape, leaves, batch = _taped_pass(store, sys, costs, grid, noise, mode)
     diverged = batch.diverged
@@ -175,16 +175,10 @@ def training_step(
             raise TrainingDiverged(
                 f"iteration {iteration}: {diverged}/{batch_size} samples diverged"
             )
-        keep = batch.alive
-        tape, leaves, reduced = _taped_pass(
-            store, sys, costs, grid, noise[:, :, keep], mode
+        tape, leaves, batch = _taped_pass(
+            store, sys, costs, grid, noise[:, :, batch.alive], mode
         )
-        full_alive = batch.alive.copy()
-        batch = reduced
         batch.alive = np.ones(batch.batch_size, dtype=bool)
-        dead_total = int(np.sum(~full_alive))
-    else:
-        dead_total = 0
 
     handles = batch.handles
     theta_vars = [leaves[name] for name in THETA_NAMES]
@@ -199,83 +193,7 @@ def training_step(
     grad_list = tape.backward(loss_var, [leaves[k] for k in names])
     grads = dict(zip(names, grad_list))
     mean_tc = float(np.mean(batch.terminal_targets))
-    return StepResult(loss=loss, batch=batch, grads=grads, diverged=dead_total, mean_terminal_cost=mean_tc)
-
-
-def _training_step_chunked(store, sys, costs, grid, noise, mode, workers, divergence_tolerance, iteration):
-    """Column-chunked variant: same math, per-chunk tapes merged in order."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    batch_size = noise.shape[2]
-    beta, weight_decay = costs.beta, costs.weight_decay
-    n_chunks = min(workers, batch_size)
-    bounds = np.linspace(0, batch_size, n_chunks + 1).astype(int)
-    spans = [(bounds[i], bounds[i + 1]) for i in range(n_chunks) if bounds[i] < bounds[i + 1]]
-
-    def survey(span):
-        lo, hi = span
-        tape, leaves, batch = _taped_pass(store, sys, costs, grid, noise[:, :, lo:hi], mode)
-        return tape, leaves, batch, (lo, hi)
-
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        passes = list(pool.map(survey, spans))
-
-    dead_total = sum(p[2].diverged for p in passes)
-    if dead_total > divergence_tolerance * batch_size:
-        raise TrainingDiverged(
-            f"iteration {iteration}: {dead_total}/{batch_size} samples diverged"
-        )
-    if dead_total:
-        def rebuild(item):
-            tape, leaves, batch, span = item
-            if not batch.diverged:
-                return item
-            lo, hi = span
-            keep = batch.alive
-            sub_noise = noise[:, :, lo:hi][:, :, keep]
-            tape2, leaves2, batch2 = _taped_pass(store, sys, costs, grid, sub_noise, mode)
-            return tape2, leaves2, batch2, span
-
-        with ThreadPoolExecutor(max_workers=len(passes)) as pool:
-            passes = list(pool.map(rebuild, passes))
-
-    m_valid = sum(int(np.sum(p[2].alive)) for p in passes)
-    if m_valid == 0:
-        raise TrainingDiverged(f"iteration {iteration}: every sample diverged")
-
-    # per-chunk unnormalized data terms; scale and regularize afterwards
-    def backprop(item):
-        tape, leaves, batch, _ = item
-        handles = batch.handles
-        resid = ad.sumsq(ad.sub(handles.y_star, handles.y_terminal))
-        pressure = ad.sumsq(handles.y_star)
-        chunk_obj = ad.add(ad.smul(resid, beta), ad.smul(pressure, 1.0 - beta))
-        names = list(leaves)
-        grad_list = tape.backward(chunk_obj, [leaves[k] for k in names])
-        return float(np.asarray(chunk_obj.value).reshape(-1)[0]), dict(zip(names, grad_list)), batch
-
-    with ThreadPoolExecutor(max_workers=len(passes)) as pool:
-        results = list(pool.map(backprop, passes))
-
-    total = 0.0
-    grads: dict[str, np.ndarray] = {}
-    tc_sum = 0.0
-    for chunk_val, chunk_grads, batch in results:
-        total += chunk_val
-        tc_sum += float(np.sum(batch.terminal_targets))
-        for name, g in chunk_grads.items():
-            grads[name] = g if name not in grads else grads[name] + g
-    for name in grads:
-        grads[name] = grads[name] / m_valid
-    for name, arr in store.net.named_arrays():
-        grads[name] = grads[name] + 2.0 * weight_decay * arr
-    loss = total / m_valid + weight_decay * store.theta_norm_sq()
-    if not math.isfinite(loss):
-        raise TrainingDiverged(f"iteration {iteration}: non-finite loss {loss!r}")
-
-    merged = results[0][2] if len(results) == 1 else None
-    mean_tc = tc_sum / m_valid
-    return StepResult(loss=loss, batch=merged, grads=grads, diverged=dead_total, mean_terminal_cost=mean_tc)
+    return StepResult(loss=loss, batch=batch, grads=grads, diverged=diverged, mean_terminal_cost=mean_tc)
 
 
 def clip_gradients(grads: dict, clip_norm: float) -> float:
@@ -331,7 +249,7 @@ def train(
         for k in range(cfg.iterations):
             result = training_step(
                 store, sys, costs, cfg.grid, cfg.batch_size, cfg.seed, k, cfg.mode,
-                workers=cfg.workers, divergence_tolerance=cfg.divergence_tolerance,
+                divergence_tolerance=cfg.divergence_tolerance,
             )
             if cfg.clip_norm:
                 clip_gradients(result.grads, cfg.clip_norm)

@@ -116,6 +116,7 @@ class TestValidation:
         ("train.clip_norm", -2, "train.clip_norm"),
         ("eval.batch_size", 1, "eval.batch_size"),
         ("workers", 0, "workers"),
+        ("workers", 2, "workers"),
         ("mode", "'both'", "mode"),
         ("noise", "'medium'", "noise"),
         ("sweep.epsilons", "[1.0, 0.0]", "sweep.epsilons"),
@@ -297,6 +298,14 @@ class TestCommands:
         code = main(["train", "--set", "cost.epsilon=-1"])
         assert code == 2
         assert "cost.epsilon" in capsys.readouterr().err
+
+    def test_workers_other_than_one_exits_two(self, tmp_path, capsys):
+        assert main(["train", *MICRO, "--set", "workers=2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers: ") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--workers", "1"])
+        assert exc.value.code == 2
 
     def test_missing_config_file_exits_two(self, capsys):
         code = main(["train", "--config", "/nonexistent/exp.yaml"])

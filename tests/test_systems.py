@@ -9,8 +9,6 @@ from minmax_fbsde.systems import (
     CostSpec,
     SystemModel,
     deviation_from,
-    eval_running_cost,
-    eval_terminal_cost,
     lq_double_integrator,
     make_system,
     pendulum,
@@ -73,10 +71,10 @@ class TestDeviation:
         )
         x = np.array([2.5, -0.7])
         shifted = x + np.array([2 * np.pi * 3, 0.0])
-        assert eval_terminal_cost(costs, x) == pytest.approx(
-            eval_terminal_cost(costs, shifted), rel=1e-12)
-        assert eval_running_cost(costs, x) == pytest.approx(
-            eval_running_cost(costs, shifted), rel=1e-12)
+        assert costs.terminal_cost(x) == pytest.approx(
+            costs.terminal_cost(shifted), rel=1e-12)
+        assert costs.running_cost(x) == pytest.approx(
+            costs.running_cost(shifted), rel=1e-12)
 
 
 class TestCostSpec:
@@ -104,6 +102,11 @@ class TestCostSpec:
         with pytest.raises(ValueError, match="positive definite"):
             self.make(r_u=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_r_u_rejected(self, bad):
+        with pytest.raises(ValueError, match="R_u"):
+            self.make(r_u=np.array([[bad]]))
+
     def test_asymmetric_r_u_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             self.make(r_u=np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -130,26 +133,26 @@ class TestCostSpec:
         # wraps to magnitude pi, so q = 0.5 * pi^2
         sys = pendulum()
         costs = self.make(target=sys.target, angle_dims=(0,))
-        q = eval_running_cost(costs, np.array([0.0, 0.0]))
+        q = costs.running_cost(np.array([0.0, 0.0]))
         assert q == pytest.approx(0.5 * np.pi**2)
 
     def test_terminal_at_target_is_zero(self):
         costs = self.make()
-        assert eval_terminal_cost(costs, np.zeros(2)) == 0.0
+        assert costs.terminal_cost(np.zeros(2)) == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=2))
     def test_costs_nonnegative(self, xs):
         costs = self.make()
         x = np.array(xs)
-        assert eval_running_cost(costs, x) >= 0.0
-        assert eval_terminal_cost(costs, x) >= 0.0
+        assert costs.running_cost(x) >= 0.0
+        assert costs.terminal_cost(x) >= 0.0
 
     def test_batched_columns_match_single(self):
         costs = self.make()
         X = np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]])
         batched = costs.running_expr(X).ravel()
-        singles = [eval_running_cost(costs, X[:, j]) for j in range(3)]
+        singles = [costs.running_cost(X[:, j]) for j in range(3)]
         np.testing.assert_allclose(batched, singles)
 
 

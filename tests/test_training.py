@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minmax_fbsde import fbsde, neural, training
+from minmax_fbsde.evaluation import evaluate
 from minmax_fbsde.fbsde import PURPOSE_TRAIN, HorizonGrid, rollout_batch, sample_noise, training_loss
 from minmax_fbsde.systems import CostSpec, pendulum
 from minmax_fbsde.training import (
@@ -109,16 +110,15 @@ class TestTrainingStep:
         fd = (loss_at(step) - loss_at(-step)) / (2 * step)
         assert result.grads["psi.y0"][0, 0] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
-    def test_chunked_workers_match_serial(self):
-        sys, costs, cfg = small_problem(batch=8)
+    def test_workers_other_than_one_rejected(self):
+        sys, costs, cfg = small_problem(batch=4)
         store = init_store(sys, cfg)
-        serial = training_step(store, sys, costs, cfg.grid, 8, cfg.seed, 0, "minmax")
-        chunked = training_step(store, sys, costs, cfg.grid, 8, cfg.seed, 0,
-                                "minmax", workers=4)
-        assert chunked.loss == pytest.approx(serial.loss, rel=1e-10)
-        for name in serial.grads:
-            np.testing.assert_allclose(chunked.grads[name], serial.grads[name],
-                                       rtol=1e-9, atol=1e-12)
+        with pytest.raises(ValueError, match="workers"):
+            training_step(store, sys, costs, cfg.grid, 4, cfg.seed, 0, "minmax", workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            evaluate(store, sys, costs, cfg.grid, 4, cfg.seed, workers=2)
+        with pytest.raises(ValueError, match="workers"):
+            small_problem(workers=2)
 
     def test_partial_divergence_rebuilds_on_survivors(self, monkeypatch):
         sys, costs, cfg = small_problem(batch=8)
