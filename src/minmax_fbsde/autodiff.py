@@ -18,14 +18,23 @@ Three fused primitives collapse the blocks that run at every time step into
 one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``),
 ``affine`` (``W x + b 1'``) and ``fbsde_step`` (the coupled state/value
 update, value ``[x'; y']``). Each has one forward kernel, shared by the taped
-and the tape-free path, and one hand-written backward. A fused node keeps
-what its backward needs (gate activations, intermediate products, the step
-constants) in its ``aux``; only ``value`` counts as the node's output.
+and the tape-free path, and one hand-written backward, a pure function from
+(output cotangent, input values, saved) to input cotangents
+(``lstm_cell_vjp``, ``affine_vjp`` with ``weight_vjp``, ``fbsde_step_vjp``).
+A fused node keeps what its backward needs (gate activations, intermediate
+products, the step constants) in its ``aux``; only ``value`` counts as the
+node's output.
 
 A fourth, ``column_map``, is the generic form: the caller supplies the
 forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
 ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic costs are
 written this way, so each records one node per call.
+
+Training does not tape its rollout. It runs it tape-free inside ``saving``,
+which logs each fused call's inputs and saved arrays, and the adjoint
+``fbsde.rollout_adjoint`` calls the same backward functions on them; the tape
+holds only the loss head. Taping the whole rollout remains the gradient
+oracle for tests and the audit.
 
 The sigmoid is NumPy's own ``0.5 tanh(a / 2) + 0.5`` (``_sigmoid``); the
 package needs no special-function library.
@@ -33,6 +42,8 @@ package needs no special-function library.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -261,24 +272,36 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
         full = np.zeros(values(ins[0]).shape)
         full[lo:hi] = g
         _acc(grads, ins[0], full)
-    elif op == "lstm_cell":
-        _lstm_cell_backward(node, g, grads, values)
-    elif op == "affine":
-        _affine_backward(node, g, grads, values)
-    elif op == "fbsde_step":
-        _fbsde_step_backward(node, g, grads, values)
-    elif op == "column_map":
-        vjp, saved = node.aux
-        _acc(grads, ins[0], vjp(g, values(ins[0]), saved))
+    elif op in _FUSED:
+        vals = tuple(values(i) for i in ins)
+        if op == "lstm_cell":
+            d_x, d_h, d_c, d_pre = lstm_cell_vjp(g, vals, node.aux)
+            pieces = (*weight_vjp(d_pre, vals[3], vals[4]), d_x, d_h, d_c)
+        elif op == "affine":
+            d_w, d_b = weight_vjp(g, vals[1])
+            pieces = (d_w, affine_vjp(g, vals), d_b)
+        elif op == "fbsde_step":
+            pieces = fbsde_step_vjp(g, vals, node.aux)
+        else:
+            vjp, saved = node.aux
+            pieces = (vjp(g, vals[0], saved),)
+        for i, piece in zip(ins, pieces):
+            _acc(grads, i, piece)
     # leaf / const: nothing flows further
 
 
 # ---------------------------------------------------------------------------
 # fused primitives. Each forward kernel maps the input values to
 # (value, saved); the taped path stores ``saved`` as the node's aux for the
-# backward, the tape-free path drops it. The kernels keep the operation order
-# of the element-wise compositions they replace, so tape-free results are
-# bit-identical to those compositions.
+# backward, the tape-free path drops it (or, inside ``saving``, logs it). The
+# kernels keep the operation order of the element-wise compositions they
+# replace, so tape-free results are bit-identical to those compositions.
+#
+# Each backward is a pure function from (output cotangent, input values,
+# saved) to input cotangents. ``Tape.backward`` and the training adjoint
+# (``fbsde.rollout_adjoint``) call the same ones. The weight cotangents of
+# ``lstm_cell`` and ``affine`` come from ``weight_vjp`` on the cotangent of
+# the pre-activation, so the adjoint can form them once for all time steps.
 
 
 def _lstm_cell_kernel(vals, aux):
@@ -309,9 +332,12 @@ def _lstm_cell_kernel(vals, aux):
     return out, (act, tanh_c)
 
 
-def _lstm_cell_backward(node, g, grads, values) -> None:
-    i_w, i_u, i_b, i_x, i_h, i_c = node.inputs
-    act, tanh_c = node.aux
+def lstm_cell_vjp(g, vals, saved, d_pre=None):
+    """Cotangents of (x, h, c) from g = [g_h'; g_c'], and the cotangent
+    ``d_pre`` of the pre-activation ``W x + U h + b 1'`` (written into
+    ``d_pre`` when given), from which ``weight_vjp`` gives (W, U, b)'s."""
+    W, U, _, _, _, c_prev = vals
+    act, tanh_c = saved
     hid = tanh_c.shape[0]
     gate_i, gate_f = act[:hid], act[hid : 2 * hid]
     cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
@@ -320,20 +346,23 @@ def _lstm_cell_backward(node, g, grads, values) -> None:
     d_c *= 1.0 - tanh_c * tanh_c
     d_c += g_c
     # gradient at the activations, then through them to the pre-activations
-    d_pre = np.empty_like(act)
+    if d_pre is None:
+        d_pre = np.empty_like(act)
     np.multiply(d_c, cand, out=d_pre[:hid])
-    np.multiply(d_c, values(i_c), out=d_pre[hid : 2 * hid])
+    np.multiply(d_c, c_prev, out=d_pre[hid : 2 * hid])
     np.multiply(d_c, gate_i, out=d_pre[2 * hid : 3 * hid])
     np.multiply(g_h, tanh_c, out=d_pre[3 * hid :])
     slope = act * (1.0 - act)
     slope[2 * hid : 3 * hid] = 1.0 - cand * cand
     d_pre *= slope
-    _acc(grads, i_w, d_pre @ values(i_x).T)
-    _acc(grads, i_u, d_pre @ values(i_h).T)
-    _acc(grads, i_b, d_pre.sum(axis=1, keepdims=True))
-    _acc(grads, i_x, values(i_w).T @ d_pre)
-    _acc(grads, i_h, values(i_u).T @ d_pre)
-    _acc(grads, i_c, d_c * gate_f)
+    return W.T @ d_pre, U.T @ d_pre, d_c * gate_f, d_pre
+
+
+def weight_vjp(d, *inputs):
+    """Cotangents of (W_1, ..., W_k, b) in ``sum_i W_i inputs_i + b 1'``
+    from the output cotangent d. With the columns of many time steps side
+    by side, this is one GEMM per weight for the whole rollout."""
+    return (*(d @ x.T for x in inputs), d.sum(axis=1, keepdims=True))
 
 
 def _affine_kernel(vals, aux):
@@ -346,11 +375,9 @@ def _affine_kernel(vals, aux):
     return out, None
 
 
-def _affine_backward(node, g, grads, values) -> None:
-    i_w, i_x, i_b = node.inputs
-    _acc(grads, i_w, g @ values(i_x).T)
-    _acc(grads, i_x, values(i_w).T @ g)
-    _acc(grads, i_b, g.sum(axis=1, keepdims=True))
+def affine_vjp(g, vals):
+    """Cotangent of x; ``weight_vjp(g, x)`` gives those of (W, b)."""
+    return vals[0].T @ g
 
 
 class StepConstants(NamedTuple):
@@ -400,12 +427,12 @@ def _fbsde_step_kernel(vals, c: StepConstants):
     return out, (c, k, s_z)
 
 
-def _fbsde_step_backward(node, g, grads, values) -> None:
-    i_x, i_y, i_z, i_f, i_q = node.inputs
-    c, k, s_z = node.aux
+def fbsde_step_vjp(g, vals, saved):
+    """Cotangents of (x, y, z, f, q) from g = [g_x'; g_y']."""
+    z = vals[2]
+    c, k, s_z = saved
     n = g.shape[0] - 1
     g_x, g_y = g[:n], g[n:]
-    z = values(i_z)
     a = g_y * c.dt
     half_a = 0.5 * a
     d_k = a * z + c.sigma.T @ (g_x * c.dt)
@@ -413,11 +440,7 @@ def _fbsde_step_backward(node, g, grads, values) -> None:
     d_z += c.gain.T @ (c.gamma_u.T @ d_k)
     if c.inv_eps is not None:
         d_z += c.inv_eps * d_k
-    _acc(grads, i_x, g_x)
-    _acc(grads, i_y, g_y)
-    _acc(grads, i_z, d_z)
-    _acc(grads, i_f, g_x * c.dt)
-    _acc(grads, i_q, -a)
+    return g_x, g_y, d_z, g_x * c.dt, -a
 
 
 def _column_map_kernel(vals, aux):
@@ -628,10 +651,41 @@ def colsum(x):
     return np.ones((1, arr.shape[0])) @ arr
 
 
+# the list that ``saving`` fills; None outside its block. A context variable,
+# like NumPy's errstate, so the block is scoped to its thread and context.
+_saved_log: ContextVar[list | None] = ContextVar("saved_log", default=None)
+
+
+@contextmanager
+def saving():
+    """Log every tape-free fused call made inside the block.
+
+    Yields a list to which each call of ``lstm_cell``, ``affine``,
+    ``fbsde_step`` or ``column_map`` on plain arrays appends
+    ``(op, input values, saved)``, in call order; ``saved`` is what the
+    primitive's backward needs (for ``column_map``, ``(vjp, saved)``). The
+    values are the ones the calls computed anyway, kept rather than copied.
+    Blocks do not nest.
+    """
+    if _saved_log.get() is not None:
+        raise RuntimeError("saving blocks do not nest")
+    log: list = []
+    token = _saved_log.set(log)
+    try:
+        yield log
+    finally:
+        _saved_log.reset(token)
+
+
 def _fused(op: str, args: tuple, aux=None):
     tape = _tape_of(*args)
     if tape is None:
-        return _FUSED[op](tuple(np.asarray(a, dtype=np.float64) for a in args), aux)[0]
+        vals = tuple(np.asarray(a, dtype=np.float64) for a in args)
+        out, saved = _FUSED[op](vals, aux)
+        log = _saved_log.get()
+        if log is not None:
+            log.append((op, vals, saved))
+        return out
     return tape.apply(op, *[_lift(tape, a) for a in args], aux=aux)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -248,10 +249,13 @@ def _require(cond: bool, dotted: str, message: str) -> None:
         raise ConfigError(f"{dotted}: {message}")
 
 
-def _num(value, dotted: str) -> float:
+def _num(value, dotted: str, allow_inf: bool = False) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              dotted, f"expected a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    _require(math.isfinite(value) or (allow_inf and not math.isnan(value)),
+             dotted, f"expected a finite number, got {value!r}")
+    return value
 
 
 def _int(value, dotted: str) -> int:
@@ -260,10 +264,10 @@ def _int(value, dotted: str) -> int:
     return value
 
 
-def _numlist(value, dotted: str) -> list[float]:
+def _numlist(value, dotted: str, allow_inf: bool = False) -> list[float]:
     _require(isinstance(value, (list, tuple)), dotted,
              f"expected a list of numbers, got {value!r}")
-    return [_num(v, f"{dotted}[{i}]") for i, v in enumerate(value)]
+    return [_num(v, f"{dotted}[{i}]", allow_inf) for i, v in enumerate(value)]
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -322,7 +326,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if e.checkpoint is not None:
         _require(isinstance(e.checkpoint, str), "eval.checkpoint", "must be a path or null")
     if e.success_tolerance is not None:
-        tol = _numlist(e.success_tolerance, "eval.success_tolerance")
+        # inf leaves a dimension unconstrained, as the quadcopter's defaults do
+        tol = _numlist(e.success_tolerance, "eval.success_tolerance", allow_inf=True)
         _require(all(v > 0 for v in tol), "eval.success_tolerance", "entries must be > 0")
 
     s = cfg.sweep

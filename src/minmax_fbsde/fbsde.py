@@ -21,17 +21,21 @@ and the generator
 The baseline (risk-neutral) mode drops the 1/epsilon terms and hard-zeroes
 the adversary; it is the epsilon -> infinity limit of the min-max mode.
 
-Everything is written against the dual-mode expression helpers: with a tape
-the whole rollout, including the drift, is differentiable end to end; without
-one it runs as plain vectorized numpy. Samples live in columns, so one tape
-carries the entire batch. Per time step the tape records 12 nodes on the
-pendulum and the quadcopter (13 on ``lq``, whose linear drift is a constant
-matrix times x): one each for the running cost and the drift (``column_map``
-nodes, see ``systems``), one fused ``fbsde_step`` for both updates above plus two
-row slices that take x' and y' out of it, and for the value-gradient predictor
-two fused LSTM cells with two row slices each and one ``affine`` read-out.
-The controls are recorded from values only; ``fbsde_step`` derives its own
-from z.
+Everything is written against the dual-mode expression helpers; samples
+live in columns. Without a tape the rollout runs as plain vectorized numpy,
+and that is how training runs it too: inside ``autodiff.saving`` it logs what
+each fused kernel saved, and ``rollout_adjoint`` then backpropagates through
+time from the cotangents of the terminal state and value, with one GEMM per
+weight gradient over all steps. Training tapes only the loss head.
+
+With a tape, the whole rollout is recorded instead; that path is the gradient
+oracle the adjoint is tested and audited against (``gradcheck``). Per time
+step it records 12 nodes on every system: one each for the running cost and
+the drift (``column_map`` nodes, see ``systems``), one fused ``fbsde_step``
+for both updates above plus two row slices that take x' and y' out of it,
+and for the value-gradient predictor two fused LSTM cells with two row slices
+each and one ``affine`` read-out. The controls are recorded from values
+only; ``fbsde_step`` derives its own from z.
 
 The increments dw are counter-based: sample i of a batch draws from a Philox
 stream keyed by ``SeedSequence(seed, spawn_key=(purpose, iteration, i))``
@@ -310,8 +314,10 @@ def rollout_batch(
     """Simulate a batch of coupled forward/backward trajectories.
 
     ``params`` needs attributes ``net`` (NetParams), ``y0`` (1, 1) and ``z0``
-    (m, 1); during training those hold tape Vars. With ``tape`` set the whole
-    batch is recorded on it and ``.handles`` exposes the terminal nodes.
+    (m, 1); they hold tape Vars when ``tape`` is set, and then the whole batch
+    is recorded on it and ``.handles`` exposes the terminal nodes (the taped
+    gradient oracle). Training runs it tape-free inside ``autodiff.saving``
+    and differentiates it with ``rollout_adjoint``.
     ``z_fn(x_values, step) -> (m, M)`` substitutes an external value-gradient
     predictor (tape-free only).
 
@@ -424,6 +430,80 @@ def rollout_batch(
         seed=seed,
         handles=handles,
     )
+
+
+# ---------------------------------------------------------------------------
+# training adjoint
+
+# the fused calls of one rollout step, in the order ``rollout_batch`` makes them
+_STEP_OPS = ("column_map", "column_map", "fbsde_step", "lstm_cell", "lstm_cell", "affine")
+
+
+def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
+    """Backpropagation through time over one tape-free ``rollout_batch``.
+
+    ``saved`` is the log of ``autodiff.saving`` around the call: per step
+    the running cost and the drift (one ``column_map`` each), ``fbsde_step``,
+    the two LSTM cells and the read-out, then the terminal cost. ``g_x``
+    (n, M) and ``g_y`` (1, M) are a scalar loss's cotangents at the terminal
+    state and value. Returns its gradients as (NetParams, d y0, d z0).
+
+    The reverse loop carries only the recurrent cotangents (x, y, z and the
+    LSTM states) through the primitives' own backward kernels, and keeps
+    each cell's pre-activation cotangent; each weight gradient is then one
+    GEMM over the columns of all steps. The last step's LSTM pass feeds
+    nothing, so it gets no cotangent.
+    """
+    n_steps, extra = divmod(len(saved) - 1, len(_STEP_OPS))
+    if n_steps < 1 or extra or [op for op, _, _ in saved] != [*_STEP_OPS * n_steps, "column_map"]:
+        raise ValueError("rollout_adjoint: the log is not one rollout of the LSTM predictor "
+                         "with a one-column_map drift and running cost")
+    steps = [saved[i : i + len(_STEP_OPS)] for i in range(0, len(saved) - 1, len(_STEP_OPS))]
+    cell1, cell2, read = (vals for _, vals, _ in steps[0][3:])
+    w_out = read[0]
+    hid1, hid2 = cell1[1].shape[1], cell2[1].shape[1]
+    n, cols = g_x.shape
+    live = n_steps - 1
+    # per live step: pre-activation and read-out cotangents, and the inputs
+    # they multiply; h*_seq[:, t] is the state that enters step t
+    d_pre1 = np.empty((4 * hid1, live, cols))
+    d_pre2 = np.empty((4 * hid2, live, cols))
+    d_out = np.empty((w_out.shape[0], live, cols))
+    x_seq = np.empty((n, live, cols))
+    h1_seq = np.empty((hid1, live + 1, cols))
+    h2_seq = np.empty((hid2, live + 1, cols))
+    h1_seq[:, 0], h2_seq[:, 0] = cell1[4], cell2[4]
+    g_cell1 = np.empty((2 * hid1, cols))
+    g_cell2 = np.empty((2 * hid2, cols))
+    g_h1, g_c1 = np.zeros((hid1, cols)), np.zeros((hid1, cols))
+    g_h2, g_c2 = np.zeros((hid2, cols)), np.zeros((hid2, cols))
+    g_z = None
+    for t in range(n_steps - 1, -1, -1):
+        cost, drift, step, (_, v1, s1), (_, v2, s2), (_, vo, _) = steps[t]
+        if t < live:
+            # z_{t+1} = read-out(layer 2(layer 1(x_{t+1})))
+            x_seq[:, t], h1_seq[:, t + 1], h2_seq[:, t + 1] = v1[3], v2[3], vo[1]
+            d_out[:, t] = g_z
+            np.add(ad.affine_vjp(g_z, vo), g_h2, out=g_cell2[:hid2])
+            g_cell2[hid2:] = g_c2
+            d_h1, g_h2, g_c2, _ = ad.lstm_cell_vjp(g_cell2, v2, s2, d_pre2[:, t])
+            np.add(g_h1, d_h1, out=g_cell1[:hid1])
+            g_cell1[hid1:] = g_c1
+            d_x, g_h1, g_c1, _ = ad.lstm_cell_vjp(g_cell1, v1, s1, d_pre1[:, t])
+            g_x = g_x + d_x
+        d_x, g_y, g_z, d_f, d_q = ad.fbsde_step_vjp(np.vstack((g_x, g_y)), step[1], step[2])
+        for (_, (x,), (vjp, aux)), g in ((drift, d_f), (cost, d_q)):
+            d_x = d_x + vjp(g, x, aux)
+        g_x = d_x
+
+    def flat(a):
+        return a.reshape(a.shape[0], -1)
+
+    layer1 = ad.weight_vjp(flat(d_pre1), flat(x_seq), flat(h1_seq[:, :live]))
+    layer2 = ad.weight_vjp(flat(d_pre2), flat(h1_seq[:, 1:]), flat(h2_seq[:, :live]))
+    grads = neural.NetParams(neural.LstmLayerParams(*layer1), neural.LstmLayerParams(*layer2),
+                             *ad.weight_vjp(flat(d_out), flat(h2_seq[:, 1:])))
+    return grads, g_y.sum(axis=1, keepdims=True), g_z.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ against central finite differences at random points. The audit covers the
 primitive operations (the fused ``lstm_cell``, ``affine`` and ``fbsde_step``
 included, the last in both minmax and baseline form), the hand-written
 ``column_map`` products of the system drifts (``drift-pendulum``,
-``drift-quadcopter``) and of the angle-wrapped quadratic cost
-(``quadratic-cost``), one recurrent cell step, and a full multi-step rollout
-including the training loss.
+``drift-quadcopter``, ``drift-lq``) and of the angle-wrapped quadratic cost
+(``quadratic-cost``), one recurrent cell step (``lstm-step``), and a full
+multi-step rollout including the training loss, differentiated twice: on one
+tape (``rollout-loss-pendulum``, the taped oracle ``taped_gradients``) and by
+the adjoint that training uses (``adjoint-rollout-loss-pendulum``).
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from . import autodiff as ad
 from . import fbsde
 from .autodiff import Tape, finite_difference_check
 from .fbsde import HorizonGrid
-from .neural import init_net, lstm_stack_forward
+from .neural import LstmLayerParams, NetParams, init_net, lstm_stack_forward
 from .systems import CostSpec, lq_double_integrator, pendulum, quadcopter
-from .training import ParamStore, init_store, TrainConfig
+from .training import THETA_NAMES, ParamStore, TrainConfig, init_store, training_step
 
 
 @dataclass
@@ -128,7 +130,7 @@ def audit_primitives(points: int = 100) -> list[AuditRow]:
         ))
     cols = 2
     quad = quadcopter()
-    for sys in (pendulum(), quad):
+    for sys in (pendulum(), quad, lq_double_integrator()):
         rows.append(_audit(f"drift-{sys.name}", sys.drift, [(sys.n, cols)], points, seed=3))
     # targets at pi on the quadcopter's angle dims: probes in [-2, 2] then
     # deviate by up to 2 + pi, so about half of them take the wrap path
@@ -180,21 +182,45 @@ def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
     return AuditRow("lstm-step", 1, err, tol)
 
 
+def _store_of(named: dict) -> ParamStore:
+    """A parameter view over arrays or tape leaves keyed by parameter name."""
+
+    def layer(prefix):
+        return LstmLayerParams(*(named[f"{prefix}.{k}"] for k in "WUb"))
+
+    return ParamStore(net=NetParams(layer("lstm1"), layer("lstm2"), named["out.W"], named["out.b"]),
+                      y0=named["psi.y0"], z0=named["psi.z0"], adam=None)
+
+
+def taped_gradients(store: ParamStore, sys, costs: CostSpec, grid: HorizonGrid,
+                    noise: np.ndarray, mode: str = "minmax", adversary: bool | None = None):
+    """The gradient oracle of a training step: the whole rollout and the
+    training loss recorded on one tape and differentiated by ``Tape.backward``.
+
+    Returns (batch, loss, gradients by parameter name); ``batch.handles.tape``
+    holds the tape.
+    """
+    tape = Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in store.named_parameters()}
+    batch = fbsde.rollout_batch(_store_of(leaves), sys, costs, grid, noise.shape[2], seed=0, mode=mode,
+                                adversary=adversary, tape=tape, noise=noise)
+    h = batch.handles
+    loss = fbsde.training_loss_expr(h.y_star, h.y_terminal, [leaves[n] for n in THETA_NAMES],
+                                    costs.beta, costs.weight_decay, noise.shape[2])
+    grads = tape.backward(loss, list(leaves.values()))
+    return batch, float(loss.value[0, 0]), dict(zip(leaves, grads))
+
+
 def audit_rollout(steps: int = 5, batch: int = 2, seed: int = 11,
-                  tol: float = 1e-4, system: str = "pendulum") -> AuditRow:
+                  tol: float = 1e-4, system: str = "pendulum", adjoint: bool = False) -> AuditRow:
     """Full solver pass: multi-step importance-sampled rollout plus training
-    loss, differentiated with respect to every trainable parameter."""
-    if system == "pendulum":
-        sys = pendulum(noise="low")
-        running = np.array([1.0, 0.1])
-        terminal = np.array([10.0, 1.0])
-    else:
-        sys = lq_double_integrator()
-        running = np.array([1.0, 0.1])
-        terminal = np.array([10.0, 1.0])
+    loss, differentiated with respect to every trainable parameter by the
+    taped oracle (``taped_gradients``) or, with ``adjoint``, by the adjoint
+    of ``training.training_step``."""
+    sys = pendulum(noise="low") if system == "pendulum" else lq_double_integrator()
     costs = CostSpec(
-        running_weights=running,
-        terminal_weights=terminal,
+        running_weights=np.array([1.0, 0.1]),
+        terminal_weights=np.array([10.0, 1.0]),
         target=sys.target,
         r_u=np.array([[0.5]]),
         epsilon=1.0,
@@ -209,50 +235,29 @@ def audit_rollout(steps: int = 5, batch: int = 2, seed: int = 11,
     noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, 0, batch, steps, sys.m)
 
     named = store.named_parameters()
-    sizes = [arr.size for _, arr in named]
-    shapes = [arr.shape for _, arr in named]
-
-    from .neural import LstmLayerParams, NetParams
+    bounds = np.cumsum([0] + [arr.size for _, arr in named])
 
     def f(vec):
-        offset = 0
-        arrays = {}
-        for (name, _), size, shape in zip(named, sizes, shapes):
-            arrays[name] = vec[offset:offset + size].reshape(shape)
-            offset += size
-        probe = ParamStore(
-            net=NetParams(
-                layer1=LstmLayerParams(arrays["lstm1.W"], arrays["lstm1.U"], arrays["lstm1.b"]),
-                layer2=LstmLayerParams(arrays["lstm2.W"], arrays["lstm2.U"], arrays["lstm2.b"]),
-                out_w=arrays["out.W"], out_b=arrays["out.b"],
-            ),
-            y0=arrays["psi.y0"].copy(), z0=arrays["psi.z0"].copy(), adam=store.adam,
-        )
-
-        tape = Tape()
-        lifted, leaves = probe.lift(tape)
-        batch_out = fbsde.rollout_batch(
-            lifted, sys, costs, grid, batch, seed,
-            mode="minmax", noise=noise, tape=tape,
-        )
-        theta_vars = [leaves[name] for name in leaves if not name.startswith("psi.")]
-        loss = fbsde.training_loss_expr(
-            batch_out.handles.y_star, batch_out.handles.y_terminal,
-            theta_vars, costs.beta, costs.weight_decay, batch,
-        )
-        order = [leaves[name] for name, _ in named]
-        grads = tape.backward(loss, order)
-        return float(loss.value[0, 0]), np.concatenate([g.ravel() for g in grads])
+        probe = _store_of({name: vec[lo:hi].reshape(arr.shape)
+                           for (name, arr), lo, hi in zip(named, bounds, bounds[1:])})
+        if adjoint:
+            # draws the same noise: (seed, PURPOSE_TRAIN, iteration 0)
+            result = training_step(probe, sys, costs, grid, batch, seed, 0, "minmax")
+            loss, grads = result.loss, result.grads
+        else:
+            _, loss, grads = taped_gradients(probe, sys, costs, grid, noise, "minmax")
+        return loss, np.concatenate([grads[name].ravel() for name, _ in named])
 
     point = np.concatenate([arr.ravel() for _, arr in named])
     err = finite_difference_check(f, point, step=1e-5)
-    return AuditRow(f"rollout-loss-{system}", 1, err, tol)
+    return AuditRow(f"{'adjoint-' if adjoint else ''}rollout-loss-{system}", 1, err, tol)
 
 
 def run_all(points: int = 100) -> list[AuditRow]:
     rows = audit_primitives(points)
     rows.append(audit_lstm_step())
     rows.append(audit_rollout())
+    rows.append(audit_rollout(adjoint=True))
     return rows
 
 
@@ -260,7 +265,7 @@ def format_report(rows: list[AuditRow]) -> str:
     lines = ["gradient audit (reverse mode vs central differences)"]
     for row in rows:
         status = "ok" if row.passed else "FAIL"
-        lines.append(f"  {row.name:<22s} max |err| = {row.max_error:.3e}  [{status}]")
+        lines.append(f"  {row.name:<29s} max |err| = {row.max_error:.3e}  [{status}]")
     worst = max(row.max_error for row in rows)
     lines.append(f"worst case {worst:.3e}")
     return "\n".join(lines)

@@ -6,10 +6,11 @@ Dynamics have the form
 
 with constant actuation G, constant diffusion Sigma, and constant noise-to-
 control map Gamma_u for every system shipped here. Drift functions operate
-on column batches (n, M) and run taped and tape-free. The nonlinear drifts
-and the quadratic costs are each one ``autodiff.column_map``: a NumPy forward
-plus its hand-written vector-Jacobian product, so a call records one tape
-node (the 12-state quadcopter drift used to record about 60). The tape-free
+on column batches (n, M) and run taped and tape-free. Every drift and both
+quadratic costs are each one ``autodiff.column_map``: a NumPy forward plus
+its hand-written vector-Jacobian product, so a call records one tape node
+(the 12-state quadcopter drift used to record about 60) and the training
+adjoint (``fbsde.rollout_adjoint``) finds the product it needs. The tape-free
 path runs the same forward, so evaluation is unchanged bit for bit.
 
 Angle coordinates are wrapped to (-pi, pi] around the target for cost and
@@ -415,8 +416,14 @@ def lq_double_integrator(noise: Any = 0.2) -> SystemModel:
     drift_matrix = [[0.0, 1.0], [0.0, 0.0]]
     a_mat = np.array(drift_matrix)
 
+    def forward(X):
+        return a_mat @ X, None
+
+    def vjp(g, X, saved):
+        return a_mat.T @ g
+
     def drift(X, t=0.0):
-        return ad.matmul(a_mat, X)
+        return ad.column_map(X, forward, vjp)
 
     g_mat = np.array([[0.0], [1.0]])
     sigma = np.array([[0.0], [scale]])

@@ -1,9 +1,11 @@
-"""Training loop: taped rollouts, Adam on network weights and the trainable
-initial value/gradient pair, checkpointing, and a deterministic loss history.
+"""Training loop: adjoint-differentiated rollouts, Adam on network weights
+and the trainable initial value/gradient pair, checkpointing, and a
+deterministic loss history.
 
 All stochasticity flows through counter-based streams keyed by the run seed,
-so a (config, seed) pair reproduces every draw bit for bit. A step records
-the whole batch on one tape, samples in columns.
+so a (config, seed) pair reproduces every draw bit for bit. A step rolls the
+whole batch out tape-free, samples in columns, tapes only the loss head and
+backpropagates through time with ``fbsde.rollout_adjoint``.
 """
 
 from __future__ import annotations
@@ -83,28 +85,6 @@ class ParamStore:
     def theta_norm_sq(self) -> float:
         return float(sum(np.sum(a * a) for _, a in self.net.named_arrays()))
 
-    def lift(self, tape: Tape):
-        """Mirror every parameter as a leaf Var. Returns (params-view, leaves)."""
-        leaves = {name: tape.leaf(arr) for name, arr in self.named_parameters()}
-        net_vars = neural.NetParams(
-            layer1=neural.LstmLayerParams(
-                leaves["lstm1.W"], leaves["lstm1.U"], leaves["lstm1.b"]
-            ),
-            layer2=neural.LstmLayerParams(
-                leaves["lstm2.W"], leaves["lstm2.U"], leaves["lstm2.b"]
-            ),
-            out_w=leaves["out.W"],
-            out_b=leaves["out.b"],
-        )
-        return _LiftedParams(net=net_vars, y0=leaves["psi.y0"], z0=leaves["psi.z0"]), leaves
-
-
-@dataclass
-class _LiftedParams:
-    net: neural.NetParams
-    y0: ad.Var
-    z0: ad.Var
-
 
 def init_store(sys: SystemModel, cfg: TrainConfig) -> ParamStore:
     """Seeded initialization; parameter draws use their own substream."""
@@ -133,15 +113,14 @@ class StepResult:
     mean_terminal_cost: float
 
 
-def _taped_pass(store, sys, costs, grid, noise, mode):
-    """One taped rollout over a (possibly reduced) noise block."""
-    tape = Tape()
-    lifted, leaves = store.lift(tape)
-    batch = fbsde.rollout_batch(
-        lifted, sys, costs, grid, noise.shape[2], seed=0,
-        mode=mode, tape=tape, noise=noise,
-    )
-    return tape, leaves, batch
+def _logged_rollout(store, sys, costs, grid, noise, mode):
+    """One tape-free rollout over a (possibly reduced) noise block, with the
+    fused calls that ``fbsde.rollout_adjoint`` reads logged."""
+    with ad.saving() as saved:
+        batch = fbsde.rollout_batch(
+            store, sys, costs, grid, noise.shape[2], seed=0, mode=mode, noise=noise,
+        )
+    return batch, saved
 
 
 def training_step(
@@ -156,42 +135,47 @@ def training_step(
     workers: int = 1,
     divergence_tolerance: float = 0.1,
 ) -> StepResult:
-    """Build the taped rollout, backpropagate the loss, return gradients.
+    """Roll the batch out, backpropagate the loss, return the gradients.
 
-    Samples that go non-finite are dropped and the tape is rebuilt on the
+    The rollout runs tape-free; only the loss head (terminal cost, loss and
+    weight decay) is taped, with the terminal state and value as leaves, and
+    ``fbsde.rollout_adjoint`` carries its cotangents back through the steps.
+    Samples that go non-finite are dropped and the rollout is rerun on the
     survivors (their noise streams are untouched by the exclusion); more than
     ``divergence_tolerance`` dead samples aborts the run. ``workers`` accepts
-    only 1: the whole batch is one taped pass.
+    only 1: the whole batch is one pass.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}: the batch runs serially")
     noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, iteration, batch_size, grid.steps, sys.m)
-    beta, weight_decay = costs.beta, costs.weight_decay
 
-    tape, leaves, batch = _taped_pass(store, sys, costs, grid, noise, mode)
+    batch, saved = _logged_rollout(store, sys, costs, grid, noise, mode)
     diverged = batch.diverged
     if diverged:
         if diverged > divergence_tolerance * batch_size:
             raise TrainingDiverged(
                 f"iteration {iteration}: {diverged}/{batch_size} samples diverged"
             )
-        tape, leaves, batch = _taped_pass(
-            store, sys, costs, grid, noise[:, :, batch.alive], mode
-        )
+        batch, saved = _logged_rollout(store, sys, costs, grid, noise[:, :, batch.alive], mode)
         batch.alive = np.ones(batch.batch_size, dtype=bool)
 
-    handles = batch.handles
-    theta_vars = [leaves[name] for name in THETA_NAMES]
+    tape = Tape()
+    x_terminal = tape.leaf(batch.states[-1])
+    y_terminal = tape.leaf(batch.values[-1])
+    theta = [tape.leaf(arr) for _, arr in store.net.named_arrays()]
+    y_star = costs.terminal_expr(x_terminal)
     loss_var = fbsde.training_loss_expr(
-        handles.y_star, handles.y_terminal, theta_vars, beta, weight_decay, batch.batch_size
+        y_star, y_terminal, theta, costs.beta, costs.weight_decay, batch.batch_size
     )
-    loss = float(np.asarray(loss_var.value).reshape(-1)[0])
+    loss = float(loss_var.value[0, 0])
     if not math.isfinite(loss):
         raise TrainingDiverged(f"iteration {iteration}: non-finite loss {loss!r}")
+    batch.handles = fbsde.TapeHandles(tape, y_terminal, y_star, x_terminal)
 
-    names = list(leaves)
-    grad_list = tape.backward(loss_var, [leaves[k] for k in names])
-    grads = dict(zip(names, grad_list))
+    g_x, g_y, *decay = tape.backward(loss_var, [x_terminal, y_terminal, *theta])
+    net_grads, g_y0, g_z0 = fbsde.rollout_adjoint(saved, g_x, g_y)
+    grads = {name: g + d for (name, g), d in zip(net_grads.named_arrays(), decay)}
+    grads["psi.y0"], grads["psi.z0"] = g_y0, g_z0
     mean_tc = float(np.mean(batch.terminal_targets))
     return StepResult(loss=loss, batch=batch, grads=grads, diverged=diverged, mean_terminal_cost=mean_tc)
 

@@ -144,13 +144,15 @@ def test_criterion_03_risk_neutral_limit(capsys):
 
 
 def test_criterion_04_consistency_order(capsys):
-    gaps = bsde_consistency_gaps(default_lq_benchmark(),
-                                 dts=(0.04, 0.02, 0.01), samples=256)
-    values = [gap for _, gap in gaps]
-    ok = all(a > b for a, b in zip(values, values[1:]))
-    shown = ", ".join(f"dt={dt:g}: {gap:.4f}" for dt, gap in gaps)
+    shown, ok = [], True
+    for mode in ("baseline", "minmax"):
+        gaps = bsde_consistency_gaps(default_lq_benchmark(),
+                                     dts=(0.04, 0.02, 0.01), samples=256, mode=mode)
+        values = [gap for _, gap in gaps]
+        ok = ok and all(a > b for a, b in zip(values, values[1:]))
+        shown.append(f"{mode}: " + ", ".join(f"dt={dt:g}: {gap:.4f}" for dt, gap in gaps))
     _report(capsys, 4, ok,
-            f"terminal consistency gap decreases with the step ({shown})")
+            f"terminal consistency gap decreases with the step ({'; '.join(shown)})")
 
 
 @pytest.mark.slow

@@ -1,0 +1,145 @@
+"""The training step's adjoint against the taped oracle.
+
+``training.training_step`` rolls the batch out tape-free, tapes only the
+loss head and carries the cotangents back with ``fbsde.rollout_adjoint``.
+``gradcheck.taped_gradients`` records the same rollout and loss on one tape
+and differentiates it with ``Tape.backward``; the two must agree.
+"""
+
+import numpy as np
+import pytest
+
+from minmax_fbsde import autodiff as ad
+from minmax_fbsde import fbsde, gradcheck, training
+from minmax_fbsde.autodiff import Tape
+from minmax_fbsde.config import build_runtime, default_config
+
+
+def runtime(system, mode, steps=10):
+    cfg = default_config(system)
+    cfg.mode = mode
+    cfg.train.steps = steps
+    cfg.train.horizon = steps * 0.02
+    setup = build_runtime(cfg)
+    store = training.init_store(setup.system, setup.train)
+    rng = np.random.default_rng(4)
+    store.y0[:] = 0.4
+    store.z0[:] = rng.normal(size=store.z0.shape)  # the controls act from the first step
+    return setup, store
+
+
+def step(setup, store, batch, seed=5, iteration=2, **kw):
+    return training.training_step(store, setup.system, setup.costs, setup.grid, batch, seed,
+                                  iteration, setup.train.mode, **kw)
+
+
+def oracle(setup, store, noise):
+    return gradcheck.taped_gradients(store, setup.system, setup.costs, setup.grid, noise,
+                                     setup.train.mode)
+
+
+def assert_gradients_match(grads, expected, rel=1e-12):
+    assert list(grads) == list(expected)
+    for name, g in expected.items():
+        assert grads[name].shape == g.shape, name
+        scale = max(1e-300, float(np.max(np.abs(g))))
+        assert np.max(np.abs(grads[name] - g)) <= rel * scale, name
+
+
+CASES = [(system, mode) for system in ("pendulum", "quadcopter", "lq")
+         for mode in ("minmax", "baseline")]
+
+
+class TestAgainstTape:
+    @pytest.mark.parametrize("system,mode", CASES)
+    def test_loss_bit_equal_and_gradients_match(self, system, mode):
+        setup, store = runtime(system, mode)
+        result = step(setup, store, 6)
+        noise = fbsde.sample_noise(5, fbsde.PURPOSE_TRAIN, 2, 6, setup.grid.steps, setup.system.m)
+        batch, loss, grads = oracle(setup, store, noise)
+        assert result.loss == loss
+        assert_gradients_match(result.grads, grads)
+        for key in ("states", "values", "z_grads", "terminal_targets"):
+            assert np.array_equal(getattr(result.batch, key), getattr(batch, key)), key
+
+    @pytest.mark.parametrize("system", ["pendulum", "quadcopter", "lq"])
+    def test_matches_after_divergence_rebuild(self, system, monkeypatch):
+        setup, store = runtime(system, "minmax")
+        steps, m = setup.grid.steps, setup.system.m
+        clean = fbsde.sample_noise(5, fbsde.PURPOSE_TRAIN, 2, 10, steps, m)
+        poisoned = clean.copy()
+        poisoned[3, :, 2] = np.inf
+        poisoned[6, :, 7] = np.nan
+        monkeypatch.setattr(fbsde, "sample_noise", lambda *args: poisoned)
+        result = step(setup, store, 10, divergence_tolerance=0.2)
+        assert result.diverged == 2
+        assert result.batch.batch_size == 8
+
+        keep = np.ones(10, dtype=bool)
+        keep[[2, 7]] = False
+        _, loss, grads = oracle(setup, store, clean[:, :, keep])
+        assert result.loss == loss
+        assert_gradients_match(result.grads, grads)
+
+    def test_single_step_horizon(self):
+        # the only LSTM pass feeds nothing: its weights get no gradient but decay
+        setup, store = runtime("pendulum", "minmax", steps=1)
+        result = step(setup, store, 4)
+        noise = fbsde.sample_noise(5, fbsde.PURPOSE_TRAIN, 2, 4, 1, setup.system.m)
+        _, loss, grads = oracle(setup, store, noise)
+        assert result.loss == loss
+        assert_gradients_match(result.grads, grads)
+
+
+class TestLossHead:
+    @pytest.mark.parametrize("steps", [3, 12])
+    def test_tape_holds_only_the_loss_head(self, steps):
+        setup, store = runtime("quadcopter", "minmax", steps=steps)
+        result = step(setup, store, 4)
+        handles = result.batch.handles
+        assert isinstance(handles.tape, Tape)
+        # 10 leaves (x_T, y_T and eight weight arrays), the terminal cost, the
+        # loss and the weight decay: independent of the number of steps
+        assert len(handles.tape) == 34
+        assert np.array_equal(handles.x_terminal.value, result.batch.states[-1])
+        assert np.array_equal(handles.y_terminal.value, result.batch.values[-1])
+        assert np.array_equal(handles.y_star.value, result.batch.terminal_targets)
+
+
+class TestSaving:
+    def test_values_unchanged_and_log_in_call_order(self):
+        setup, store = runtime("pendulum", "minmax", steps=4)
+        plain = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 5, 1)
+        with ad.saving() as saved:
+            logged = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 5, 1)
+        for key in ("states", "values", "z_grads", "controls", "terminal_targets"):
+            assert np.array_equal(getattr(plain, key), getattr(logged, key)), key
+        step_ops = ["column_map", "column_map", "fbsde_step", "lstm_cell", "lstm_cell", "affine"]
+        assert [op for op, _, _ in saved] == step_ops * 4 + ["column_map"]
+
+    def test_logs_nothing_outside_the_block(self):
+        with ad.saving() as saved:
+            pass
+        ad.affine(np.ones((2, 3)), np.ones((3, 4)), np.ones((2, 1)))
+        assert saved == []
+
+    def test_blocks_do_not_nest(self):
+        with ad.saving():
+            with pytest.raises(RuntimeError, match="nest"):
+                with ad.saving():
+                    pass
+        with ad.saving() as saved:  # the failed attempt left no block open
+            pass
+        assert saved == []
+
+    def test_adjoint_rejects_a_composed_drift(self):
+        # a drift spelled out in element-wise primitives logs no column_map,
+        # so the log does not have the layout the adjoint reads
+        setup, store = runtime("pendulum", "minmax", steps=3)
+
+        def composed(X, t=0.0):
+            return ad.vstack((ad.rows(X, 1, 2), ad.smul(ad.sin(ad.rows(X, 0, 1)), -9.81)))
+
+        setup.system.drift = composed
+        with pytest.raises(ValueError, match="column_map"):
+            step(setup, store, 4)

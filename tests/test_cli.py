@@ -120,10 +120,23 @@ class TestValidation:
         ("mode", "'both'", "mode"),
         ("noise", "'medium'", "noise"),
         ("sweep.epsilons", "[1.0, 0.0]", "sweep.epsilons"),
+        ("cost.control_weight", ".inf", "cost.control_weight"),
+        ("cost.epsilon", ".inf", "cost.epsilon"),
+        ("cost.epsilon", "-.inf", "cost.epsilon"),
+        ("cost.epsilon", ".nan", "cost.epsilon"),
+        ("train.learning_rate", ".nan", "train.learning_rate"),
+        ("cost.running_weights", "[1.0, .nan]", r"cost.running_weights\[1\]"),
+        ("sweep.epsilons", "[1.0, .inf]", r"sweep.epsilons\[1\]"),
+        ("eval.success_tolerance", "[.nan, 1.0]", r"eval.success_tolerance\[0\]"),
     ])
     def test_bad_value_names_its_key(self, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(None, [f"{key}={value}"])
+
+    def test_infinite_success_tolerance_leaves_a_dimension_free(self):
+        cfg = parse_config(None, ["eval.success_tolerance=[.inf, 1.0]"])
+        setup = build_runtime(cfg)
+        np.testing.assert_array_equal(setup.system.success_tol, [np.inf, 1.0])
 
     def test_weight_count_checked_at_build(self):
         cfg = default_config("pendulum")
@@ -306,6 +319,12 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--workers", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("pair", ["cost.control_weight=.inf", "cost.epsilon=.nan"])
+    def test_nonfinite_number_exits_two(self, tmp_path, capsys, pair):
+        assert main(["train", *MICRO, "--set", pair, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pair.split('=')[0]}: ") and err.count("\n") == 1
 
     def test_missing_config_file_exits_two(self, capsys):
         code = main(["train", "--config", "/nonexistent/exp.yaml"])

@@ -307,19 +307,10 @@ def small_runtime(system, mode, steps=8):
 
 
 def taped_rollout(setup, store, adversary, batch=5, seed=3):
-    tape = Tape()
-    lifted, leaves = store.lift(tape)
-    out = fbsde.rollout_batch(
-        lifted, setup.system, setup.costs, setup.grid, batch, seed,
-        mode=setup.train.mode, adversary=adversary, tape=tape,
-    )
-    h = out.handles
-    loss = fbsde.training_loss_expr(h.y_star, h.y_terminal,
-                                    [leaves[n] for n in training.THETA_NAMES],
-                                    setup.costs.beta, setup.costs.weight_decay, batch)
-    names = list(leaves)
-    grads = tape.backward(loss, [leaves[n] for n in names])
-    return out, float(loss.value[0, 0]), dict(zip(names, grads))
+    noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, 0, batch, setup.grid.steps,
+                               setup.system.m)
+    return gradcheck.taped_gradients(store, setup.system, setup.costs, setup.grid, noise,
+                                     setup.train.mode, adversary)
 
 
 ROLLOUTS = [(s, mode, adv) for s in ("pendulum", "quadcopter", "lq")
@@ -386,11 +377,13 @@ class TestRollout:
 
 
 def nodes_per_time_step(system):
+    """Tape nodes per time step of the taped oracle of a training step."""
     setup = build_runtime(default_config(system))
     store = training.init_store(setup.system, setup.train)
-    result = training.training_step(store, setup.system, setup.costs, setup.grid,
-                                     4, 0, 0, setup.train.mode)
-    return len(result.batch.handles.tape) / setup.grid.steps
+    noise = fbsde.sample_noise(0, fbsde.PURPOSE_TRAIN, 0, 4, setup.grid.steps, setup.system.m)
+    batch, _, _ = gradcheck.taped_gradients(store, setup.system, setup.costs, setup.grid,
+                                            noise, setup.train.mode)
+    return len(batch.handles.tape) / setup.grid.steps
 
 
 def test_pendulum_step_node_budget():
@@ -415,7 +408,7 @@ def test_audit_honours_points_and_covers_fused(monkeypatch):
     rows = gradcheck.audit_primitives(points=2)
     names = [row.name for row in rows]
     for fused in ("lstm-cell", "affine", "fbsde-step-minmax", "fbsde-step-baseline",
-                  "drift-pendulum", "drift-quadcopter", "quadratic-cost"):
+                  "drift-pendulum", "drift-quadcopter", "drift-lq", "quadratic-cost"):
         assert fused in names
     assert len(calls) == 2 * len(rows)
     assert all(row.points == 2 and row.passed for row in rows)
