@@ -14,7 +14,6 @@ from .config import ExperimentConfig, build_runtime, default_config, parse_confi
 from .evaluation import (
     EvalReport,
     LqBenchmark,
-    default_lq_benchmark,
     evaluate,
     epsilon_sweep,
     riccati_oracle,
@@ -44,7 +43,6 @@ __all__ = [
     "parse_config",
     "EvalReport",
     "LqBenchmark",
-    "default_lq_benchmark",
     "evaluate",
     "epsilon_sweep",
     "riccati_oracle",

@@ -5,6 +5,8 @@ Every command resolves one ExperimentConfig (YAML file, then repeatable
 resolved config and run metadata into the output directory, and exits
 nonzero with a message on any failure. Outputs carry no timestamps, so a
 repeated run with the same seed reproduces its files byte for byte.
+``train`` and ``sweep`` train through ``training.train_or_load``, so a re-run
+reuses a checkpoint that the same config and solver source produced.
 """
 
 from __future__ import annotations
@@ -88,8 +90,9 @@ def cmd_train(cfg) -> int:
             print(f"iter {row.iteration:>6d}  loss {row.loss:.6g}  "
                   f"terminal cost {row.mean_terminal_cost:.6g}  diverged {row.diverged}")
 
-    training.train(setup.system, setup.costs, setup.train,
-                   out_dir=cfg.out, config_hash=setup.model_hash, progress=progress)
+    _, history = training.train_or_load(setup, cfg.out, progress=progress)
+    if history is None:
+        print(f"reused the checkpoint in {cfg.out}: same config and solver source")
     print(f"checkpoint: {os.path.join(cfg.out, 'checkpoint.ckpt')}")
     print(f"loss history: {os.path.join(cfg.out, 'loss_history.csv')}")
     return 0
@@ -113,8 +116,7 @@ def cmd_eval(cfg) -> int:
     )
     write_run_metadata(cfg.out, cfg, "eval")
     with open(os.path.join(cfg.out, "eval_report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report.to_json())
     with open(os.path.join(cfg.out, "trajectories.csv"), "w") as fh:
         fh.write(report.trajectory_csv(condition=cfg.mode))
     print(f"success rate       {report.success_rate:.4f}")
@@ -128,12 +130,15 @@ def cmd_eval(cfg) -> int:
 def cmd_sweep(cfg) -> int:
     write_run_metadata(cfg.out, cfg, "sweep")
     rows = evaluation.epsilon_sweep(cfg, cfg.sweep.epsilons, cfg.out)
-    print(f"{'epsilon':>10s} {'mode':>9s} {'status':>7s} {'success':>8s} {'variance':>12s}")
+    print(f"{'epsilon':>10s} {'mode':>9s} {'status':>7s} {'success':>8s} {'variance':>12s} "
+          f"{'reduction %':>11s}")
     for row in rows:
         eps = "-" if row["epsilon"] is None else f"{row['epsilon']:g}"
         succ = "-" if row["success_rate"] is None else f"{row['success_rate']:.3f}"
         var = "-" if row["total_state_variance"] is None else f"{row['total_state_variance']:.5g}"
-        print(f"{eps:>10s} {row['mode']:>9s} {row['status']:>7s} {succ:>8s} {var:>12s}")
+        pct = row.get("variance_reduction_pct")
+        pct = "-" if pct is None else f"{pct:.2f}"
+        print(f"{eps:>10s} {row['mode']:>9s} {row['status']:>7s} {succ:>8s} {var:>12s} {pct:>11s}")
     print(f"table: {os.path.join(cfg.out, 'sweep.csv')}")
     return 0
 

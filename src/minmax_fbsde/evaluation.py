@@ -9,6 +9,7 @@ multiplier), which a structural test can verify by stubbing it out.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
@@ -98,6 +99,10 @@ class EvalReport:
             "success_tolerance": list(self.success_tolerance),
             "state_labels": list(self.state_labels),
         }
+
+    def to_json(self) -> str:
+        """``to_dict`` as the text of ``eval_report.json``."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def trajectory_csv(self, condition: str = "default") -> str:
         """Per-step mean, std and 95% bands for every state, long format."""
@@ -232,19 +237,6 @@ class LqBenchmark:
         return self.a_mat.shape[0]
 
 
-def default_lq_benchmark(noise_scale: float = 0.2) -> LqBenchmark:
-    """Double integrator with force input and velocity-channel noise."""
-    return LqBenchmark(
-        a_mat=[[0.0, 1.0], [0.0, 0.0]],
-        b_mat=[[0.0], [1.0]],
-        sigma=[[0.0], [noise_scale]],
-        q_mat=np.diag([1.0, 0.1]),
-        qf_mat=np.diag([10.0, 1.0]),
-        r_mat=[[1.0]],
-        x0=[1.0, 0.0],
-    )
-
-
 def lq_benchmark(setup) -> LqBenchmark:
     """The linear-quadratic problem an ``lq`` runtime setup trains on.
 
@@ -337,49 +329,31 @@ def riccati_oracle(bench: LqBenchmark, grid: HorizonGrid, inv_epsilon: float = 0
     return RiccatiSolution(grid=grid, p_mats=p_mats, c_offs=c_offs, bench=bench)
 
 
-def lq_cost_spec(bench: LqBenchmark, epsilon: float = 1e6, beta: float = 0.8, weight_decay: float = 1e-4) -> CostSpec:
-    if not np.allclose(bench.q_mat, np.diag(np.diag(bench.q_mat))):
-        raise ValueError("benchmark running weight must be diagonal")
-    return CostSpec(
-        running_weights=np.diag(bench.q_mat),
-        terminal_weights=np.diag(bench.qf_mat),
-        target=np.zeros(bench.n),
-        r_u=bench.r_mat,
-        epsilon=epsilon,
-        beta=beta,
-        weight_decay=weight_decay,
-        angle_dims=(),
-    )
-
-
 def bsde_consistency_gaps(
-    bench: LqBenchmark,
+    setup,
     dts: Sequence[float] = (0.04, 0.02, 0.01),
-    horizon: float = 1.0,
     samples: int = 256,
     seed: int = 7,
     mode: str = "baseline",
-    epsilon: float = 2.0,
 ) -> list[tuple[float, float]]:
     """Mean |y_N - g(x_N)| when the exact value gradient drives the rollout.
 
-    The same Brownian paths drive every grid (coarse increments are sums of
-    fine ones), so the gaps isolate pure time-discretization error; they must
+    The system, the costs (epsilon included) and the horizon come from the
+    ``lq`` runtime ``setup``, the value gradient from its Riccati oracle
+    (``lq_benchmark`` raises ValueError for any other system). The same
+    Brownian paths drive every grid (coarse increments are sums of fine
+    ones), so the gaps isolate pure time-discretization error; they must
     shrink as dt does.
     """
-    from .systems import lq_double_integrator
-
+    bench = lq_benchmark(setup)
+    sys, costs = setup.system, setup.costs
+    start, horizon = setup.grid.start, setup.grid.end - setup.grid.start
     dts = sorted(set(float(d) for d in dts), reverse=True)
     finest = dts[-1]
     steps_fine = int(round(horizon / finest))
     if not math.isclose(steps_fine * finest, horizon, rel_tol=1e-9):
         raise ValueError("horizon must be an integer multiple of the finest dt")
-
-    noise_scale = float(bench.sigma[1, 0])
-    sys = lq_double_integrator(noise=noise_scale)
-    sys.x0 = bench.x0.copy()
-    costs = lq_cost_spec(bench, epsilon=epsilon)
-    inv_eps = 1.0 / epsilon if mode == "minmax" else 0.0
+    inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
 
     fine = fbsde.sample_noise(seed, fbsde.PURPOSE_CONSISTENCY, 0, samples, steps_fine, sys.m)
 
@@ -392,7 +366,7 @@ def bsde_consistency_gaps(
         # unit normals add as dw_coarse = sum(dw_fine) / sqrt(group)
         coarse = fine[: steps * group].reshape(steps, group, sys.m, samples).sum(axis=1)
         coarse /= math.sqrt(group)
-        grid = HorizonGrid(0.0, horizon, steps)
+        grid = HorizonGrid(start, start + horizon, steps)
         ric = riccati_oracle(bench, grid, inv_epsilon=inv_eps)
         batch = fbsde.rollout_batch(
             None, sys, costs, grid, samples, seed,
@@ -435,15 +409,19 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
     risk-neutral baseline, reusing a cached checkpoint only where
     ``training.train_or_load`` finds it trained by the same code and settings.
 
-    Failed trainings become rows with status ``failed`` and the sweep moves
-    on. A run counts as successful when its success rate clears the sweep
-    threshold. Each row's ``checkpoint`` is relative to ``out_dir``, so the
-    table does not depend on where the sweep directory lives.
+    Each condition's ``eval_report.json`` goes next to its checkpoint, and
+    each min-max row carries ``variance_reduction_pct`` against the baseline
+    (None when either side has no report). Failed trainings become rows with
+    status ``failed`` and the sweep moves on. A run counts as successful when
+    its success rate clears the sweep threshold. Each row's ``checkpoint`` is
+    relative to ``out_dir``, so the table does not depend on where the sweep
+    directory lives.
     """
     from . import config as config_mod
     from . import training
 
     rows = []
+    baseline = None
     eps_values = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_values):
         raise ValueError("every sweep epsilon must be positive")
@@ -463,12 +441,21 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
             "mean_terminal_cost": None,
             "checkpoint": os.path.join(label, "checkpoint.ckpt"),
         }
+        if mode == "minmax":
+            row["variance_reduction_pct"] = None
         try:
             store, _ = training.train_or_load(setup, os.path.join(out_dir, label))
             report = evaluate(
                 store, setup.system, setup.costs, setup.grid,
                 setup.eval_batch, setup.eval_seed, mode=mode, adversary=False,
             )
+            with open(os.path.join(out_dir, label, "eval_report.json"), "w") as fh:
+                fh.write(report.to_json())
+            if mode == "baseline":
+                baseline = report
+            elif baseline is not None:
+                row["variance_reduction_pct"] = variance_reduction(
+                    baseline, report)["variance_reduction_pct"]
             row["success_rate"] = report.success_rate
             row["total_state_variance"] = report.total_state_variance
             row["mean_terminal_cost"] = report.mean_terminal_cost

@@ -263,7 +263,6 @@ class RolloutBatch:
     terminal_targets: np.ndarray  # (1, M), g(x_N)
     alive: np.ndarray  # (M,) bool
     mode: str
-    seed: int
     handles: TapeHandles | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -427,7 +426,6 @@ def rollout_batch(
         terminal_targets=_value_of(y_star).reshape(1, batch),
         alive=alive,
         mode=mode,
-        seed=seed,
         handles=handles,
     )
 

@@ -283,13 +283,15 @@ def provenance_key(setup) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def train_or_load(setup, job_dir: str) -> tuple[ParamStore, list[HistoryRow] | None]:
+def train_or_load(
+    setup, job_dir: str, progress: Callable[[HistoryRow], None] | None = None,
+) -> tuple[ParamStore, list[HistoryRow] | None]:
     """Train ``setup`` into ``job_dir``, or reuse the checkpoint found there.
 
     The checkpoint is reused only when the ``provenance`` file next to it
     holds ``provenance_key(setup)``, so a changed budget, cost or solver
-    source retrains. Returns the store and the loss history, which is None
-    when the checkpoint was reused.
+    source retrains. ``progress`` is passed to ``train``. Returns the store
+    and the loss history, which is None when the checkpoint was reused.
     """
     key = provenance_key(setup)
     ckpt = os.path.join(job_dir, "checkpoint.ckpt")
@@ -312,7 +314,8 @@ def train_or_load(setup, job_dir: str) -> tuple[ParamStore, list[HistoryRow] | N
     if os.path.exists(sidecar):
         os.remove(sidecar)  # an interrupted retrain must not look finished
     store, history = train(
-        setup.system, setup.costs, setup.train, out_dir=job_dir, config_hash=setup.model_hash
+        setup.system, setup.costs, setup.train,
+        out_dir=job_dir, config_hash=setup.model_hash, progress=progress,
     )
     with open(sidecar, "w") as fh:
         fh.write(key + "\n")

@@ -25,7 +25,6 @@ from minmax_fbsde.config import build_runtime, default_config, validate_config
 from minmax_fbsde.evaluation import (
     LqBenchmark,
     bsde_consistency_gaps,
-    default_lq_benchmark,
     epsilon_sweep,
     evaluate,
     lq_benchmark,
@@ -144,10 +143,12 @@ def test_criterion_03_risk_neutral_limit(capsys):
 
 
 def test_criterion_04_consistency_order(capsys):
+    cfg = default_config("lq")
+    cfg.cost.epsilon = 2.0
+    setup = build_runtime(cfg)
     shown, ok = [], True
     for mode in ("baseline", "minmax"):
-        gaps = bsde_consistency_gaps(default_lq_benchmark(),
-                                     dts=(0.04, 0.02, 0.01), samples=256, mode=mode)
+        gaps = bsde_consistency_gaps(setup, dts=(0.04, 0.02, 0.01), samples=256, mode=mode)
         values = [gap for _, gap in gaps]
         ok = ok and all(a > b for a, b in zip(values, values[1:]))
         shown.append(f"{mode}: " + ", ".join(f"dt={dt:g}: {gap:.4f}" for dt, gap in gaps))

@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minmax_fbsde import config as config_mod
-from minmax_fbsde.cli import build_parser, main
+from minmax_fbsde import training
+from minmax_fbsde.cli import build_parser, main, resolve_config
 from minmax_fbsde.config import (
     ConfigError,
     build_runtime,
@@ -241,6 +245,27 @@ class TestCommands:
         assert (a / "loss_history.csv").read_bytes() == (b / "loss_history.csv").read_bytes()
         assert (a / "checkpoint.ckpt").read_bytes() == (b / "checkpoint.ckpt").read_bytes()
 
+    def test_train_reuses_an_unchanged_checkpoint(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--out", str(out)]) == 0
+        ckpt, history = (out / "checkpoint.ckpt").read_bytes(), (out / "loss_history.csv").read_bytes()
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("training.train called for an unchanged config")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "train", refuse)
+            assert main(["train", *MICRO, "--out", str(out)]) == 0
+        assert "reused the checkpoint" in capsys.readouterr().out
+        assert (out / "checkpoint.ckpt").read_bytes() == ckpt
+        assert (out / "loss_history.csv").read_bytes() == history
+
+        assert main(["train", *MICRO, "--set", "train.iterations=3", "--out", str(out)]) == 0
+        assert "reused" not in capsys.readouterr().out
+        assert (out / "checkpoint.ckpt").read_bytes() != ckpt
+        assert (out / "loss_history.csv").read_text().splitlines()[-1].startswith("2,")
+
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         out = tmp_path / "none"
         code = main(["eval", *MICRO, "--out", str(out)])
@@ -305,7 +330,7 @@ class TestCommands:
         assert text.startswith("# schema minmax-fbsde.sweep.v1")
         assert "baseline" in text and "0.5" in text
         stdout = capsys.readouterr().out
-        assert "epsilon" in stdout and "baseline" in stdout
+        assert "epsilon" in stdout and "baseline" in stdout and "reduction %" in stdout
 
     def test_bad_config_exits_two(self, capsys):
         code = main(["train", "--set", "cost.epsilon=-1"])
@@ -377,3 +402,24 @@ class TestCommands:
         names = {c["name"]: c["passed"] for c in payload["checks"]}
         assert names["scalar closed form"]
         assert not names["initial value within 5% of oracle"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every ``minmax-fbsde ...`` line inside the README's fenced blocks."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.startswith("minmax-fbsde ")]
+
+
+class TestReadmeCommands:
+    def test_readme_lists_every_command(self):
+        used = {shlex.split(line)[1] for line in readme_commands()}
+        assert used == {"train", "eval", "sweep", "oracle-check", "grad-check"}
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_documented_command_resolves(self, line):
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        resolve_config(args)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -10,11 +11,9 @@ from minmax_fbsde.evaluation import (
     LqBenchmark,
     RiccatiBlowUp,
     bsde_consistency_gaps,
-    default_lq_benchmark,
     epsilon_sweep,
     evaluate,
     lq_benchmark,
-    lq_cost_spec,
     riccati_oracle,
     summarize,
     sweep_to_csv,
@@ -25,7 +24,7 @@ from minmax_fbsde.evaluation import (
 )
 from minmax_fbsde.fbsde import HorizonGrid, rollout_batch, sample_noise
 from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
-from minmax_fbsde.training import TrainConfig, init_store
+from minmax_fbsde.training import TrainConfig, init_store, load_checkpoint
 
 
 def pendulum_setup(steps=5, batch=8):
@@ -38,6 +37,11 @@ def pendulum_setup(steps=5, batch=8):
     grid = HorizonGrid(0.0, steps * 0.02, steps)
     cfg = TrainConfig(iterations=1, batch_size=batch, grid=grid, seed=0, hidden_size=4)
     return sys, costs, grid, init_store(sys, cfg)
+
+
+def lq_setup(**tops):
+    """The default ``lq`` runtime; keywords replace top-level config keys."""
+    return build_runtime(override(default_config("lq"), **tops))
 
 
 class TestTaskSuccess:
@@ -262,7 +266,7 @@ class TestEvaluate:
 
 class TestRiccati:
     def test_terminal_condition(self):
-        bench = default_lq_benchmark()
+        bench = lq_benchmark(lq_setup())
         grid = HorizonGrid(0.0, 1.0, 20)
         ric = riccati_oracle(bench, grid)
         np.testing.assert_allclose(ric.p_mats[-1], bench.qf_mat, atol=1e-14)
@@ -289,7 +293,7 @@ class TestRiccati:
         np.testing.assert_allclose(ric.c_offs, 0.0, atol=1e-14)
 
     def test_path_stays_symmetric_psd(self):
-        bench = default_lq_benchmark()
+        bench = lq_benchmark(lq_setup())
         ric = riccati_oracle(bench, HorizonGrid(0.0, 1.0, 50))
         for p in ric.p_mats:
             np.testing.assert_allclose(p, p.T, atol=1e-12)
@@ -297,15 +301,15 @@ class TestRiccati:
 
     def test_noise_feeds_offset(self):
         # c' = -0.5 tr(P Sigma Sigma') < 0 backward, so c(0) > 0 with noise
-        bench = default_lq_benchmark(noise_scale=0.5)
+        bench = lq_benchmark(lq_setup(noise=0.5))
         ric = riccati_oracle(bench, HorizonGrid(0.0, 1.0, 50))
         assert ric.c_offs[0] > 0
-        quiet = default_lq_benchmark(noise_scale=0.0)
+        quiet = lq_benchmark(lq_setup(noise=0.0))
         ric0 = riccati_oracle(quiet, HorizonGrid(0.0, 1.0, 50))
         np.testing.assert_allclose(ric0.c_offs, 0.0, atol=1e-14)
 
     def test_refinement_converges(self):
-        bench = default_lq_benchmark()
+        bench = lq_benchmark(lq_setup())
         grid = HorizonGrid(0.0, 1.0, 10)
         ref = riccati_oracle(bench, grid, refine=80)
         err5 = np.max(np.abs(riccati_oracle(bench, grid, refine=5).p_mats - ref.p_mats))
@@ -315,7 +319,7 @@ class TestRiccati:
 
     def test_adversary_raises_value(self):
         # a live adversary makes the game dearer: P_rs - P_rn is PSD
-        bench = default_lq_benchmark()
+        bench = lq_benchmark(lq_setup())
         grid = HorizonGrid(0.0, 1.0, 20)
         rn = riccati_oracle(bench, grid, inv_epsilon=0.0)
         rs = riccati_oracle(bench, grid, inv_epsilon=10.0)
@@ -324,13 +328,13 @@ class TestRiccati:
 
     def test_ill_posed_temperature_blows_up(self):
         # below epsilon = r sigma^2 the quadratic form loses definiteness
-        bench = default_lq_benchmark(noise_scale=0.2)
+        bench = lq_benchmark(lq_setup(noise=0.2))
         grid = HorizonGrid(0.0, 1.0, 50)
         with pytest.raises(RiccatiBlowUp):
             riccati_oracle(bench, grid, inv_epsilon=1000.0)
 
     def test_value_and_gradient_agree(self):
-        bench = default_lq_benchmark()
+        bench = lq_benchmark(lq_setup())
         ric = riccati_oracle(bench, HorizonGrid(0.0, 1.0, 10))
         x = np.array([0.7, -0.3])
         assert ric.value(x, 2) == pytest.approx(
@@ -342,12 +346,6 @@ class TestRiccati:
 
 
 class TestLqBenchmarkFromSetup:
-    def test_default_lq_runtime_is_the_default_benchmark(self):
-        bench = lq_benchmark(build_runtime(default_config("lq")))
-        ref = default_lq_benchmark()
-        for name in ("a_mat", "b_mat", "sigma", "q_mat", "qf_mat", "r_mat", "x0"):
-            np.testing.assert_array_equal(getattr(bench, name), getattr(ref, name), err_msg=name)
-
     def test_reads_the_runtime(self):
         cfg = override(default_config("lq"), noise=0.5)
         cfg.cost.running_weights = [2.0, 0.3]
@@ -365,39 +363,27 @@ class TestLqBenchmarkFromSetup:
             lq_benchmark(build_runtime(default_config("pendulum")))
 
 
-class TestLqCostSpec:
-    def test_weights_taken_from_diagonals(self):
-        bench = default_lq_benchmark()
-        costs = lq_cost_spec(bench, epsilon=3.0, beta=0.9, weight_decay=0.0)
-        np.testing.assert_array_equal(costs.running_weights, [1.0, 0.1])
-        np.testing.assert_array_equal(costs.terminal_weights, [10.0, 1.0])
-        np.testing.assert_array_equal(costs.r_u, [[1.0]])
-        assert costs.epsilon == 3.0
-
-    def test_non_diagonal_rejected(self):
-        bench = default_lq_benchmark()
-        bench.q_mat = np.array([[1.0, 0.2], [0.2, 1.0]])
-        with pytest.raises(ValueError, match="diagonal"):
-            lq_cost_spec(bench)
-
-
 class TestConsistencyGaps:
     def test_gaps_shrink_with_dt(self):
-        gaps = bsde_consistency_gaps(default_lq_benchmark(), samples=64)
+        gaps = bsde_consistency_gaps(lq_setup(), samples=64)
         assert [dt for dt, _ in gaps] == [0.04, 0.02, 0.01]
         values = [g for _, g in gaps]
         assert values[0] > values[1] > values[2]
 
     def test_minmax_mode_also_consistent(self):
-        gaps = bsde_consistency_gaps(default_lq_benchmark(), samples=32,
-                                     mode="minmax", epsilon=2.0)
+        cfg = default_config("lq")
+        cfg.cost.epsilon = 2.0
+        gaps = bsde_consistency_gaps(build_runtime(cfg), samples=32, mode="minmax")
         values = [g for _, g in gaps]
         assert values[0] > values[1] > values[2]
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
-            bsde_consistency_gaps(default_lq_benchmark(), dts=(0.025, 0.01),
-                                  horizon=1.0, samples=4)
+            bsde_consistency_gaps(lq_setup(), dts=(0.025, 0.01), samples=4)
+
+    def test_non_lq_setup_rejected(self):
+        with pytest.raises(ValueError, match="lq"):
+            bsde_consistency_gaps(build_runtime(default_config("pendulum")), samples=4)
 
 
 class TestSweep:
@@ -448,6 +434,27 @@ class TestSweep:
         again = epsilon_sweep(cfg, [0.5], str(tmp_path))
         assert again == rows
         assert (tmp_path / "eps_0.5" / "checkpoint.ckpt").read_bytes() == before
+
+    def test_reports_next_to_checkpoints(self, tmp_path):
+        cfg = default_config("lq")
+        cfg.train.iterations = 2
+        cfg.train.batch_size = 4
+        cfg.train.steps = 5
+        cfg.train.horizon = 0.1
+        cfg.eval.batch_size = 8
+        rows = epsilon_sweep(cfg, [0.5], str(tmp_path))
+        reports = {}
+        for label, mode, eps in (("baseline", "baseline", None), ("eps_0.5", "minmax", 0.5)):
+            setup = build_runtime(override(cfg, mode=mode, epsilon=eps))
+            store, _ = load_checkpoint(str(tmp_path / label / "checkpoint.ckpt"))
+            reports[mode] = evaluate(store, setup.system, setup.costs, setup.grid,
+                                     setup.eval_batch, setup.eval_seed, mode=mode)
+            written = json.loads((tmp_path / label / "eval_report.json").read_text())
+            assert written == reports[mode].to_dict()
+        assert "variance_reduction_pct" not in rows[0]
+        assert rows[1]["variance_reduction_pct"] == variance_reduction(
+            reports["baseline"], reports["minmax"])["variance_reduction_pct"]
+        assert "variance_reduction_pct" not in (tmp_path / "sweep.csv").read_text()
 
     def test_checkpoint_paths_relative_to_sweep_dir(self, tmp_path):
         cfg = default_config("lq")

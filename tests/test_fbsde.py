@@ -380,7 +380,7 @@ class TestTrainingLoss:
             states=np.zeros((2, 1, m)), values=values, z_grads=np.zeros((2, 1, m)),
             controls=np.zeros((1, 1, m)), adversary_controls=np.zeros((1, 1, m)),
             noise=np.zeros((1, 1, m)), terminal_targets=y_star,
-            alive=np.ones(m, dtype=bool), mode="minmax", seed=0,
+            alive=np.ones(m, dtype=bool), mode="minmax",
         )
 
     def test_perfect_prediction_beta_one(self):
