@@ -15,15 +15,16 @@ plain ndarrays and then evaluate eagerly without recording, so model code
 written against them runs both taped (training) and tape-free (evaluation).
 
 Three fused primitives collapse the blocks that run at every time step into
-one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``),
-``affine`` (``W x + b 1'``) and ``fbsde_step`` (the coupled state/value
-update, value ``[x'; y']``). Each has one forward kernel, shared by the taped
-and the tape-free path, and one hand-written backward, a pure function from
-(output cotangent, input values, saved) to input cotangents
-(``lstm_cell_vjp``, ``affine_vjp`` with ``weight_vjp``, ``fbsde_step_vjp``).
-A fused node keeps what its backward needs (gate activations, intermediate
-products, the step constants) in its ``aux``; only ``value`` counts as the
-node's output.
+one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``; its
+pre-activation is one GEMM of the packed weights ``[W U b]`` over the block
+``[x; h; 1]``, see ``LstmPack``), ``affine`` (``W x + b 1'``) and
+``fbsde_step`` (the coupled state/value update, value ``[x'; y']``). Each has
+one forward kernel, shared by the taped and the tape-free path, and one
+hand-written backward, a pure function from (output cotangent, input values,
+saved) to input cotangents (``lstm_cell_vjp``, ``affine_vjp`` with
+``weight_vjp``, ``fbsde_step_vjp``). A fused node keeps what its backward
+needs (gate activations, intermediate products, the step constants) in its
+``aux``; only ``value`` counts as the node's output.
 
 A fourth, ``column_map``, is the generic form: the caller supplies the
 forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
@@ -37,7 +38,10 @@ holds only the loss head. Taping the whole rollout remains the gradient
 oracle for tests and the audit.
 
 The sigmoid is NumPy's own ``0.5 tanh(a / 2) + 0.5`` (``_sigmoid``); the
-package needs no special-function library.
+package needs no special-function library. The LSTM cell folds the ``a / 2``
+into its packed weights: their sigmoid rows are stored halved, which is exact,
+so one tanh covers all gate rows and the result is still ``_sigmoid``'s to the
+bit.
 """
 
 from __future__ import annotations
@@ -276,7 +280,8 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
         vals = tuple(values(i) for i in ins)
         if op == "lstm_cell":
             d_x, d_h, d_c, d_pre = lstm_cell_vjp(g, vals, node.aux)
-            pieces = (*weight_vjp(d_pre, vals[3], vals[4]), d_x, d_h, d_c)
+            d_w = d_pre @ lstm_block(vals[3], vals[4]).T
+            pieces = (*unpack_lstm(d_w, vals[3].shape[0]), d_x, d_h, d_c)
         elif op == "affine":
             d_w, d_b = weight_vjp(g, vals[1])
             pieces = (d_w, affine_vjp(g, vals), d_b)
@@ -299,45 +304,107 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
 #
 # Each backward is a pure function from (output cotangent, input values,
 # saved) to input cotangents. ``Tape.backward`` and the training adjoint
-# (``fbsde.rollout_adjoint``) call the same ones. The weight cotangents of
-# ``lstm_cell`` and ``affine`` come from ``weight_vjp`` on the cotangent of
-# the pre-activation, so the adjoint can form them once for all time steps.
+# (``fbsde.rollout_adjoint``) call the same ones. The weight cotangents come
+# from the cotangent of the pre-activation: ``d_pre @ lstm_block(x, h).T``
+# for the packed [W U b] of ``lstm_cell`` (split by ``unpack_lstm``),
+# ``weight_vjp`` for ``affine``; the adjoint sums them over the time steps.
 
 
-def _lstm_cell_kernel(vals, aux):
-    """Gates from ``(W x + U h) + b 1'``; returns [h'; c'] and (activations, tanh c')."""
+class LstmPack(NamedTuple):
+    """One LSTM layer's weights packed for the one-GEMM cell on M columns;
+    not differentiable.
+
+    ``gates`` is [W U b], (4h, d + h + 1), with the sigmoid rows (input,
+    forget, output) halved, so ``gates @ [x; h; 1]`` is the candidate row's
+    pre-activation and half of each sigmoid row's: the argument of the tanh
+    in sigma(a) = 0.5 tanh(a / 2) + 0.5. Halving is exact (barring subnormal
+    weights), so the product equals 0.5 ([W U b] @ [x; h; 1]) bit for bit.
+    ``wu`` is [W U] unscaled, whose transpose maps the pre-activation
+    cotangent to those of x and h. ``block`` (d + h + 1, M) is where each
+    cell writes its [x; h; 1]: no cell keeps its block, so one scratch array
+    serves every cell of a rollout, and a pack serves one rollout at a time.
+    """
+
+    gates: np.ndarray
+    wu: np.ndarray
+    block: np.ndarray
+
+
+def pack_lstm(W, U, b, block: np.ndarray) -> LstmPack:
+    """The ``LstmPack`` of (W, U, b) with the scratch ``block``; the weights
+    are copied, so the pack is stale once they change."""
+    hid = U.shape[1]
+    wu = np.hstack((W, U))
+    gates = np.hstack((wu, b))
+    gates[: 2 * hid] *= 0.5
+    gates[3 * hid :] *= 0.5
+    return LstmPack(gates, wu, block)
+
+
+def unpack_lstm(packed, d: int):
+    """Split an array laid out like [W U b] into its (W, U, b) columns;
+    ``d`` is the input size."""
+    return packed[:, :d], packed[:, d:-1], packed[:, -1:]
+
+
+def lstm_block(x, h, out=None):
+    """The block [x; h; 1] that the packed [W U b] multiplies (written into
+    ``out`` when given)."""
+    if out is None:
+        out = np.empty((x.shape[0] + h.shape[0] + 1, x.shape[1]))
+    out[: x.shape[0]] = x
+    out[x.shape[0] : -1] = h
+    out[-1] = 1.0
+    return out
+
+
+def _lstm_cell_kernel(vals, pack):
+    """Gates from one GEMM ``[W U b] [x; h; 1]``; returns [h'; c'] and
+    (activations, tanh c', the pack).
+
+    ``pack`` is ``pack_lstm(W, U, b, scratch)``, built here when None. With
+    the sigmoid rows of the pack already halved, one tanh covers all 4h gate
+    rows and the sigmoid rows only need ``* 0.5 + 0.5``. The block goes into
+    the pack's scratch and is not saved: a backward rebuilds it from x and h,
+    which it has anyway, so no call keeps a copy of its inputs.
+    """
     W, U, b, x, h_prev, c_prev = vals
     hid = U.shape[1]
-    if (W.shape[0] != 4 * hid or U.shape[0] != 4 * hid or b.shape != (4 * hid, 1)
-            or W.shape[1] != x.shape[0] or h_prev.shape != (hid, x.shape[1])
-            or c_prev.shape != h_prev.shape):
+    d, cols = x.shape
+    if (W.shape != (4 * hid, d) or U.shape[0] != 4 * hid or b.shape != (4 * hid, 1)
+            or h_prev.shape != (hid, cols) or c_prev.shape != h_prev.shape):
         raise ShapeError(
             f"lstm-cell: W {W.shape}, U {U.shape}, b {b.shape}, x {x.shape}, "
             f"h {h_prev.shape}, c {c_prev.shape} do not conform"
         )
-    act = W @ x
-    act += U @ h_prev
-    act += b
+    if pack is None:
+        pack = pack_lstm(W, U, b, np.empty((d + hid + 1, cols)))
+    elif pack.gates.shape != (4 * hid, d + hid + 1) or pack.block.shape != (d + hid + 1, cols):
+        raise ShapeError(f"lstm-cell: pack {pack.gates.shape} for {pack.block.shape[1]} columns "
+                         f"does not fit W {W.shape}, U {U.shape}, x {x.shape}")
     # rows (input, forget, candidate, output); activations in place
-    _sigmoid(act[: 2 * hid], out=act[: 2 * hid])
-    np.tanh(act[2 * hid : 3 * hid], out=act[2 * hid : 3 * hid])
-    _sigmoid(act[3 * hid :], out=act[3 * hid :])
+    act = pack.gates @ lstm_block(x, h_prev, pack.block)
+    np.tanh(act, out=act)
+    for gate in (act[: 2 * hid], act[3 * hid :]):
+        gate *= 0.5
+        gate += 0.5
     gate_i, gate_f = act[:hid], act[hid : 2 * hid]
     cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
-    out = np.empty((2 * hid, x.shape[1]))
+    out = np.empty((2 * hid, cols))
     c_new = np.multiply(gate_f, c_prev, out=out[hid:])
-    c_new += gate_i * cand
-    tanh_c = np.tanh(c_new)
+    tanh_c = np.multiply(gate_i, cand)
+    c_new += tanh_c
+    np.tanh(c_new, out=tanh_c)
     np.multiply(gate_o, tanh_c, out=out[:hid])
-    return out, (act, tanh_c)
+    return out, (act, tanh_c, pack)
 
 
 def lstm_cell_vjp(g, vals, saved, d_pre=None):
     """Cotangents of (x, h, c) from g = [g_h'; g_c'], and the cotangent
-    ``d_pre`` of the pre-activation ``W x + U h + b 1'`` (written into
-    ``d_pre`` when given), from which ``weight_vjp`` gives (W, U, b)'s."""
-    W, U, _, _, _, c_prev = vals
-    act, tanh_c = saved
+    ``d_pre`` of the pre-activation ``[W U b] [x; h; 1]`` (written into
+    ``d_pre`` when given); ``d_pre @ lstm_block(x, h).T`` is that of [W U b]."""
+    x, c_prev = vals[3], vals[5]
+    act, tanh_c, pack = saved
     hid = tanh_c.shape[0]
     gate_i, gate_f = act[:hid], act[hid : 2 * hid]
     cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
@@ -355,14 +422,13 @@ def lstm_cell_vjp(g, vals, saved, d_pre=None):
     slope = act * (1.0 - act)
     slope[2 * hid : 3 * hid] = 1.0 - cand * cand
     d_pre *= slope
-    return W.T @ d_pre, U.T @ d_pre, d_c * gate_f, d_pre
+    d_xh = pack.wu.T @ d_pre
+    return d_xh[: x.shape[0]], d_xh[x.shape[0] :], d_c * gate_f, d_pre
 
 
-def weight_vjp(d, *inputs):
-    """Cotangents of (W_1, ..., W_k, b) in ``sum_i W_i inputs_i + b 1'``
-    from the output cotangent d. With the columns of many time steps side
-    by side, this is one GEMM per weight for the whole rollout."""
-    return (*(d @ x.T for x in inputs), d.sum(axis=1, keepdims=True))
+def weight_vjp(d, x):
+    """Cotangents of (W, b) in ``W x + b 1'`` from the output cotangent d."""
+    return d @ x.T, d.sum(axis=1, keepdims=True)
 
 
 def _affine_kernel(vals, aux):
@@ -689,13 +755,15 @@ def _fused(op: str, args: tuple, aux=None):
     return tape.apply(op, *[_lift(tape, a) for a in args], aux=aux)
 
 
-def lstm_cell(W, U, b, x, h, c):
+def lstm_cell(W, U, b, x, h, c, pack: LstmPack | None = None):
     """One LSTM cell: W (4h, d), U (4h, h), b (4h, 1), x (d, M), h and c (h, M).
 
     Gate rows are (input, forget, cell-candidate, output). Returns the
-    stacked new state [h'; c'], (2h, M).
+    stacked new state [h'; c'], (2h, M). ``pack`` is ``pack_lstm`` of
+    (W, U, b) made once by the caller for many calls with the same weights;
+    without it each call packs its own.
     """
-    return _fused("lstm_cell", (W, U, b, x, h, c))
+    return _fused("lstm_cell", (W, U, b, x, h, c), pack)
 
 
 def affine(W, x, b):

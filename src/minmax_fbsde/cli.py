@@ -2,9 +2,11 @@
 
 Every command resolves one ExperimentConfig (YAML file, then repeatable
 ``--set dotted.key=value`` overrides, then the direct flags), echoes the
-resolved config and run metadata into the output directory, and exits
-nonzero with a message on any failure. Outputs carry no timestamps, so a
-repeated run with the same seed reproduces its files byte for byte.
+resolved config and run metadata into the output directory (``eval`` as
+``eval_config.yaml`` and ``eval_run.json``, so that evaluating into the
+training directory keeps ``train``'s record), and exits nonzero with a
+message on any failure. Outputs carry no timestamps, so a repeated run with
+the same seed reproduces its files byte for byte.
 ``train`` and ``sweep`` train through ``training.train_or_load``, so a re-run
 reuses a checkpoint that the same config and solver source produced.
 """
@@ -65,9 +67,12 @@ def resolve_config(args) -> config_mod.ExperimentConfig:
     return cfg
 
 
-def write_run_metadata(out_dir: str, cfg, command: str) -> None:
+def write_run_metadata(out_dir: str, cfg, command: str, prefix: str = "") -> None:
+    """``<prefix>config.yaml`` and ``<prefix>run.json`` in ``out_dir``. ``eval``
+    uses the prefix ``eval_``, so it keeps what ``train`` wrote beside the
+    checkpoint."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.yaml"), "w") as fh:
+    with open(os.path.join(out_dir, prefix + "config.yaml"), "w") as fh:
         fh.write(cfg.to_yaml())
     meta = {
         "command": command,
@@ -76,7 +81,7 @@ def write_run_metadata(out_dir: str, cfg, command: str) -> None:
         "eval_seed": cfg.eval.seed,
         "model_hash": config_mod.model_fingerprint(cfg),
     }
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
+    with open(os.path.join(out_dir, prefix + "run.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -114,7 +119,7 @@ def cmd_eval(cfg) -> int:
         store, setup.system, setup.costs, setup.grid,
         setup.eval_batch, setup.eval_seed, mode=cfg.mode, adversary=False,
     )
-    write_run_metadata(cfg.out, cfg, "eval")
+    write_run_metadata(cfg.out, cfg, "eval", prefix="eval_")
     with open(os.path.join(cfg.out, "eval_report.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(cfg.out, "trajectories.csv"), "w") as fh:

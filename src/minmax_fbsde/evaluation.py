@@ -411,10 +411,13 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
 
     Each condition's ``eval_report.json`` goes next to its checkpoint, and
     each min-max row carries ``variance_reduction_pct`` against the baseline
-    (None when either side has no report). Failed trainings become rows with
-    status ``failed`` and the sweep moves on. A run counts as successful when
-    its success rate clears the sweep threshold. Each row's ``checkpoint`` is
-    relative to ``out_dir``, so the table does not depend on where the sweep
+    (None when either side has no report). ``variance_reduction.json`` next
+    to ``sweep.csv`` holds the whole ``variance_reduction`` comparison of
+    each min-max condition, keyed by its label (null where the row has
+    none). Failed trainings become rows with status ``failed`` and the sweep
+    moves on. A run counts as successful when its success rate clears the
+    sweep threshold. Each row's ``checkpoint`` is relative to ``out_dir``, so
+    the table does not depend on where the sweep
     directory lives.
     """
     from . import config as config_mod
@@ -422,6 +425,7 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
 
     rows = []
     baseline = None
+    reductions = {}
     eps_values = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_values):
         raise ValueError("every sweep epsilon must be positive")
@@ -443,6 +447,7 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
         }
         if mode == "minmax":
             row["variance_reduction_pct"] = None
+            reductions[label] = None
         try:
             store, _ = training.train_or_load(setup, os.path.join(out_dir, label))
             report = evaluate(
@@ -454,8 +459,8 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
             if mode == "baseline":
                 baseline = report
             elif baseline is not None:
-                row["variance_reduction_pct"] = variance_reduction(
-                    baseline, report)["variance_reduction_pct"]
+                reductions[label] = variance_reduction(baseline, report)
+                row["variance_reduction_pct"] = reductions[label]["variance_reduction_pct"]
             row["success_rate"] = report.success_rate
             row["total_state_variance"] = report.total_state_variance
             row["mean_terminal_cost"] = report.mean_terminal_cost
@@ -468,4 +473,6 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write(sweep_to_csv(rows))
+    with open(os.path.join(out_dir, "variance_reduction.json"), "w") as fh:
+        fh.write(json.dumps(reductions, indent=2, sort_keys=True) + "\n")
     return rows

@@ -25,8 +25,15 @@ Everything is written against the dual-mode expression helpers; samples
 live in columns. Without a tape the rollout runs as plain vectorized numpy,
 and that is how training runs it too: inside ``autodiff.saving`` it logs what
 each fused kernel saved, and ``rollout_adjoint`` then backpropagates through
-time from the cotangents of the terminal state and value, with one GEMM per
-weight gradient over all steps. Training tapes only the loss head.
+time from the cotangents of the terminal state and value. Training tapes only
+the loss head.
+
+A tape-free rollout packs each LSTM layer's weights once
+(``neural.pack_net``): [W U b] as one array whose sigmoid rows are halved,
+since sigma(a) = 0.5 tanh(a / 2) + 0.5 and halving is exact. Each cell is one
+GEMM over the block [x; h; 1] and one tanh over all gate rows, and keeps no
+copy of its block: the adjoint rebuilds each step's in one reused array and
+forms that step's share of the [W U b] gradient with one GEMM.
 
 With a tape, the whole rollout is recorded instead; that path is the gradient
 oracle the adjoint is tested and audited against (``gradcheck``). Per time
@@ -316,7 +323,9 @@ def rollout_batch(
     (m, 1); they hold tape Vars when ``tape`` is set, and then the whole batch
     is recorded on it and ``.handles`` exposes the terminal nodes (the taped
     gradient oracle). Training runs it tape-free inside ``autodiff.saving``
-    and differentiates it with ``rollout_adjoint``.
+    and differentiates it with ``rollout_adjoint``. Tape-free, the network's
+    weights are packed once at the start (``neural.pack_net``), so they must
+    not change during the call.
     ``z_fn(x_values, step) -> (m, M)`` substitutes an external value-gradient
     predictor (tape-free only).
 
@@ -347,12 +356,13 @@ def rollout_batch(
                 f"noise must have shape {(grid.steps, sys.m, batch_size)}, got {noise.shape}"
             )
 
-    net = params.net if params is not None else None
-    y0 = params.y0 if y0 is None else y0
-    z0 = params.z0 if z0 is None else z0
-
     n_steps = grid.steps
     batch = noise.shape[2]
+    net = params.net if params is not None else None
+    if net is not None and tape is None:
+        net = neural.pack_net(net, batch)  # once per rollout, never per cell
+    y0 = params.y0 if y0 is None else y0
+    z0 = params.z0 if z0 is None else z0
     dt = grid.dt
     sqdt = math.sqrt(dt) if dt > 0 else 0.0
     inv_eps = (1.0 / costs.epsilon) if mode == "minmax" else 0.0
@@ -447,30 +457,27 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
     state and value. Returns its gradients as (NetParams, d y0, d z0).
 
     The reverse loop carries only the recurrent cotangents (x, y, z and the
-    LSTM states) through the primitives' own backward kernels, and keeps
-    each cell's pre-activation cotangent; each weight gradient is then one
-    GEMM over the columns of all steps. The last step's LSTM pass feeds
-    nothing, so it gets no cotangent.
+    LSTM states) through the primitives' own backward kernels. Each cell's
+    pre-activation cotangent and its block [x; h; 1], rebuilt from the
+    logged x and h, go into arrays reused at every step, and one GEMM of the
+    two adds that step's share of the packed [W U b] gradient; nothing is
+    kept per step beyond the log. The last step's LSTM pass feeds nothing,
+    so it gets no cotangent.
     """
     n_steps, extra = divmod(len(saved) - 1, len(_STEP_OPS))
     if n_steps < 1 or extra or [op for op, _, _ in saved] != [*_STEP_OPS * n_steps, "column_map"]:
         raise ValueError("rollout_adjoint: the log is not one rollout of the LSTM predictor "
                          "with a one-column_map drift and running cost")
     steps = [saved[i : i + len(_STEP_OPS)] for i in range(0, len(saved) - 1, len(_STEP_OPS))]
-    cell1, cell2, read = (vals for _, vals, _ in steps[0][3:])
-    w_out = read[0]
+    (_, cell1, (*_, pack1)), (_, cell2, (*_, pack2)), (_, read, _) = steps[0][3:]
     hid1, hid2 = cell1[1].shape[1], cell2[1].shape[1]
     n, cols = g_x.shape
-    live = n_steps - 1
-    # per live step: pre-activation and read-out cotangents, and the inputs
-    # they multiply; h*_seq[:, t] is the state that enters step t
-    d_pre1 = np.empty((4 * hid1, live, cols))
-    d_pre2 = np.empty((4 * hid2, live, cols))
-    d_out = np.empty((w_out.shape[0], live, cols))
-    x_seq = np.empty((n, live, cols))
-    h1_seq = np.empty((hid1, live + 1, cols))
-    h2_seq = np.empty((hid2, live + 1, cols))
-    h1_seq[:, 0], h2_seq[:, 0] = cell1[4], cell2[4]
+    # gradients of each layer's packed [W U b] and of the read-out, summed
+    # over the live steps; the pre-activation cotangents and the packs'
+    # block scratch are reused at every step
+    d_p1, d_p2 = np.zeros_like(pack1.gates), np.zeros_like(pack2.gates)
+    d_w_out, d_b_out = np.zeros_like(read[0]), np.zeros_like(read[2])
+    d_pre1, d_pre2 = np.empty((4 * hid1, cols)), np.empty((4 * hid2, cols))
     g_cell1 = np.empty((2 * hid1, cols))
     g_cell2 = np.empty((2 * hid2, cols))
     g_h1, g_c1 = np.zeros((hid1, cols)), np.zeros((hid1, cols))
@@ -478,29 +485,28 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
     g_z = None
     for t in range(n_steps - 1, -1, -1):
         cost, drift, step, (_, v1, s1), (_, v2, s2), (_, vo, _) = steps[t]
-        if t < live:
+        if t < n_steps - 1:
             # z_{t+1} = read-out(layer 2(layer 1(x_{t+1})))
-            x_seq[:, t], h1_seq[:, t + 1], h2_seq[:, t + 1] = v1[3], v2[3], vo[1]
-            d_out[:, t] = g_z
+            d_w, d_b = ad.weight_vjp(g_z, vo[1])
+            d_w_out += d_w
+            d_b_out += d_b
             np.add(ad.affine_vjp(g_z, vo), g_h2, out=g_cell2[:hid2])
             g_cell2[hid2:] = g_c2
-            d_h1, g_h2, g_c2, _ = ad.lstm_cell_vjp(g_cell2, v2, s2, d_pre2[:, t])
+            d_h1, g_h2, g_c2, _ = ad.lstm_cell_vjp(g_cell2, v2, s2, d_pre2)
+            d_p2 += d_pre2 @ ad.lstm_block(v2[3], v2[4], pack2.block).T
             np.add(g_h1, d_h1, out=g_cell1[:hid1])
             g_cell1[hid1:] = g_c1
-            d_x, g_h1, g_c1, _ = ad.lstm_cell_vjp(g_cell1, v1, s1, d_pre1[:, t])
+            d_x, g_h1, g_c1, _ = ad.lstm_cell_vjp(g_cell1, v1, s1, d_pre1)
+            d_p1 += d_pre1 @ ad.lstm_block(v1[3], v1[4], pack1.block).T
             g_x = g_x + d_x
         d_x, g_y, g_z, d_f, d_q = ad.fbsde_step_vjp(np.vstack((g_x, g_y)), step[1], step[2])
         for (_, (x,), (vjp, aux)), g in ((drift, d_f), (cost, d_q)):
             d_x = d_x + vjp(g, x, aux)
         g_x = d_x
 
-    def flat(a):
-        return a.reshape(a.shape[0], -1)
-
-    layer1 = ad.weight_vjp(flat(d_pre1), flat(x_seq), flat(h1_seq[:, :live]))
-    layer2 = ad.weight_vjp(flat(d_pre2), flat(h1_seq[:, 1:]), flat(h2_seq[:, :live]))
-    grads = neural.NetParams(neural.LstmLayerParams(*layer1), neural.LstmLayerParams(*layer2),
-                             *ad.weight_vjp(flat(d_out), flat(h2_seq[:, 1:])))
+    grads = neural.NetParams(neural.LstmLayerParams(*ad.unpack_lstm(d_p1, n)),
+                             neural.LstmLayerParams(*ad.unpack_lstm(d_p2, hid1)),
+                             d_w_out, d_b_out)
     return grads, g_y.sum(axis=1, keepdims=True), g_z.sum(axis=1, keepdims=True)
 
 

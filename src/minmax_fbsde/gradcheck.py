@@ -1,7 +1,8 @@
 """Gradient audits: every reverse-mode derivative in the package is compared
 against central finite differences at random points. The audit covers the
-primitive operations (the fused ``lstm_cell``, ``affine`` and ``fbsde_step``
-included, the last in both minmax and baseline form), the hand-written
+primitive operations (the fused ``lstm_cell``, which runs its one-GEMM
+packed kernel, ``affine`` and ``fbsde_step`` included, the last in both
+minmax and baseline form), the hand-written
 ``column_map`` products of the system drifts (``drift-pendulum``,
 ``drift-quadcopter``, ``drift-lq``) and of the angle-wrapped quadratic cost
 (``quadratic-cost``), one recurrent cell step (``lstm-step``), and a full

@@ -7,6 +7,12 @@ serves both paths.
 
 Gate layout inside each fused (4h, .) parameter block is
 (input, forget, cell-candidate, output), in that row order.
+
+A tape-free rollout first calls ``pack_net``: each layer's [W U b] becomes
+one (4h, d + h + 1) array with the sigmoid rows halved (``autodiff.LstmPack``),
+so every cell is one GEMM over [x; h; 1] and one tanh over all gate rows. The
+packs are copies that a weight update makes stale, so they live for one
+rollout and never in a ``ParamStore``.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class LstmLayerParams:
-    """Fused gate parameters: W (4h, d), U (4h, h), b (4h, 1)."""
+    """Fused gate parameters: W (4h, d), U (4h, h), b (4h, 1), and
+    optionally their ``autodiff.LstmPack`` (see ``pack_net``)."""
 
     W: Any
     U: Any
     b: Any
+    pack: ad.LstmPack | None = None
 
     @property
     def hidden_size(self) -> int:
@@ -103,10 +111,23 @@ def init_net(
     )
 
 
+def pack_net(net: NetParams, cols: int) -> NetParams:
+    """``net`` with each LSTM layer's weights packed once for a tape-free
+    rollout of ``cols`` columns; the arrays themselves are shared, not copied.
+    The layers run one after the other, so their blocks [x; h; 1] share one
+    scratch array."""
+    layers = (net.layer1, net.layer2)
+    rows = [layer.W.shape[1] + layer.hidden_size + 1 for layer in layers]
+    scratch = np.empty((max(rows), cols))
+    layer1, layer2 = (LstmLayerParams(l.W, l.U, l.b, ad.pack_lstm(l.W, l.U, l.b, scratch[:r]))
+                      for l, r in zip(layers, rows))
+    return NetParams(layer1, layer2, net.out_w, net.out_b)
+
+
 def lstm_cell_forward(layer: LstmLayerParams, x, h_prev, c_prev):
     """One cell update; x is (d, M), states are (h, M). Returns (h, c)."""
     h = layer.hidden_size
-    state = ad.lstm_cell(layer.W, layer.U, layer.b, x, h_prev, c_prev)
+    state = ad.lstm_cell(layer.W, layer.U, layer.b, x, h_prev, c_prev, layer.pack)
     return ad.rows(state, 0, h), ad.rows(state, h, 2 * h)
 
 

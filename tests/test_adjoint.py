@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from minmax_fbsde import autodiff as ad
-from minmax_fbsde import fbsde, gradcheck, training
+from minmax_fbsde import fbsde, gradcheck, neural, training
 from minmax_fbsde.autodiff import Tape
 from minmax_fbsde.config import build_runtime, default_config
 
@@ -143,3 +143,49 @@ class TestSaving:
         setup.system.drift = composed
         with pytest.raises(ValueError, match="column_map"):
             step(setup, store, 4)
+
+
+class TestPacking:
+    """``autodiff.pack_lstm`` runs once per layer and rollout, never per cell,
+    and a packed copy never outlives the weights it was made from."""
+
+    @staticmethod
+    def count_packs(monkeypatch):
+        calls = []
+        original = ad.pack_lstm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "pack_lstm", counted)
+        return calls
+
+    def test_packs_per_rollout_independent_of_steps(self, monkeypatch):
+        calls = self.count_packs(monkeypatch)
+        counts = {}
+        for steps in (3, 12):
+            setup, store = runtime("pendulum", "minmax", steps=steps)
+            del calls[:]
+            fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 4, 1)
+            counts[steps, "rollout"] = len(calls)
+            del calls[:]
+            step(setup, store, 4)
+            counts[steps, "training step"] = len(calls)
+        # one pack per layer: the training step's adjoint reuses the rollout's
+        assert counts == {(3, "rollout"): 2, (12, "rollout"): 2,
+                          (3, "training step"): 2, (12, "training step"): 2}
+
+    def test_next_step_uses_the_updated_weights(self):
+        setup, store = runtime("pendulum", "minmax", steps=6)
+        first = step(setup, store, 5, iteration=0)
+        neural.adam_step(store.adam, store.named_parameters(), first.grads)
+        after = step(setup, store, 5, iteration=1)
+        rebuilt = gradcheck._store_of({name: arr.copy() for name, arr in store.named_parameters()})
+        fresh = step(setup, rebuilt, 5, iteration=1)
+        assert after.loss == fresh.loss
+        for name, g in fresh.grads.items():
+            assert np.array_equal(after.grads[name], g), name
+        # and the step did move: the update reached the rollout
+        stale = step(setup, store, 5, iteration=0)
+        assert stale.loss != first.loss

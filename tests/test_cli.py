@@ -289,6 +289,18 @@ class TestCommands:
         assert main(["eval", *MICRO, "--out", str(out)]) == 0
         assert (out / "eval_report.json").read_bytes() == before
 
+    def test_eval_keeps_the_train_metadata(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--out", str(out)]) == 0
+        written = {name: (out / name).read_bytes() for name in ("run.json", "config.yaml")}
+        assert main(["eval", *MICRO, "--out", str(out)]) == 0
+        for name, before in written.items():
+            assert (out / name).read_bytes() == before, name
+        assert json.loads((out / "run.json").read_text())["command"] == "train"
+        meta = json.loads((out / "eval_run.json").read_text())
+        assert meta["command"] == "eval"
+        assert (out / "eval_config.yaml").read_bytes() == written["config.yaml"]
+
     def test_eval_rejects_mismatched_architecture(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--out", str(out)]) == 0

@@ -452,8 +452,12 @@ class TestSweep:
             written = json.loads((tmp_path / label / "eval_report.json").read_text())
             assert written == reports[mode].to_dict()
         assert "variance_reduction_pct" not in rows[0]
-        assert rows[1]["variance_reduction_pct"] == variance_reduction(
-            reports["baseline"], reports["minmax"])["variance_reduction_pct"]
+        comparison = variance_reduction(reports["baseline"], reports["minmax"])
+        assert rows[1]["variance_reduction_pct"] == comparison["variance_reduction_pct"]
+        # the whole comparison is on disk next to the table, which is unchanged
+        written = json.loads((tmp_path / "variance_reduction.json").read_text())
+        assert written == {"eps_0.5": comparison}
+        assert (tmp_path / "sweep.csv").read_text() == sweep_to_csv(rows)
         assert "variance_reduction_pct" not in (tmp_path / "sweep.csv").read_text()
 
     def test_checkpoint_paths_relative_to_sweep_dir(self, tmp_path):

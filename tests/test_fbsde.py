@@ -359,14 +359,23 @@ class TestRollout:
         rollout_batch(store, sys, costs, grid, 2, 0, mode="minmax", adversary=False)
 
     def test_divergent_column_isolated(self):
-        # poison one column's noise; the others must finish clean
+        # poison one column's noise; the others must finish clean, and bit for
+        # bit as they do with that column's noise left alone: neither the
+        # LSTM's ones row nor its one GEMM over [x; h; 1] mixes columns
         sys, costs, grid, store, _ = self.make()
-        noise = sample_noise(0, PURPOSE_TRAIN, 0, 4, grid.steps, sys.m)
-        noise[2, :, 1] = np.nan
-        batch = rollout_batch(store, sys, costs, grid, 4, 0, noise=noise)
-        assert batch.alive.tolist() == [True, False, True, True]
-        assert batch.diverged == 1
-        assert np.all(np.isfinite(batch.states[:, :, [0, 2, 3]]))
+        clean = sample_noise(0, PURPOSE_TRAIN, 0, 4, grid.steps, sys.m)
+        reference = rollout_batch(store, sys, costs, grid, 4, 0, noise=clean)
+        others = [0, 2, 3]
+        for poison in (np.nan, np.inf):
+            noise = clean.copy()
+            noise[2, :, 1] = poison
+            batch = rollout_batch(store, sys, costs, grid, 4, 0, noise=noise)
+            assert batch.alive.tolist() == [True, False, True, True]
+            assert batch.diverged == 1
+            assert np.all(np.isfinite(batch.states[:, :, others]))
+            for key in ("states", "values", "z_grads"):
+                assert np.array_equal(getattr(batch, key)[:, :, others],
+                                      getattr(reference, key)[:, :, others]), (poison, key)
 
 
 class TestTrainingLoss:

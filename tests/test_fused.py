@@ -22,12 +22,24 @@ def _ones_row(x):
     return np.ones((1, cols))
 
 
-def lstm_cell_composed(W, U, b, x, h_prev, c_prev):
-    hid = U.shape[1]
-    pre = ad.add(
-        ad.add(ad.matmul(W, x), ad.matmul(U, h_prev)),
-        ad.matmul(b, _ones_row(x)),
+def _placement(rows, offset, width):
+    """0/1 matrix that puts ``rows`` columns at ``offset`` of a ``width``-column block."""
+    place = np.zeros((rows, width))
+    place[np.arange(rows), offset + np.arange(rows)] = 1.0
+    return place
+
+
+def lstm_cell_composed(W, U, b, x, h_prev, c_prev, pack=None):
+    """The cell in the packed order: [W U b] (assembled exactly, by 0/1
+    products, from the current W, U and b; ``pack`` is ignored) times the
+    block [x; h; 1], then the gates."""
+    hid, d = U.shape[1], W.shape[1]
+    width = d + hid + 1
+    packed = ad.add(
+        ad.add(ad.matmul(W, _placement(d, 0, width)), ad.matmul(U, _placement(hid, d, width))),
+        ad.matmul(b, _placement(1, d + hid, width)),
     )
+    pre = ad.matmul(packed, ad.vstack([x, h_prev, _ones_row(x)]))
     gate_i = ad.sigmoid(ad.rows(pre, 0, hid))
     gate_f = ad.sigmoid(ad.rows(pre, hid, 2 * hid))
     cand = ad.tanh(ad.rows(pre, 2 * hid, 3 * hid))
