@@ -18,7 +18,8 @@ Three fused primitives collapse the blocks that run at every time step into
 one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``; its
 pre-activation is one GEMM of the packed weights ``[W U b]`` over the block
 ``[x; h; 1]``, see ``LstmPack``), ``affine`` (``W x + b 1'``) and
-``fbsde_step`` (the coupled state/value update, value ``[x'; y']``). Each has
+``fbsde_step`` (the coupled state/value update, value ``[x'; y']``; its
+constant matrices are folded once per rollout, see ``StepFold``). Each has
 one forward kernel, shared by the taped and the tape-free path, and one
 hand-written backward, a pure function from (output cotangent, input values,
 saved) to input cotangents (``lstm_cell_vjp``, ``affine_vjp`` with
@@ -286,7 +287,7 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
             d_w, d_b = weight_vjp(g, vals[1])
             pieces = (d_w, affine_vjp(g, vals), d_b)
         elif op == "fbsde_step":
-            pieces = fbsde_step_vjp(g, vals, node.aux)
+            pieces = fbsde_step_vjp(g[:-1], g[-1:], vals, node.aux)
         else:
             vjp, saved = node.aux
             pieces = (vjp(g, vals[0], saved),)
@@ -446,11 +447,20 @@ def affine_vjp(g, vals):
     return vals[0].T @ g
 
 
+class StepFold(NamedTuple):
+    """The constant matrices of ``fbsde_step``, folded once (``fold_step``)."""
+
+    k: np.ndarray  # (m, m); Gamma_u u* + v* = K z: Gamma_u gain [+ I / epsilon]
+    q: np.ndarray  # (m, m); (K + S / 2) dt, S the generator's quadratic form
+    g: np.ndarray  # (n, m); dt Sigma K
+    ones: np.ndarray  # (1, m); the column-sum row
+
+
 class StepConstants(NamedTuple):
     """The non-differentiable inputs of one ``fbsde_step``.
 
     ``inv_eps`` scales the adversary v* = z / epsilon; None leaves the
-    adversary out of the drift change altogether.
+    adversary out of the drift change altogether. ``fold`` is their ``fold_step``.
     """
 
     dw: np.ndarray  # (m, M) unit-normal increments
@@ -461,14 +471,22 @@ class StepConstants(NamedTuple):
     dt: float
     sqdt: float
     inv_eps: float | None
+    fold: StepFold | None = None
+
+
+def fold_step(c: StepConstants) -> StepFold:
+    """K, Q and G of ``c``; with the adversary off, K has no I / epsilon term at all."""
+    k = c.gamma_u @ c.gain
+    if c.inv_eps is not None:
+        k += np.eye(k.shape[0]) * c.inv_eps
+    return StepFold(k, (k + c.s_mat * 0.5) * c.dt, (c.sigma @ k) * c.dt, np.ones((1, len(k))))
 
 
 def _fbsde_step_kernel(vals, c: StepConstants):
     """Euler step of the state and the compensated value; returns [x'; y'].
 
-    k = Gamma_u u* + v*, h = q - 0.5 z'S z, and
-    y' = y + (z'k - h) dt + z'dw sqrt(dt),
-    x' = x + f dt + Sigma (k dt + dw sqrt(dt)).
+    w = Q z + dw sqrt(dt), y' = y - q dt + 1'(z * w) and
+    x' = x + f dt + G z + Sigma dw sqrt(dt), with Q and G from the fold.
     """
     x, y, z, f, q = vals
     n, cols = x.shape
@@ -479,34 +497,22 @@ def _fbsde_step_kernel(vals, c: StepConstants):
             f"fbsde-step: x {x.shape}, y {y.shape}, z {z.shape}, f {f.shape}, "
             f"q {q.shape}, dw {c.dw.shape}, sigma {c.sigma.shape} do not conform"
         )
-    k = c.gamma_u @ (c.gain @ z)
-    if c.inv_eps is not None:
-        k += z * c.inv_eps
-    ones = np.ones((1, m))
-    s_z = c.s_mat @ z
-    h_gen = q - (ones @ (z * s_z)) * 0.5
-    z_k = ones @ (z * k)
-    z_dw = ones @ (z * c.dw)
+    fold = c.fold if c.fold is not None else fold_step(c)
+    dw_hat = c.dw * c.sqdt
+    w = fold.q @ z + dw_hat
     out = np.empty((n + 1, cols))
-    out[n:] = y + ((z_k - h_gen) * c.dt + z_dw * c.sqdt)
-    out[:n] = x + (f * c.dt + c.sigma @ (k * c.dt + c.dw * c.sqdt))
-    return out, (c, k, s_z)
+    out[n:] = y - q * c.dt + fold.ones @ (z * w)
+    out[:n] = x + f * c.dt + fold.g @ z + c.sigma @ dw_hat
+    return out, (fold, w, c.dt)
 
 
-def fbsde_step_vjp(g, vals, saved):
-    """Cotangents of (x, y, z, f, q) from g = [g_x'; g_y']."""
-    z = vals[2]
-    c, k, s_z = saved
-    n = g.shape[0] - 1
-    g_x, g_y = g[:n], g[n:]
-    a = g_y * c.dt
-    half_a = 0.5 * a
-    d_k = a * z + c.sigma.T @ (g_x * c.dt)
-    d_z = a * k + half_a * s_z + c.s_mat.T @ (half_a * z) + (g_y * c.sqdt) * c.dw
-    d_z += c.gain.T @ (c.gamma_u.T @ d_k)
-    if c.inv_eps is not None:
-        d_z += c.inv_eps * d_k
-    return g_x, g_y, d_z, g_x * c.dt, -a
+def fbsde_step_vjp(g_x, g_y, vals, saved):
+    """Cotangents of (x, y, z, f, q) from those of x' and y'."""
+    fold, w, dt = saved
+    d_z = g_y * w
+    d_z += fold.q.T @ (g_y * vals[2])
+    d_z += fold.g.T @ g_x
+    return g_x, g_y, d_z, g_x * dt, g_y * -dt
 
 
 def _column_map_kernel(vals, aux):
@@ -703,6 +709,8 @@ def vstack(parts: Sequence):
 
 
 def rows(x, lo: int, hi: int):
+    if type(x) is np.ndarray:
+        return x[lo:hi]
     if isinstance(x, Var):
         return x.tape.apply("rows", x, aux=(int(lo), int(hi)))
     return np.asarray(x)[lo:hi]
@@ -717,6 +725,7 @@ def colsum(x):
     return np.ones((1, arr.shape[0])) @ arr
 
 
+_FLOAT64 = np.dtype(np.float64)  # the one native float64 dtype instance
 # the list that ``saving`` fills; None outside its block. A context variable,
 # like NumPy's errstate, so the block is scoped to its thread and context.
 _saved_log: ContextVar[list | None] = ContextVar("saved_log", default=None)
@@ -744,15 +753,19 @@ def saving():
 
 
 def _fused(op: str, args: tuple, aux=None):
-    tape = _tape_of(*args)
-    if tape is None:
-        vals = tuple(np.asarray(a, dtype=np.float64) for a in args)
-        out, saved = _FUSED[op](vals, aux)
-        log = _saved_log.get()
-        if log is not None:
-            log.append((op, vals, saved))
-        return out
-    return tape.apply(op, *[_lift(tape, a) for a in args], aux=aux)
+    vals = args
+    for a in args:
+        if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
+            tape = _tape_of(*args)
+            if tape is not None:
+                return tape.apply(op, *[_lift(tape, a) for a in args], aux=aux)
+            vals = tuple(np.asarray(a, dtype=np.float64) for a in args)
+            break
+    out, saved = _FUSED[op](vals, aux)
+    log = _saved_log.get()
+    if log is not None:
+        log.append((op, vals, saved))
+    return out
 
 
 def lstm_cell(W, U, b, x, h, c, pack: LstmPack | None = None):

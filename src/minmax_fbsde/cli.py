@@ -24,7 +24,7 @@ from . import __version__
 from . import config as config_mod
 from . import evaluation, gradcheck, training
 from .config import ConfigError
-from .evaluation import riccati_oracle
+from .evaluation import RiccatiBlowUp, riccati_oracle
 from .fbsde import HorizonGrid
 from .training import CheckpointError
 
@@ -149,8 +149,8 @@ def cmd_sweep(cfg) -> int:
 
 
 def cmd_oracle_check(cfg) -> int:
-    """Closed-form sanity checks on the Riccati integrator, then a short
-    risk-neutral training run on the linear benchmark compared against it."""
+    """Closed-form sanity checks on the Riccati integrator, then a short training
+    run on the linear benchmark compared against it (the game value in min-max mode)."""
     checks: list[tuple[str, bool, str]] = []
 
     bench0 = evaluation.LqBenchmark(
@@ -182,11 +182,12 @@ def cmd_oracle_check(cfg) -> int:
 
     setup = config_mod.build_runtime(cfg)
     bench = evaluation.lq_benchmark(setup)
-    oracle = riccati_oracle(bench, setup.grid)
+    inv_eps = 1.0 / setup.costs.epsilon if cfg.mode == "minmax" else 0.0
+    oracle = riccati_oracle(bench, setup.grid, inv_epsilon=inv_eps)
     v0 = oracle.value(bench.x0, 0)
     z0_ref = oracle.z_of(bench.x0.reshape(-1, 1), 0)
 
-    print("training the linear benchmark (risk-neutral mode)")
+    print(f"training the linear benchmark ({cfg.mode} mode, oracle value {v0:.6f})")
     store, history = training.train(setup.system, setup.costs, setup.train,
                                     out_dir=None, config_hash=setup.model_hash)
     y0 = float(store.y0[0, 0])
@@ -205,6 +206,7 @@ def cmd_oracle_check(cfg) -> int:
         payload = {
             "schema": "minmax-fbsde.oracle-report.v1",
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
+            "mode": cfg.mode,
             "oracle_value": v0,
             "trained_value": y0,
             "final_loss": history[-1].loss,
@@ -238,9 +240,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "oracle-check":
-        # the oracle command always runs the linear benchmark, risk-neutral
+        # the oracle command always runs the linear benchmark, by default risk-neutral
         args.overrides = args.overrides + ["system=lq"]
-        args.mode = "baseline"
+        if args.mode is None:
+            args.mode = "baseline"
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:
@@ -261,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
-    except (CheckpointError, ConfigError, training.TrainingDiverged) as exc:
+    except (CheckpointError, ConfigError, RiccatiBlowUp, training.TrainingDiverged) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except OSError as exc:

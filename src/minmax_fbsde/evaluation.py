@@ -162,15 +162,18 @@ def summarize(
     seed: int,
 ) -> EvalReport:
     alive = batch.alive
-    m_valid = int(np.sum(alive))
+    m_valid = int(np.count_nonzero(alive))
     if m_valid < 2:
         raise ValueError(f"only {m_valid} live trajectories; cannot summarize")
-    states = batch.states[:, :, alive]  # (N+1, n, Mv)
     y_star = batch.terminal_targets[0, alive]
     y_term = batch.values[-1, 0, alive]
-
-    trajs = np.moveaxis(states, 2, 0)  # (Mv, N+1, n)
-    successes = int(np.count_nonzero(terminal_success(states[-1], sys)))
+    successes = int(np.count_nonzero(terminal_success(batch.states[-1][:, alive], sys)))
+    # live states, sample-major (Mv, N+1, n), summed over samples in turn; this one copy is
+    # the variance's scratch, and the results are np.mean, np.var and np.std (ddof=1) to the bit
+    live = np.moveaxis(batch.states, 2, 0)[alive]
+    state_mean = np.add.reduce(live, axis=0) / m_valid
+    live -= state_mean
+    state_var = np.add.reduce(np.square(live, out=live), axis=0) / (m_valid - 1)
 
     return EvalReport(
         mode=mode,
@@ -179,14 +182,14 @@ def summarize(
         seed=seed,
         diverged=batch.diverged,
         success_rate=successes / m_valid,
-        total_state_variance=total_state_variance(trajs),
+        total_state_variance=float(np.sum(state_var)),
         mean_terminal_cost=float(np.mean(y_star)),
         std_terminal_cost=float(np.std(y_star, ddof=1)),
         mean_value_gap=float(np.mean(np.abs(y_term - y_star))),
         y0=float(batch.values[0, 0, 0]),
         times=grid.times(),
-        state_mean=np.mean(states, axis=2).copy(),
-        state_std=np.std(states, axis=2, ddof=1),
+        state_mean=state_mean,
+        state_std=np.sqrt(state_var),
         state_labels=sys.state_labels,
         noise_scale=float(sys.params.get("noise_scale", float("nan"))),
         epsilon=costs.epsilon,

@@ -21,6 +21,11 @@ and the generator
 The baseline (risk-neutral) mode drops the 1/epsilon terms and hard-zeroes
 the adversary; it is the epsilon -> infinity limit of the min-max mode.
 
+A rollout folds a step's constants once (``autodiff.fold_step``): with
+Gamma_u u* + v* = K z, Q = (K + S / 2) dt and G = dt Sigma K (S the
+quadratic form of h), a step is w = Q z + dw sqrt(dt), y' = y - q dt + z'w
+and x' = x + f dt + G z + Sigma dw sqrt(dt): the updates above, to rounding.
+
 Everything is written against the dual-mode expression helpers; samples
 live in columns. Without a tape the rollout runs as plain vectorized numpy,
 and that is how training runs it too: inside ``autodiff.saving`` it logs what
@@ -176,14 +181,14 @@ def sample_noise(seed: int, purpose: int, iteration: int, batch: int, steps: int
 # single-vector step operations
 
 
-def minimizing_control(z, gain):
-    """u* = gain @ z with gain = -R_u^{-1} Gamma_u' precomputed."""
-    return ad.matmul(gain, z)
+def minimizing_control(z, gain, out=None):
+    """u* = gain @ z (into ``out``) with gain = -R_u^{-1} Gamma_u' precomputed."""
+    return np.matmul(gain, z, out=out)
 
 
-def adversary_control(z, inv_epsilon: float):
-    """v* = z / epsilon."""
-    return ad.smul(z, inv_epsilon)
+def adversary_control(z, inv_epsilon: float, out=None):
+    """v* = z / epsilon (into ``out``)."""
+    return np.multiply(z, float(inv_epsilon), out=out)
 
 
 def optimal_controls(z, gamma_u, r_u, epsilon: float):
@@ -369,8 +374,6 @@ def rollout_batch(
 
     gain = -costs.solve_r(sys.gamma_u.T)  # (p, m)
     s_mat = h_quadratic(costs, sys.gamma_u, inv_eps)
-    sigma = sys.sigma
-    gamma_u = sys.gamma_u
 
     x0 = np.repeat(sys.x0.reshape(-1, 1), batch, axis=1)
     x_cur = tape.constant(x0) if tape is not None else x0
@@ -382,34 +385,30 @@ def rollout_batch(
     z_grads = np.empty((n_steps + 1, sys.m, batch))
     controls = np.empty((n_steps, sys.p, batch))
     adv_controls = np.zeros((n_steps, sys.m, batch))
-    alive = np.ones(batch, dtype=bool)
 
     states[0] = _value_of(x_cur)
     values[0] = _value_of(y_cur)
     z_grads[0] = _value_of(z_cur)
 
     lstm_state = None
-    adv_scale = inv_eps if adversary else None
+    step_args = (sys.gamma_u, gain, s_mat, sys.sigma, dt, sqdt, inv_eps if adversary else None)
+    fold = ad.fold_step(ad.StepConstants(None, *step_args))  # once per rollout
     with np.errstate(all="ignore"):
         for step in range(n_steps):
             t_now = grid.start + step * dt
             z_vals = _value_of(z_cur)
-            controls[step] = minimizing_control(z_vals, gain)
+            minimizing_control(z_vals, gain, controls[step])
             if adversary:
-                adv_controls[step] = adversary_control(z_vals, inv_eps)
+                adversary_control(z_vals, inv_eps, adv_controls[step])
 
             q_run = costs.running_expr(x_cur, t_now)
             f_drift = sys.drift(x_cur, t_now)
-            consts = ad.StepConstants(
-                noise[step], gamma_u, gain, s_mat, sigma, dt, sqdt, adv_scale
-            )
+            consts = ad.StepConstants(noise[step], *step_args, fold)
             xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, consts)
             x_cur = ad.rows(xy, 0, sys.n)
             y_cur = ad.rows(xy, sys.n, sys.n + 1)
 
             x_vals = _value_of(x_cur)
-            alive &= np.all(np.isfinite(x_vals), axis=0)
-
             if z_fn is not None:
                 z_cur = z_fn(x_vals, step + 1)
                 if tape is not None:
@@ -422,6 +421,7 @@ def rollout_batch(
             z_grads[step + 1] = _value_of(z_cur)
 
         y_star = costs.terminal_expr(x_cur)
+    alive = np.all(np.isfinite(states[1:]), axis=(0, 1))
 
     handles = None
     if tape is not None:
@@ -499,7 +499,7 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
             d_x, g_h1, g_c1, _ = ad.lstm_cell_vjp(g_cell1, v1, s1, d_pre1)
             d_p1 += d_pre1 @ ad.lstm_block(v1[3], v1[4], pack1.block).T
             g_x = g_x + d_x
-        d_x, g_y, g_z, d_f, d_q = ad.fbsde_step_vjp(np.vstack((g_x, g_y)), step[1], step[2])
+        d_x, g_y, g_z, d_f, d_q = ad.fbsde_step_vjp(g_x, g_y, step[1], step[2])
         for (_, (x,), (vjp, aux)), g in ((drift, d_f), (cost, d_q)):
             d_x = d_x + vjp(g, x, aux)
         g_x = d_x

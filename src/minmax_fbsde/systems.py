@@ -107,11 +107,13 @@ def deviation_from(X: np.ndarray, target: np.ndarray, angle_dims: tuple[int, ...
     it as a constant, which is exact (the cost is periodic) and gives the
     almost-everywhere derivative.
     """
-    target = np.asarray(target, dtype=np.float64)
-    dev = X - target.reshape(-1, 1)
-    for j in angle_dims:
-        raw = dev[j]
-        dev[j] = X[j] - (target[j] + (raw - wrap_angle(raw)))
+    target = np.asarray(target, dtype=np.float64).reshape(-1, 1)
+    dev = X - target
+    if angle_dims:
+        lo, hi = angle_dims[0], angle_dims[-1] + 1
+        rows = slice(lo, hi) if angle_dims == tuple(range(lo, hi)) else list(angle_dims)
+        raw = dev[rows]
+        dev[rows] = X[rows] - (target[rows] + (raw - wrap_angle(raw)))
     return dev
 
 
@@ -145,6 +147,7 @@ class CostSpec:
             r = np.diag(r)
         self.r_u = r
         self.angle_dims = tuple(int(j) for j in self.angle_dims)
+        self._quad_maps = {}  # id(weights) -> (weights, forward, vjp); see ``_quad``
         if np.any(self.running_weights < 0) or np.any(self.terminal_weights < 0):
             raise ValueError("cost weights must be nonnegative")
         if not (self.epsilon > 0):
@@ -169,16 +172,19 @@ class CostSpec:
         return np.linalg.solve(self.r_u, rhs)
 
     def _quad(self, X, weights: np.ndarray):
-        w_row, w_col = weights.reshape(1, -1), weights.reshape(-1, 1)
+        maps = self._quad_maps.get(id(weights))  # built once per weight vector
+        if maps is None or maps[0] is not weights:
+            w_row, w_col = weights.reshape(1, -1), weights.reshape(-1, 1)
 
-        def forward(x):
-            dev = deviation_from(x, self.target, self.angle_dims)
-            return (w_row @ (dev * dev)) * 0.5, dev
+            def forward(x):
+                dev = deviation_from(x, self.target, self.angle_dims)
+                return (w_row @ (dev * dev)) * 0.5, dev
 
-        def vjp(g, x, dev):
-            return (g * w_col) * dev
+            def vjp(g, x, dev):
+                return (g * w_col) * dev
 
-        return ad.column_map(X, forward, vjp)
+            maps = self._quad_maps[id(weights)] = (weights, forward, vjp)
+        return ad.column_map(X, maps[1], maps[2])
 
     def running_expr(self, X, t: float = 0.0):
         """Batched running cost, (1, M) from (n, M); dual-mode."""
@@ -221,13 +227,16 @@ def pendulum(
     grav_coeff = mass * gravity * length
 
     def forward(X):
-        omega = X[1:2]
-        acc = (omega * (-damping) + np.sin(X[0:1]) * (-grav_coeff)) * (1.0 / inertia)
-        return np.vstack((omega, acc)), None
+        out = np.empty(X.shape)
+        out[0] = X[1]
+        out[1] = (X[1] * (-damping) + np.sin(X[0]) * (-grav_coeff)) * (1.0 / inertia)
+        return out, None
 
     def vjp(g, X, saved):
-        g_acc = g[1:2] * (1.0 / inertia)
-        return np.vstack((g_acc * (-grav_coeff) * np.cos(X[0:1]), g[0:1] + g_acc * (-damping)))
+        g_acc, out = g[1] * (1.0 / inertia), np.empty(X.shape)
+        out[0] = g_acc * (-grav_coeff) * np.cos(X[0])
+        out[1] = g[0] + g_acc * (-damping)
+        return out
 
     def drift(X, t=0.0):
         return ad.column_map(X, forward, vjp)

@@ -3,7 +3,7 @@
 Each test checks one release criterion and prints a single PASS/FAIL line,
 so a full run reads as a checklist. The training-backed criteria cache
 their checkpoints under runs/acceptance/; the first run trains everything
-(roughly fifteen minutes on one CPU), later runs reuse the artifacts as long
+(about seven minutes on two cores), later runs reuse the artifacts as long
 as the budgets and the solver source are unchanged (see
 ``training.train_or_load``). Delete runs/acceptance/ to retrain from scratch.
 

@@ -189,3 +189,32 @@ class TestPacking:
         # and the step did move: the update reached the rollout
         stale = step(setup, store, 5, iteration=0)
         assert stale.loss != first.loss
+
+
+class TestFolding:
+    """``autodiff.fold_step`` folds the step constants once per rollout,
+    never per Euler step, and the adjoint reuses the rollout's fold."""
+
+    def test_folds_per_rollout_independent_of_steps(self, monkeypatch):
+        folds = []
+        original = ad.fold_step
+
+        def counted(c):
+            folds.append(original(c))
+            return folds[-1]
+
+        monkeypatch.setattr(ad, "fold_step", counted)
+        counts = {}
+        for steps in (3, 12):
+            setup, store = runtime("pendulum", "minmax", steps=steps)
+            del folds[:]
+            with ad.saving() as saved:
+                fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 4, 1)
+            counts[steps, "rollout"] = len(folds)
+            logged = [aux[0] for op, _, aux in saved if op == "fbsde_step"]
+            assert len(logged) == steps and all(fold is folds[0] for fold in logged)
+            del folds[:]
+            step(setup, store, 4)
+            counts[steps, "training step"] = len(folds)
+        assert counts == {(3, "rollout"): 1, (12, "rollout"): 1,
+                          (3, "training step"): 1, (12, "training step"): 1}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from minmax_fbsde import config as config_mod
-from minmax_fbsde import training
+from minmax_fbsde import evaluation, training
 from minmax_fbsde.cli import build_parser, main, resolve_config
 from minmax_fbsde.config import (
     ConfigError,
@@ -414,6 +414,36 @@ class TestCommands:
         names = {c["name"]: c["passed"] for c in payload["checks"]}
         assert names["scalar closed form"]
         assert not names["initial value within 5% of oracle"]
+        assert payload["mode"] == "baseline"
+        assert "(baseline mode" in stdout
+
+    def test_oracle_check_minmax_uses_the_game_value(self, tmp_path, capsys):
+        # report fields only: at 2 iterations the comparison itself must fail
+        out = tmp_path / "oracle"
+        code = main(["oracle-check", "--mode", "minmax", "--set", "cost.epsilon=0.2",
+                     "--set", "train.iterations=2", "--set", "train.batch_size=4",
+                     "--out", str(out)])
+        stdout = capsys.readouterr().out
+        payload = json.loads((out / "oracle_report.json").read_text())
+        setup = config_mod.build_runtime(
+            config_mod.parse_config(None, ["system=lq", "cost.epsilon=0.2"]))
+        bench = evaluation.lq_benchmark(setup)
+        game = evaluation.riccati_oracle(bench, setup.grid, inv_epsilon=5.0).value(bench.x0, 0)
+        neutral = evaluation.riccati_oracle(bench, setup.grid).value(bench.x0, 0)
+        assert code == 1
+        assert payload["mode"] == "minmax"
+        assert payload["oracle_value"] == game
+        assert game > 1.05 * neutral
+        assert f"(minmax mode, oracle value {game:.6f})" in stdout
+
+    def test_oracle_check_below_the_breakdown_is_one_error_line(self, tmp_path, capsys):
+        # epsilon = 0.01 lies below epsilon* ~ 0.0323 at T = 1: the game has no value
+        code = main(["oracle-check", "--mode", "minmax", "--set", "cost.epsilon=0.01",
+                     "--out", str(tmp_path / "oracle")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Riccati" in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

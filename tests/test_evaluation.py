@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -239,6 +240,29 @@ class TestEvaluate:
         assert a.total_state_variance == pytest.approx(b.total_state_variance)
         assert a.mean_terminal_cost == pytest.approx(b.mean_terminal_cost)
         assert a.success_rate == b.success_rate
+
+    @pytest.mark.parametrize("dead", [[], [2, 9]])
+    def test_summary_matches_the_per_statistic_passes(self, dead):
+        # the reference copies the live columns and takes the total variance,
+        # the mean and np.std in separate passes; the report and its bands
+        # must come out byte for byte the same
+        sys, costs, grid, store = pendulum_setup(steps=6)
+        noise = sample_noise(5, 1, 0, 40, grid.steps, sys.m)
+        noise[3, :, dead] = np.nan
+        batch = rollout_batch(store, sys, costs, grid, 40, 5, mode="minmax",
+                              adversary=False, noise=noise)
+        assert batch.diverged == len(dead)
+        report = summarize(batch, sys, costs, grid, "minmax", False, 5)
+        states = batch.states[:, :, batch.alive]
+        expected = dataclasses.replace(
+            report,
+            total_state_variance=total_state_variance(np.moveaxis(states, 2, 0)),
+            state_mean=np.mean(states, axis=2).copy(),
+            state_std=np.std(states, axis=2, ddof=1),
+        )
+        assert report.to_json() == expected.to_json()
+        assert report.trajectory_csv() == expected.trajectory_csv()
+        assert np.array_equal(report.state_std, expected.state_std)
 
     def test_trajectory_csv_layout(self):
         sys, costs, grid, store = pendulum_setup(steps=3)

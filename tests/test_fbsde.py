@@ -358,6 +358,21 @@ class TestRollout:
         monkeypatch.setattr(fbsde, "adversary_control", boom)
         rollout_batch(store, sys, costs, grid, 2, 0, mode="minmax", adversary=False)
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_alive_is_the_per_step_accumulation(self, poison):
+        # alive is taken once from the recorded states; it must equal the
+        # mask accumulated after every step, here with a column poisoned at
+        # the first step and one at the last
+        sys, costs, grid, store, _ = self.make()
+        noise = sample_noise(0, PURPOSE_TRAIN, 0, 4, grid.steps, sys.m)
+        noise[0, :, 0] = poison
+        noise[-1, :, 2] = poison
+        batch = rollout_batch(store, sys, costs, grid, 4, 0, noise=noise)
+        alive = np.ones(4, dtype=bool)
+        for step in range(grid.steps):
+            alive &= np.all(np.isfinite(batch.states[step + 1]), axis=0)
+        assert batch.alive.tolist() == alive.tolist() == [False, True, False, True]
+
     def test_divergent_column_isolated(self):
         # poison one column's noise; the others must finish clean, and bit for
         # bit as they do with that column's noise left alone: neither the

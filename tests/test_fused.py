@@ -54,16 +54,17 @@ def affine_composed(W, x, b):
 
 
 def fbsde_step_composed(x, y, z, f, q, c):
-    k = ad.matmul(c.gamma_u, ad.matmul(c.gain, z))
+    """The step in the folded order: K, Q and G from their definitions, then
+    w = Q z + dw sqrt(dt), y' = y - q dt + 1'(z * w) and
+    x' = x + f dt + G z + Sigma dw sqrt(dt)."""
+    k = c.gamma_u @ c.gain
     if c.inv_eps is not None:
-        k = ad.add(k, ad.smul(z, c.inv_eps))
-    s_z = ad.matmul(c.s_mat, z)
-    h_gen = ad.sub(q, ad.smul(ad.colsum(ad.mul(z, s_z)), 0.5))
-    z_k = ad.colsum(ad.mul(z, k))
-    z_dw = ad.colsum(ad.mul(z, c.dw))
-    y_new = ad.add(y, ad.add(ad.smul(ad.sub(z_k, h_gen), c.dt), ad.smul(z_dw, c.sqdt)))
-    injected = ad.matmul(c.sigma, ad.add(ad.smul(k, c.dt), ad.smul(c.dw, c.sqdt)))
-    x_new = ad.add(x, ad.add(ad.smul(f, c.dt), injected))
+        k = k + np.eye(k.shape[0]) * c.inv_eps
+    q_mat, g_mat = (k + c.s_mat * 0.5) * c.dt, (c.sigma @ k) * c.dt
+    dw_hat = c.dw * c.sqdt
+    w = ad.add(ad.matmul(q_mat, z), dw_hat)
+    y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), ad.colsum(ad.mul(z, w)))
+    x_new = ad.add(ad.add(ad.add(x, ad.smul(f, c.dt)), ad.matmul(g_mat, z)), c.sigma @ dw_hat)
     return ad.vstack([x_new, y_new])
 
 
@@ -386,6 +387,28 @@ class TestRollout:
             assert xy[sys.n, i] == pytest.approx(
                 bsde_step(y[0, i], z[:, i], h, u, v, sys.gamma_u, dw[:, i], grid),
                 rel=1e-12, abs=1e-12)
+
+
+class TestFold:
+    @pytest.mark.parametrize("system", ["pendulum", "quadcopter"])
+    @pytest.mark.parametrize("mode,adversary", [("minmax", True), ("minmax", False),
+                                                ("baseline", False)])
+    def test_constants_match_their_definitions(self, system, mode, adversary, monkeypatch):
+        setup, store = small_runtime(system, mode)
+        sys, costs, dt = setup.system, setup.costs, setup.grid.dt
+        folds = []
+        original = ad.fold_step
+        monkeypatch.setattr(ad, "fold_step", lambda c: folds.append(original(c)) or folds[-1])
+        fbsde.rollout_batch(store, sys, costs, setup.grid, 3, 2, mode=mode, adversary=adversary)
+        (fold,) = folds
+        eye = np.eye(sys.m)
+        inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
+        u_gain = sys.gamma_u @ -costs.solve_r(sys.gamma_u.T)  # Gamma_u u* = u_gain z
+        k = u_gain + eye * inv_eps if adversary else u_gain
+        s_mat = sys.gamma_u @ costs.solve_r(sys.gamma_u.T) - inv_eps * eye
+        assert_close_rel(fold.k, k, rel=1e-15)
+        assert_close_rel(fold.q, (k + 0.5 * s_mat) * dt, rel=1e-15)
+        assert_close_rel(fold.g, dt * (sys.sigma @ k), rel=1e-15)
 
 
 def nodes_per_time_step(system):

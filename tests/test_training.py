@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ class TestTrainingStep:
         for name in result.grads:
             np.testing.assert_allclose(result.grads[name], clean_run.grads[name],
                                        atol=1e-14)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_poisoned_columns_raise_no_warning(self, poison, monkeypatch):
+        # a column that goes non-finite is dropped without a RuntimeWarning,
+        # in the tape-free rollout and through a whole training step
+        sys, costs, cfg = small_problem(batch=8)
+        store = init_store(sys, cfg)
+        noise = sample_noise(cfg.seed, PURPOSE_TRAIN, 0, 8, cfg.grid.steps, sys.m)
+        noise[1, :, 3] = poison
+        noise[-1, :, 6] = poison
+        monkeypatch.setattr(fbsde, "sample_noise", lambda *args: noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = rollout_batch(store, sys, costs, cfg.grid, 8, cfg.seed, noise=noise)
+            result = training_step(store, sys, costs, cfg.grid, 8, cfg.seed, 0,
+                                   "minmax", divergence_tolerance=0.25)
+        assert batch.alive.tolist() == [True] * 3 + [False] + [True] * 2 + [False, True]
+        assert result.diverged == 2
+        assert math.isfinite(result.loss)
 
     def test_excess_divergence_aborts(self, monkeypatch):
         sys, costs, cfg = small_problem(batch=8)
