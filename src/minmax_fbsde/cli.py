@@ -183,7 +183,13 @@ def cmd_oracle_check(cfg) -> int:
     setup = config_mod.build_runtime(cfg)
     bench = evaluation.lq_benchmark(setup)
     inv_eps = 1.0 / setup.costs.epsilon if cfg.mode == "minmax" else 0.0
-    oracle = riccati_oracle(bench, setup.grid, inv_epsilon=inv_eps)
+    try:
+        oracle = riccati_oracle(bench, setup.grid, inv_epsilon=inv_eps)
+    except RiccatiBlowUp as exc:
+        raise RiccatiBlowUp(
+            f"{exc}: the game has no value on this horizon (T={setup.grid.end - setup.grid.start:g}) "
+            f"at the temperature cost.epsilon={setup.costs.epsilon:g}"
+        ) from None
     v0 = oracle.value(bench.x0, 0)
     z0_ref = oracle.z_of(bench.x0.reshape(-1, 1), 0)
 

@@ -504,9 +504,8 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
             d_x = d_x + vjp(g, x, aux)
         g_x = d_x
 
-    grads = neural.NetParams(neural.LstmLayerParams(*ad.unpack_lstm(d_p1, n)),
-                             neural.LstmLayerParams(*ad.unpack_lstm(d_p2, hid1)),
-                             d_w_out, d_b_out)
+    grads = neural.NetParams.of([*ad.unpack_lstm(d_p1, n), *ad.unpack_lstm(d_p2, hid1),
+                                 d_w_out, d_b_out])
     return grads, g_y.sum(axis=1, keepdims=True), g_z.sum(axis=1, keepdims=True)
 
 

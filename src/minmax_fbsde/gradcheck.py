@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,9 +23,9 @@ from . import autodiff as ad
 from . import fbsde
 from .autodiff import Tape, finite_difference_check
 from .fbsde import HorizonGrid
-from .neural import LstmLayerParams, NetParams, init_net, lstm_stack_forward
+from .neural import NetParams, init_net, lstm_stack_forward
 from .systems import CostSpec, lq_double_integrator, pendulum, quadcopter
-from .training import THETA_NAMES, ParamStore, TrainConfig, init_store, training_step
+from .training import ParamStore, TrainConfig, init_store, training_step
 
 
 @dataclass
@@ -150,9 +151,8 @@ def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
     input and carry state perturbed."""
     rng = np.random.default_rng(seed)
     net0 = init_net(input_dim, hidden, 2, rng)
-    named = net0.named_arrays()
-    sizes = [arr.size for _, arr in named]
-    shapes = [arr.shape for _, arr in named]
+    sizes = [arr.size for arr in net0.arrays()]
+    shapes = [arr.shape for arr in net0.arrays()]
     x_size = input_dim * batch
     total_size = sum(sizes) + x_size
 
@@ -160,20 +160,12 @@ def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
         tape = Tape()
         offset = 0
         leaves = []
-        arrays = []
         for size, shape in zip(sizes, shapes):
-            leaf = tape.leaf(vec[offset:offset + size].reshape(shape))
-            leaves.append(leaf)
-            arrays.append(leaf)
+            leaves.append(tape.leaf(vec[offset:offset + size].reshape(shape)))
             offset += size
         x = tape.leaf(vec[offset:offset + x_size].reshape(input_dim, batch))
+        out, _ = lstm_stack_forward(NetParams.of(leaves), x)
         leaves.append(x)
-        net = type(net0)(
-            layer1=type(net0.layer1)(W=arrays[0], U=arrays[1], b=arrays[2]),
-            layer2=type(net0.layer2)(W=arrays[3], U=arrays[4], b=arrays[5]),
-            out_w=arrays[6], out_b=arrays[7],
-        )
-        out, _ = lstm_stack_forward(net, x)
         scal = _scalarize(tape, out)
         grads = tape.backward(scal, leaves)
         return float(scal.value[0, 0]), np.concatenate([g.ravel() for g in grads])
@@ -181,16 +173,6 @@ def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
     point = rng.uniform(-0.8, 0.8, size=total_size)
     err = finite_difference_check(f, point)
     return AuditRow("lstm-step", 1, err, tol)
-
-
-def _store_of(named: dict) -> ParamStore:
-    """A parameter view over arrays or tape leaves keyed by parameter name."""
-
-    def layer(prefix):
-        return LstmLayerParams(*(named[f"{prefix}.{k}"] for k in "WUb"))
-
-    return ParamStore(net=NetParams(layer("lstm1"), layer("lstm2"), named["out.W"], named["out.b"]),
-                      y0=named["psi.y0"], z0=named["psi.z0"], adam=None)
 
 
 def taped_gradients(store: ParamStore, sys, costs: CostSpec, grid: HorizonGrid,
@@ -203,10 +185,12 @@ def taped_gradients(store: ParamStore, sys, costs: CostSpec, grid: HorizonGrid,
     """
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in store.named_parameters()}
-    batch = fbsde.rollout_batch(_store_of(leaves), sys, costs, grid, noise.shape[2], seed=0, mode=mode,
+    *weights, y0, z0 = leaves.values()
+    params = SimpleNamespace(net=NetParams.of(weights), y0=y0, z0=z0)
+    batch = fbsde.rollout_batch(params, sys, costs, grid, noise.shape[2], seed=0, mode=mode,
                                 adversary=adversary, tape=tape, noise=noise)
     h = batch.handles
-    loss = fbsde.training_loss_expr(h.y_star, h.y_terminal, [leaves[n] for n in THETA_NAMES],
+    loss = fbsde.training_loss_expr(h.y_star, h.y_terminal, weights,
                                     costs.beta, costs.weight_decay, noise.shape[2])
     grads = tape.backward(loss, list(leaves.values()))
     return batch, float(loss.value[0, 0]), dict(zip(leaves, grads))
@@ -235,22 +219,16 @@ def audit_rollout(steps: int = 5, batch: int = 2, seed: int = 11,
     store = init_store(sys, cfg)
     noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, 0, batch, steps, sys.m)
 
-    named = store.named_parameters()
-    bounds = np.cumsum([0] + [arr.size for _, arr in named])
-
     def f(vec):
-        probe = _store_of({name: vec[lo:hi].reshape(arr.shape)
-                           for (name, arr), lo, hi in zip(named, bounds, bounds[1:])})
+        probe = ParamStore(vec, store.shapes)
         if adjoint:
             # draws the same noise: (seed, PURPOSE_TRAIN, iteration 0)
             result = training_step(probe, sys, costs, grid, batch, seed, 0, "minmax")
-            loss, grads = result.loss, result.grads
-        else:
-            _, loss, grads = taped_gradients(probe, sys, costs, grid, noise, "minmax")
-        return loss, np.concatenate([grads[name].ravel() for name, _ in named])
+            return result.loss, result.grad
+        _, loss, grads = taped_gradients(probe, sys, costs, grid, noise, "minmax")
+        return loss, np.concatenate([g.ravel() for g in grads.values()])
 
-    point = np.concatenate([arr.ravel() for _, arr in named])
-    err = finite_difference_check(f, point, step=1e-5)
+    err = finite_difference_check(f, store.theta, step=1e-5)
     return AuditRow(f"{'adjoint-' if adjoint else ''}rollout-loss-{system}", 1, err, tol)
 
 

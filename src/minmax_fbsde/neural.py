@@ -3,7 +3,9 @@
 Parameters are held in small dataclasses whose fields may be either plain
 ndarrays (evaluation) or tape Vars (training); the forward functions are
 written against the dual-mode expression helpers so one implementation
-serves both paths.
+serves both paths. In a ``training.ParamStore`` the arrays are views of one
+flat float64 vector, and Adam updates that vector and its two moment
+vectors as wholes.
 
 Gate layout inside each fused (4h, .) parameter block is
 (input, forget, cell-candidate, output), in that row order.
@@ -59,25 +61,16 @@ class NetParams:
     out_w: Any  # (out_dim, h)
     out_b: Any  # (out_dim, 1)
 
-    def named_arrays(self) -> list[tuple[str, Any]]:
-        return [
-            ("lstm1.W", self.layer1.W),
-            ("lstm1.U", self.layer1.U),
-            ("lstm1.b", self.layer1.b),
-            ("lstm2.W", self.layer2.W),
-            ("lstm2.U", self.layer2.U),
-            ("lstm2.b", self.layer2.b),
-            ("out.W", self.out_w),
-            ("out.b", self.out_b),
-        ]
+    def arrays(self) -> list:
+        """The eight weight arrays, in the order of the flat parameter vector."""
+        return [self.layer1.W, self.layer1.U, self.layer1.b,
+                self.layer2.W, self.layer2.U, self.layer2.b, self.out_w, self.out_b]
 
-    def map(self, fn) -> "NetParams":
-        return NetParams(
-            layer1=LstmLayerParams(fn(self.layer1.W), fn(self.layer1.U), fn(self.layer1.b)),
-            layer2=LstmLayerParams(fn(self.layer2.W), fn(self.layer2.U), fn(self.layer2.b)),
-            out_w=fn(self.out_w),
-            out_b=fn(self.out_b),
-        )
+    @classmethod
+    def of(cls, arrays) -> "NetParams":
+        """The inverse of ``arrays``."""
+        a = list(arrays)
+        return cls(LstmLayerParams(*a[0:3]), LstmLayerParams(*a[3:6]), a[6], a[7])
 
 
 def init_net(
@@ -157,45 +150,61 @@ def lstm_stack_forward(net: NetParams, x, state=None):
 
 @dataclass
 class AdamState:
-    """First/second moment buffers keyed by parameter name, plus step count."""
+    """Adam's settings, step count and first/second moment vectors, laid out
+    like the flat parameter vector they update."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = None
-    v: dict = None
 
     @classmethod
-    def for_params(cls, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0, m={}, v={})
-        for name, p in named_params:
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        return state
+    def zeros(cls, size: int, **settings) -> "AdamState":
+        return cls(np.zeros(size), np.zeros(size), **settings)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    return a.base if isinstance(a.base, np.ndarray) else a
+
+
+def _flat_vector(arrays) -> np.ndarray:
+    """The float64 vector that ``arrays`` tile as consecutive views, in order."""
+    owner, start, size = _owner(arrays[0]), arrays[0].ctypes.data, 0
+    for a in arrays:
+        if not (_owner(a) is owner and a.ctypes.data == start + 8 * size and a.flags.c_contiguous
+                and a.dtype == owner.dtype == np.float64 and owner.flags.c_contiguous):
+            raise ValueError("parameters and gradients must be consecutive views of one float64 vector")
+        size += a.size
+    offset = (start - owner.ctypes.data) // 8
+    return owner.reshape(-1)[offset : offset + size]
 
 
 def adam_step(state: AdamState, named_params, grads: dict) -> None:
-    """Bias-corrected Adam update, in place on the parameter arrays.
+    """Bias-corrected Adam update, in place on the flat vector that the
+    parameter views tile, with the gradient views' vector as its gradient.
 
-    All gradients are validated finite before anything mutates, so a bad
-    step leaves parameters and moments untouched.
+    The gradient is validated finite before anything mutates, so a bad step
+    leaves parameters and moments untouched.
     """
-    for name, _ in named_params:
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
+    theta = _flat_vector([p for _, p in named_params])
+    g = _flat_vector([grads[name] for name, _ in named_params])
+    if not theta.size == g.size == state.m.size == state.v.size:
+        raise ValueError(f"Adam's moments hold {state.m.size} entries, the parameters {theta.size} "
+                         f"and the gradient {g.size}")
+    finite = np.isfinite(g)
+    if not finite.all():
+        ends = np.cumsum([p.size for _, p in named_params])
+        name = named_params[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+        raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name, p in named_params:
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

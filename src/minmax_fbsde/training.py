@@ -2,6 +2,11 @@
 and the trainable initial value/gradient pair, checkpointing, and a
 deterministic loss history.
 
+Every trainable parameter lives in one float64 vector θ, laid out in
+``expected_shapes`` order; the network's arrays, y0 and z0 are reshaped views
+of it, a step's gradient is one vector of the same layout, Adam's moments
+are two more, and a checkpoint's payload is θ ‖ m ‖ v.
+
 All stochasticity flows through counter-based streams keyed by the run seed,
 so a (config, seed) pair reproduces every draw bit for bit. A step rolls the
 whole batch out tape-free, samples in columns, tapes only the loss head and
@@ -15,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -27,13 +33,6 @@ from .systems import CostSpec, SystemModel
 
 CHECKPOINT_SCHEMA = "minmax-fbsde.checkpoint.v1"
 LOSS_SCHEMA = "minmax-fbsde.loss-history.v1"
-
-THETA_NAMES = (
-    "lstm1.W", "lstm1.U", "lstm1.b",
-    "lstm2.W", "lstm2.U", "lstm2.b",
-    "out.W", "out.b",
-)
-
 
 class TrainingDiverged(RuntimeError):
     """More than the tolerated fraction of samples went non-finite."""
@@ -70,20 +69,57 @@ class TrainConfig:
             raise ValueError(f"workers must be 1, got {self.workers!r}: the batch runs serially")
 
 
+def expected_shapes(sys: SystemModel, hidden_size: int) -> dict[str, tuple[int, int]]:
+    """Name and (rows, cols) of every trainable parameter, in the order that θ,
+    Adam's moments and a checkpoint lay them out. ``sys`` needs ``n`` and ``m``."""
+    h, n, m = hidden_size, sys.n, sys.m
+    return {
+        "lstm1.W": (4 * h, n), "lstm1.U": (4 * h, h), "lstm1.b": (4 * h, 1),
+        "lstm2.W": (4 * h, h), "lstm2.U": (4 * h, h), "lstm2.b": (4 * h, 1),
+        "out.W": (m, h), "out.b": (m, 1),
+        "psi.y0": (1, 1), "psi.z0": (m, 1),
+    }
+
+
+PARAM_NAMES = tuple(expected_shapes(SimpleNamespace(n=0, m=0), 0))  # for manifests of any size
+
+
+def _views(vec: np.ndarray, shapes: dict[str, tuple[int, int]]) -> list[tuple[str, np.ndarray]]:
+    """(name, view) pairs that tile the flat ``vec`` in ``shapes`` order."""
+    views, start = [], 0
+    for name, (rows, cols) in shapes.items():
+        views.append((name, vec[start : start + rows * cols].reshape(rows, cols)))
+        start += rows * cols
+    return views
+
+
 @dataclass
 class ParamStore:
-    """Trainable state: network weights plus the initial (y0, z0) pair."""
+    """Trainable state: the flat parameter vector ``theta`` laid out as
+    ``shapes`` (``expected_shapes``), and Adam's state over it. ``net``, ``y0``
+    and ``z0`` are views of ``theta``, so writing them writes θ."""
 
-    net: neural.NetParams
-    y0: np.ndarray  # (1, 1)
-    z0: np.ndarray  # (m, 1)
-    adam: neural.AdamState
+    theta: np.ndarray
+    shapes: dict[str, tuple[int, int]]
+    adam: neural.AdamState | None = None
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        return self.net.named_arrays() + [("psi.y0", self.y0), ("psi.z0", self.z0)]
+        return _views(self.theta, self.shapes)
+
+    @property
+    def net(self) -> neural.NetParams:
+        return neural.NetParams.of(a for _, a in self.named_parameters()[:-2])
+
+    @property
+    def y0(self) -> np.ndarray:  # (1, 1)
+        return self.named_parameters()[-2][1]
+
+    @property
+    def z0(self) -> np.ndarray:  # (m, 1)
+        return self.named_parameters()[-1][1]
 
     def theta_norm_sq(self) -> float:
-        return float(sum(np.sum(a * a) for _, a in self.net.named_arrays()))
+        return float(sum(np.sum(a * a) for a in self.net.arrays()))
 
 
 def init_store(sys: SystemModel, cfg: TrainConfig) -> ParamStore:
@@ -91,24 +127,18 @@ def init_store(sys: SystemModel, cfg: TrainConfig) -> ParamStore:
     ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(9, 0, 0))
     rng = np.random.Generator(np.random.Philox(ss))
     net = neural.init_net(sys.n, cfg.hidden_size, sys.m, rng, forget_bias=cfg.forget_bias)
-    y0 = np.zeros((1, 1))
-    z0 = np.zeros((sys.m, 1))
-    store = ParamStore(net=net, y0=y0, z0=z0, adam=None)
-    store.adam = neural.AdamState.for_params(
-        store.named_parameters(),
-        lr=cfg.learning_rate,
-        beta1=cfg.adam_beta1,
-        beta2=cfg.adam_beta2,
-        eps=cfg.adam_epsilon,
-    )
-    return store
+    theta = np.concatenate([a.ravel() for a in net.arrays()] + [np.zeros(1 + sys.m)])
+    adam = neural.AdamState.zeros(theta.size, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
+                                  beta2=cfg.adam_beta2, eps=cfg.adam_epsilon)
+    return ParamStore(theta, expected_shapes(sys, cfg.hidden_size), adam)
 
 
 @dataclass
 class StepResult:
     loss: float
     batch: RolloutBatch
-    grads: dict
+    grad: np.ndarray  # laid out like ``store.theta``
+    grads: dict  # views of ``grad`` by parameter name
     diverged: int
     mean_terminal_cost: float
 
@@ -162,7 +192,7 @@ def training_step(
     tape = Tape()
     x_terminal = tape.leaf(batch.states[-1])
     y_terminal = tape.leaf(batch.values[-1])
-    theta = [tape.leaf(arr) for _, arr in store.net.named_arrays()]
+    theta = [tape.leaf(arr) for arr in store.net.arrays()]
     y_star = costs.terminal_expr(x_terminal)
     loss_var = fbsde.training_loss_expr(
         y_star, y_terminal, theta, costs.beta, costs.weight_decay, batch.batch_size
@@ -174,19 +204,23 @@ def training_step(
 
     g_x, g_y, *decay = tape.backward(loss_var, [x_terminal, y_terminal, *theta])
     net_grads, g_y0, g_z0 = fbsde.rollout_adjoint(saved, g_x, g_y)
-    grads = {name: g + d for (name, g), d in zip(net_grads.named_arrays(), decay)}
-    grads["psi.y0"], grads["psi.z0"] = g_y0, g_z0
+    grad = np.empty_like(store.theta)
+    grads = dict(_views(grad, store.shapes))
+    *net_views, y0_view, z0_view = grads.values()
+    for out, g, d in zip(net_views, net_grads.arrays(), decay):
+        np.add(g, d, out=out)
+    y0_view[...], z0_view[...] = g_y0, g_z0
     mean_tc = float(np.mean(batch.terminal_targets))
-    return StepResult(loss=loss, batch=batch, grads=grads, diverged=diverged, mean_terminal_cost=mean_tc)
+    return StepResult(loss=loss, batch=batch, grad=grad, grads=grads, diverged=diverged,
+                      mean_terminal_cost=mean_tc)
 
 
-def clip_gradients(grads: dict, clip_norm: float) -> float:
-    """Global-norm clipping in place; returns the pre-clip norm."""
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def clip_gradients(grad: np.ndarray, clip_norm: float) -> float:
+    """Global-norm clipping of the flat gradient in place; returns the
+    pre-clip norm."""
+    norm = float(np.linalg.norm(grad))
     if norm > clip_norm > 0:
-        factor = clip_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
+        grad *= clip_norm / norm
     return norm
 
 
@@ -236,7 +270,7 @@ def train(
                 divergence_tolerance=cfg.divergence_tolerance,
             )
             if cfg.clip_norm:
-                clip_gradients(result.grads, cfg.clip_norm)
+                clip_gradients(result.grad, cfg.clip_norm)
             neural.adam_step(store.adam, store.named_parameters(), result.grads)
             row = HistoryRow(k, result.loss, result.mean_terminal_cost, result.diverged)
             history.append(row)
@@ -326,16 +360,7 @@ def train_or_load(
 # checkpoints: one-line JSON manifest + flat little-endian float64 stream
 
 
-def _checkpoint_entries(store: ParamStore) -> list[tuple[str, np.ndarray]]:
-    named = store.named_parameters()
-    entries = list(named)
-    entries += [(f"adam.m.{name}", store.adam.m[name]) for name, _ in named]
-    entries += [(f"adam.v.{name}", store.adam.v[name]) for name, _ in named]
-    return entries
-
-
 def save_checkpoint(store: ParamStore, path: str, seed: int = 0, config_hash: str = "") -> None:
-    entries = _checkpoint_entries(store)
     manifest = {
         "schema": CHECKPOINT_SCHEMA,
         "config_hash": config_hash,
@@ -348,11 +373,11 @@ def save_checkpoint(store: ParamStore, path: str, seed: int = 0, config_hash: st
             "eps": store.adam.eps,
         },
         "entries": [
-            {"name": name, "rows": int(a.shape[0]), "cols": int(a.shape[1])}
-            for name, a in entries
+            {"name": prefix + name, "rows": int(rows), "cols": int(cols)}
+            for prefix in ("", "adam.m.", "adam.v.") for name, (rows, cols) in store.shapes.items()
         ],
     }
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries)
+    payload = np.concatenate([store.theta, store.adam.m, store.adam.v], dtype="<f8").tobytes()
     blob = json.dumps(manifest, sort_keys=True).encode() + b"\n" + payload
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -408,52 +433,26 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         raise CheckpointError(
             f"{path}: expected {expected} payload bytes, found {len(payload)}"
         )
-    arrays = {}
-    offset = 0
-    for name, rows, cols in entries:
-        count = rows * cols
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays[name] = arr.reshape(rows, cols).astype(np.float64)
-        offset += count * 8
-
-    def grab(name):
-        try:
-            return arrays[name]
-        except KeyError:
-            raise CheckpointError(f"{path}: manifest lacks entry {name!r}") from None
-
-    net = neural.NetParams(
-        layer1=neural.LstmLayerParams(grab("lstm1.W"), grab("lstm1.U"), grab("lstm1.b")),
-        layer2=neural.LstmLayerParams(grab("lstm2.W"), grab("lstm2.U"), grab("lstm2.b")),
-        out_w=grab("out.W"),
-        out_b=grab("out.b"),
-    )
-    store = ParamStore(net=net, y0=grab("psi.y0"), z0=grab("psi.z0"), adam=None)
+    params = entries[: len(PARAM_NAMES)]
+    layout = [(prefix + name, rows, cols)
+              for prefix in ("", "adam.m.", "adam.v.") for name, rows, cols in params]
+    if [name for name, _, _ in params] != list(PARAM_NAMES) or entries != layout:
+        raise CheckpointError(
+            f"{path}: manifest entries are not the parameters {', '.join(PARAM_NAMES)}, "
+            "then adam.m.* and adam.v.* over them, in that order"
+        )
     try:
         meta = manifest["adam"]
-        adam = neural.AdamState(
-            lr=float(meta["lr"]), beta1=float(meta["beta1"]), beta2=float(meta["beta2"]),
-            eps=float(meta["eps"]), t=int(meta["t"]), m={}, v={},
-        )
+        settings = dict(lr=float(meta["lr"]), beta1=float(meta["beta1"]),
+                        beta2=float(meta["beta2"]), eps=float(meta["eps"]), t=int(meta["t"]))
     except (KeyError, TypeError, ValueError):
         raise CheckpointError(
             f"{path}: manifest lacks the optimizer state 'adam' (t, lr, beta1, beta2, eps)"
         ) from None
-    for name, _ in store.named_parameters():
-        adam.m[name] = grab(f"adam.m.{name}")
-        adam.v[name] = grab(f"adam.v.{name}")
-    store.adam = adam
-    return store, manifest
-
-
-def expected_shapes(sys: SystemModel, hidden_size: int) -> dict[str, tuple[int, int]]:
-    h, n, m = hidden_size, sys.n, sys.m
-    return {
-        "lstm1.W": (4 * h, n), "lstm1.U": (4 * h, h), "lstm1.b": (4 * h, 1),
-        "lstm2.W": (4 * h, h), "lstm2.U": (4 * h, h), "lstm2.b": (4 * h, 1),
-        "out.W": (m, h), "out.b": (m, 1),
-        "psi.y0": (1, 1), "psi.z0": (m, 1),
-    }
+    theta, m, v = (np.array(part, dtype=np.float64)
+                   for part in np.split(np.frombuffer(payload, dtype="<f8"), 3))
+    shapes = {name: (rows, cols) for name, rows, cols in params}
+    return ParamStore(theta, shapes, neural.AdamState(m, v, **settings)), manifest
 
 
 def validate_checkpoint(manifest: dict, shapes: dict[str, tuple[int, int]], config_hash: str | None = None) -> None:

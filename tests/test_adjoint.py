@@ -181,7 +181,7 @@ class TestPacking:
         first = step(setup, store, 5, iteration=0)
         neural.adam_step(store.adam, store.named_parameters(), first.grads)
         after = step(setup, store, 5, iteration=1)
-        rebuilt = gradcheck._store_of({name: arr.copy() for name, arr in store.named_parameters()})
+        rebuilt = training.ParamStore(store.theta.copy(), store.shapes)
         fresh = step(setup, rebuilt, 5, iteration=1)
         assert after.loss == fresh.loss
         for name, g in fresh.grads.items():

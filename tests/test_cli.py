@@ -444,6 +444,8 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Riccati" in err
+        assert "cost.epsilon=0.01" in err
+        assert "game has no value on this horizon" in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

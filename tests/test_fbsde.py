@@ -291,9 +291,7 @@ class TestRollout:
 
     def test_zero_net_zero_noise_is_euler_flow(self):
         sys, costs, grid, store, _ = self.make()
-        store.net = store.net.map(np.zeros_like)
-        store.y0[:] = 0.0
-        store.z0[:] = 0.0
+        store.theta[:] = 0.0  # the network's weights, y0 and z0
         noise = np.zeros((grid.steps, sys.m, 2))
         batch = rollout_batch(store, sys, costs, grid, 2, 0, noise=noise)
         x = sys.x0.reshape(-1, 1)

@@ -54,7 +54,7 @@ class TestInit:
     def test_deterministic_given_rng_seed(self):
         a = init_net(3, 4, 2, np.random.default_rng(7))
         b = init_net(3, 4, 2, np.random.default_rng(7))
-        for (_, x), (_, y) in zip(a.named_arrays(), b.named_arrays()):
+        for x, y in zip(a.arrays(), b.arrays()):
             np.testing.assert_array_equal(x, y)
 
 
@@ -100,9 +100,8 @@ class TestCellGradient:
         rng = np.random.default_rng(5)
         net0 = init_net(2, 3, 1, rng)
         x0 = rng.normal(size=(2, 2))
-        named = net0.named_arrays()
-        sizes = [a.size for _, a in named]
-        shapes = [a.shape for _, a in named]
+        sizes = [a.size for a in net0.arrays()]
+        shapes = [a.shape for a in net0.arrays()]
 
         def f(vec):
             tape = Tape()
@@ -111,60 +110,97 @@ class TestCellGradient:
             for size, shape in zip(sizes, shapes):
                 leaves.append(tape.leaf(vec[offset : offset + size].reshape(shape)))
                 offset += size
-            net = NetParams(
-                layer1=LstmLayerParams(leaves[0], leaves[1], leaves[2]),
-                layer2=LstmLayerParams(leaves[3], leaves[4], leaves[5]),
-                out_w=leaves[6], out_b=leaves[7],
-            )
-            out, _ = lstm_stack_forward(net, tape.constant(x0))
+            out, _ = lstm_stack_forward(NetParams.of(leaves), tape.constant(x0))
             y = ad.sumsq(out)
             grads = tape.backward(y, leaves)
             return float(y.value[0, 0]), np.concatenate([g.ravel() for g in grads])
 
-        point = np.concatenate([a.ravel() for _, a in named])
+        point = np.concatenate([a.ravel() for a in net0.arrays()])
         assert finite_difference_check(f, point) < 1e-5
+
+
+def flat_named(vec, shapes):
+    """(name, view) pairs tiling the flat ``vec``, as a ``ParamStore`` lays them out."""
+    named, start = [], 0
+    for name, (rows, cols) in shapes.items():
+        named.append((name, vec[start : start + rows * cols].reshape(rows, cols)))
+        start += rows * cols
+    return named
 
 
 class TestAdam:
     def test_first_step_closed_form(self):
-        p = np.array([[1.0]])
-        named = [("w", p)]
-        state = AdamState.for_params(named, lr=1e-3)
-        g = np.array([[3.0]])
-        adam_step(state, named, {"w": g})
+        theta = np.array([1.0])
+        named = flat_named(theta, {"w": (1, 1)})
+        state = AdamState.zeros(theta.size, lr=1e-3)
+        adam_step(state, named, dict(flat_named(np.array([3.0]), {"w": (1, 1)})))
         # bias correction makes the first step lr * g / (|g| + eps)
         expected = 1.0 - 1e-3 * 3.0 / (3.0 + 1e-8)
-        assert p[0, 0] == pytest.approx(expected, abs=1e-15)
+        assert theta[0] == pytest.approx(expected, abs=1e-15)
+        assert named[0][1][0, 0] == theta[0]
         assert state.t == 1
 
     def test_moments_update(self):
-        p = np.array([[0.0]])
-        named = [("w", p)]
-        state = AdamState.for_params(named)
-        adam_step(state, named, {"w": np.array([[2.0]])})
-        assert state.m["w"][0, 0] == pytest.approx(0.1 * 2.0)
-        assert state.v["w"][0, 0] == pytest.approx(0.001 * 4.0)
+        theta = np.array([0.0])
+        named = flat_named(theta, {"w": (1, 1)})
+        state = AdamState.zeros(theta.size)
+        adam_step(state, named, dict(flat_named(np.array([2.0]), {"w": (1, 1)})))
+        assert state.m[0] == pytest.approx(0.1 * 2.0)
+        assert state.v[0] == pytest.approx(0.001 * 4.0)
 
     def test_nonfinite_gradient_leaves_params_untouched(self):
-        p1 = np.array([[1.0]])
-        p2 = np.array([[2.0]])
-        named = [("a", p1), ("b", p2)]
-        state = AdamState.for_params(named)
-        grads = {"a": np.array([[1.0]]), "b": np.array([[np.nan]])}
-        with pytest.raises(NonFiniteGradient, match="b"):
+        shapes = {"a": (2, 1), "b": (1, 2)}
+        theta = np.array([1.0, 2.0, 3.0, 4.0])
+        named = flat_named(theta, shapes)
+        state = AdamState.zeros(theta.size)
+        state.m[:], state.v[:] = 0.5, 0.25
+        grads = dict(flat_named(np.array([1.0, 1.0, np.nan, 1.0]), shapes))  # b's first entry
+        with pytest.raises(NonFiniteGradient, match="'b'"):
             adam_step(state, named, grads)
-        assert p1[0, 0] == 1.0
-        assert p2[0, 0] == 2.0
+        np.testing.assert_array_equal(theta, [1.0, 2.0, 3.0, 4.0])
         assert state.t == 0
-        assert not state.m["a"].any()
+        np.testing.assert_array_equal(state.m, 0.5)
+        np.testing.assert_array_equal(state.v, 0.25)
+        grads = dict(flat_named(np.array([np.inf, 1.0, 1.0, 1.0]), shapes))
+        with pytest.raises(NonFiniteGradient, match="'a'"):
+            adam_step(state, named, grads)
 
     def test_descends_simple_quadratic(self):
-        p = np.array([[5.0]])
-        named = [("w", p)]
-        state = AdamState.for_params(named, lr=0.1)
+        theta = np.array([5.0])
+        named = flat_named(theta, {"w": (1, 1)})
+        state = AdamState.zeros(theta.size, lr=0.1)
         for _ in range(300):
-            adam_step(state, named, {"w": 2.0 * p.copy()})
-        assert abs(p[0, 0]) < 0.2
+            adam_step(state, named, dict(flat_named(2.0 * theta, {"w": (1, 1)})))
+        assert abs(theta[0]) < 0.2
+
+    def test_whole_vector_update_matches_each_entry(self):
+        # the flat update equals a per-parameter one bit for bit: Adam is element-wise
+        rng = np.random.default_rng(0)
+        shapes = {"a": (3, 2), "b": (1, 1), "c": (2, 1)}
+        theta, g = rng.normal(size=9), rng.normal(size=9)
+        flat = theta.copy()
+        state = AdamState.zeros(9, lr=0.01)
+        adam_step(state, flat_named(flat, shapes), dict(flat_named(g, shapes)))
+        for i in range(9):
+            one = AdamState.zeros(1, lr=0.01)
+            p = theta[i : i + 1].copy()
+            adam_step(one, [("x", p.reshape(1, 1))], {"x": g[i : i + 1].reshape(1, 1)})
+            assert (p[0], one.m[0], one.v[0]) == (flat[i], state.m[i], state.v[i])
+
+    def test_arrays_that_do_not_tile_one_vector_are_refused(self):
+        theta = np.zeros(3)
+        named = flat_named(theta, {"a": (1, 1), "b": (2, 1)})
+        state = AdamState.zeros(3)
+        separate = {"a": np.ones((1, 1)), "b": np.ones((2, 1))}
+        with pytest.raises(ValueError, match="consecutive views of one float64 vector"):
+            adam_step(state, named, separate)
+        swapped = [named[1], named[0]]
+        with pytest.raises(ValueError, match="consecutive views"):
+            adam_step(state, swapped, dict(flat_named(np.ones(3), {"b": (2, 1), "a": (1, 1)})))
+        short = AdamState.zeros(2)
+        with pytest.raises(ValueError, match="moments hold 2 entries, the parameters 3"):
+            adam_step(short, named, dict(flat_named(np.ones(3), {"a": (1, 1), "b": (2, 1)})))
+        assert state.t == short.t == 0 and not theta.any() and not short.m.any()
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,12 +1,14 @@
 import copy
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
 import pytest
 
 from minmax_fbsde import fbsde, neural, training
+from minmax_fbsde.cli import main
 from minmax_fbsde.evaluation import evaluate
 from minmax_fbsde.fbsde import PURPOSE_TRAIN, HorizonGrid, rollout_batch, sample_noise, training_loss
 from minmax_fbsde.systems import CostSpec, pendulum
@@ -43,6 +45,19 @@ def small_problem(steps=5, batch=8, seed=0, **cfg_kw):
 
 
 class TestStore:
+    def test_parameters_are_views_of_theta(self):
+        sys, costs, cfg = small_problem()
+        store = init_store(sys, cfg)
+        shapes = expected_shapes(sys, cfg.hidden_size)
+        assert store.theta.shape == (sum(r * c for r, c in shapes.values()),)
+        assert store.adam.m.shape == store.adam.v.shape == store.theta.shape
+        flat = np.concatenate([a.ravel() for _, a in store.named_parameters()])
+        np.testing.assert_array_equal(flat, store.theta)
+        store.y0[0, 0] = 1.5
+        store.net.out_b[:] = 2.5
+        assert store.theta[-1 - sys.m] == 1.5
+        np.testing.assert_array_equal(store.theta[-1 - 2 * sys.m : -1 - sys.m], 2.5)
+
     def test_init_shapes(self):
         sys, costs, cfg = small_problem()
         store = init_store(sys, cfg)
@@ -66,7 +81,7 @@ class TestStore:
         sys, costs, cfg = small_problem()
         store = init_store(sys, cfg)
         store.y0[:] = 100.0
-        direct = sum(float(np.sum(a * a)) for _, a in store.net.named_arrays())
+        direct = sum(float(np.sum(a * a)) for a in store.net.arrays())
         assert store.theta_norm_sq() == pytest.approx(direct)
 
 
@@ -83,6 +98,17 @@ class TestTrainingStep:
         expect = training_loss(replay, store.theta_norm_sq(), costs.beta,
                                costs.weight_decay)
         assert result.loss == pytest.approx(expect, rel=1e-12)
+
+    def test_gradients_are_views_of_one_vector(self):
+        sys, costs, cfg = small_problem()
+        store = init_store(sys, cfg)
+        result = training_step(store, sys, costs, cfg.grid, cfg.batch_size,
+                               cfg.seed, 0, "minmax")
+        assert result.grad.shape == store.theta.shape
+        assert list(result.grads) == list(expected_shapes(sys, cfg.hidden_size))
+        flat = np.concatenate([g.ravel() for g in result.grads.values()])
+        np.testing.assert_array_equal(flat, result.grad)
+        assert all(np.shares_memory(g, result.grad) for g in result.grads.values())
 
     def test_gradient_reaches_every_parameter(self):
         sys, costs, cfg = small_problem()
@@ -187,18 +213,19 @@ class TestTrainingStep:
 
 class TestClip:
     def test_noop_below_threshold(self):
-        grads = {"a": np.array([[3.0, 4.0]])}
-        norm = clip_gradients(grads, 10.0)
+        grad = np.array([3.0, 4.0])
+        norm = clip_gradients(grad, 10.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_array_equal(grads["a"], [[3.0, 4.0]])
+        np.testing.assert_array_equal(grad, [3.0, 4.0])
 
     def test_rescales_above_threshold(self):
-        grads = {"a": np.array([[3.0, 4.0]]), "b": np.array([[0.0]])}
-        norm = clip_gradients(grads, 1.0)
+        grad = np.array([3.0, 4.0, 0.0])
+        view = grad[:2].reshape(1, 2)  # a parameter's view sees the clip
+        norm = clip_gradients(grad, 1.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(grads["a"], [[0.6, 0.8]])
-        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        assert total == pytest.approx(1.0)
+        np.testing.assert_allclose(view, [[0.6, 0.8]])
+        assert grad[2] == 0.0
+        assert math.sqrt(float(np.sum(grad * grad))) == pytest.approx(1.0)
 
 
 class TestTrainLoop:
@@ -266,6 +293,26 @@ class TestTrainLoop:
         assert len(csv.strip().splitlines()) == 2 + 2  # header lines + 2 clean iters
 
 
+def malformed(blob: bytes, kind: str) -> bytes:
+    """A v1 checkpoint with its entries reordered (out.b before out.W in the
+    parameters and in both moments, bytes moved with them), one parameter
+    entry missing (with its bytes) or one extra entry (with 8 bytes)."""
+    head, _, payload = blob.partition(b"\n")
+    manifest = json.loads(head)
+    sizes = [8 * e["rows"] * e["cols"] for e in manifest["entries"]]
+    offsets = np.cumsum([0] + sizes)
+    pairs = [(e, payload[lo:hi]) for e, lo, hi in zip(manifest["entries"], offsets, offsets[1:])]
+    if kind == "reordered":
+        for i in (6, 16, 26):
+            pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+    elif kind == "missing":
+        del pairs[7]
+    else:
+        pairs.append(({"name": "extra", "rows": 1, "cols": 1}, bytes(8)))
+    manifest["entries"] = [e for e, _ in pairs]
+    return json.dumps(manifest, sort_keys=True).encode() + b"\n" + b"".join(c for _, c in pairs)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         sys, costs, cfg = small_problem()
@@ -277,11 +324,48 @@ class TestCheckpoint:
         assert manifest["schema"] == CHECKPOINT_SCHEMA
         for (name, a), (_, b) in zip(store.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(a, b)
+        assert loaded.shapes == store.shapes
         assert loaded.adam.t == store.adam.t
         assert loaded.adam.lr == store.adam.lr
-        for name in store.adam.m:
-            np.testing.assert_array_equal(store.adam.m[name], loaded.adam.m[name])
-            np.testing.assert_array_equal(store.adam.v[name], loaded.adam.v[name])
+        for flat in ("theta", "adam.m", "adam.v"):
+            a, b = (operator.attrgetter(flat)(s) for s in (store, loaded))
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes(), flat
+
+    def test_v1_bytes_entry_by_entry(self, tmp_path):
+        # the v1 layout: a sorted-key JSON manifest line, then every parameter,
+        # every adam.m.<name> and every adam.v.<name>, each little-endian float64
+        sys, costs, cfg = small_problem()
+        store, _ = train(sys, costs, cfg)
+        assert store.adam.t == cfg.iterations
+        shapes = expected_shapes(sys, cfg.hidden_size)
+        bounds = np.cumsum([0] + [r * c for r, c in shapes.values()])
+
+        def pieces(vec):
+            return [vec[lo:hi].reshape(shape)
+                    for lo, hi, shape in zip(bounds, bounds[1:], shapes.values())]
+
+        named = dict(store.named_parameters())
+        entries = [(name, named[name]) for name in shapes]
+        entries += [(f"adam.m.{name}", a) for name, a in zip(shapes, pieces(store.adam.m))]
+        entries += [(f"adam.v.{name}", a) for name, a in zip(shapes, pieces(store.adam.v))]
+        manifest = {
+            "schema": CHECKPOINT_SCHEMA, "config_hash": "cafe", "seed": 4,
+            "adam": {"t": store.adam.t, "lr": store.adam.lr, "beta1": store.adam.beta1,
+                     "beta2": store.adam.beta2, "eps": store.adam.eps},
+            "entries": [{"name": name, "rows": a.shape[0], "cols": a.shape[1]}
+                        for name, a in entries],
+        }
+        expected = (json.dumps(manifest, sort_keys=True).encode() + b"\n"
+                    + b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in entries))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(store, str(path), seed=4, config_hash="cafe")
+        assert path.read_bytes() == expected
+
+        loaded, _ = load_checkpoint(str(path))
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, str(again), seed=4, config_hash="cafe")
+        assert again.read_bytes() == expected
 
     def test_save_is_deterministic(self, tmp_path):
         sys, costs, cfg = small_problem()
@@ -383,6 +467,30 @@ class TestCheckpoint:
             load_checkpoint(path)
         with pytest.raises(CheckpointError, match="entry 3"):
             validate_checkpoint(manifest, expected_shapes(sys, cfg.hidden_size))
+
+    @pytest.mark.parametrize("kind", ["reordered", "missing", "extra"])
+    def test_entry_layout_is_enforced(self, tmp_path, kind):
+        sys, costs, cfg = small_problem()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_store(sys, cfg), str(path))
+        path.write_bytes(malformed(path.read_bytes(), kind))
+        with pytest.raises(CheckpointError, match="adam.m.* and adam.v.*"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind", ["reordered", "missing", "extra"])
+    def test_eval_of_a_malformed_layout_is_one_error_line(self, tmp_path, capsys, kind):
+        micro = ["--set", "system=lq", "--set", "train.iterations=2",
+                 "--set", "train.batch_size=4", "--set", "train.steps=5",
+                 "--set", "train.horizon=0.1", "--set", "eval.batch_size=8",
+                 "--out", str(tmp_path / "run")]
+        assert main(["train", *micro]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.ckpt"
+        ckpt.write_bytes(malformed(ckpt.read_bytes(), kind))
+        capsys.readouterr()
+        assert main(["eval", *micro]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "in that order" in err
 
     def test_manifest_negative_shape(self, tmp_path):
         # negating both sides keeps the payload size consistent
