@@ -17,10 +17,8 @@ from .evaluation import (
     evaluate,
     epsilon_sweep,
     riccati_oracle,
-    task_success,
-    total_state_variance,
 )
-from .fbsde import HorizonGrid, RolloutBatch, optimal_controls, rollout_batch
+from .fbsde import HorizonGrid, RolloutBatch, rollout_batch
 from .systems import CostSpec, SystemModel, lq_double_integrator, make_system, pendulum, quadcopter
 from .training import (
     ParamStore,
@@ -46,11 +44,8 @@ __all__ = [
     "evaluate",
     "epsilon_sweep",
     "riccati_oracle",
-    "task_success",
-    "total_state_variance",
     "HorizonGrid",
     "RolloutBatch",
-    "optimal_controls",
     "rollout_batch",
     "CostSpec",
     "SystemModel",

@@ -716,15 +716,6 @@ def rows(x, lo: int, hi: int):
     return np.asarray(x)[lo:hi]
 
 
-def colsum(x):
-    """Column sums: contract an (r, c) value to (1, c) via a ones row."""
-    if isinstance(x, Var):
-        left = x.tape.constant(np.ones((1, x.shape[0])))
-        return x.tape.apply("matmul", left, x)
-    arr = np.asarray(x)
-    return np.ones((1, arr.shape[0])) @ arr
-
-
 _FLOAT64 = np.dtype(np.float64)  # the one native float64 dtype instance
 # the list that ``saving`` fills; None outside its block. A context variable,
 # like NumPy's errstate, so the block is scoped to its thread and context.

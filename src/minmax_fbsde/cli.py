@@ -105,11 +105,7 @@ def cmd_train(cfg) -> int:
 
 def cmd_eval(cfg) -> int:
     setup = config_mod.build_runtime(cfg)
-    ckpt = setup.checkpoint_path
-    if not os.path.exists(ckpt):
-        print(f"checkpoint not found: {ckpt}", file=_sys.stderr)
-        return 1
-    store, manifest = training.load_checkpoint(ckpt)
+    store, manifest = training.load_checkpoint(setup.checkpoint_path)
     training.validate_checkpoint(
         manifest,
         training.expected_shapes(setup.system, setup.train.hidden_size),

@@ -40,23 +40,6 @@ def terminal_success(terminal: np.ndarray, sys: SystemModel) -> np.ndarray:
     return ok
 
 
-def task_success(trajectory: np.ndarray, sys: SystemModel) -> bool:
-    """``terminal_success`` of one trajectory's last state; (steps, n) input."""
-    terminal = np.asarray(trajectory, dtype=np.float64)[-1]
-    return bool(terminal_success(terminal.reshape(-1, 1), sys)[0])
-
-
-def total_state_variance(trajectories: np.ndarray) -> float:
-    """Sum over time steps and state dimensions of the unbiased sample
-    variance across trajectories. Input is (M, steps, n) with M >= 2."""
-    arr = np.asarray(trajectories, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"expected (M, steps, n) trajectories, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValueError("variance needs at least two trajectories")
-    return float(np.sum(np.var(arr, axis=0, ddof=1)))
-
-
 @dataclass
 class EvalReport:
     """Dispersion, cost and success statistics for one evaluated condition."""
@@ -280,10 +263,6 @@ class RiccatiSolution:
     def value(self, x, k: int) -> float:
         x = np.asarray(x, dtype=np.float64).ravel()
         return 0.5 * float(x @ self.p_mats[k] @ x) + float(self.c_offs[k])
-
-    def gradient(self, x, k: int) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        return self.p_mats[k] @ x
 
     def z_of(self, x_cols: np.ndarray, k: int) -> np.ndarray:
         """Sigma' Vx for a column batch (n, M) -> (m, M)."""

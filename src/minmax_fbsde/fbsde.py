@@ -50,10 +50,11 @@ each and one ``affine`` read-out. The controls are recorded from values
 only; ``fbsde_step`` derives its own from z.
 
 The increments dw are counter-based: sample i of a batch draws from a Philox
-stream keyed by ``SeedSequence(seed, spawn_key=(purpose, iteration, i))``
-(``noise_block``). ``sample_noise`` derives the keys of the whole batch in one
-vectorized pass and re-keys a single generator per sample, bit for bit the
-same draws as ``noise_block`` column by column.
+stream keyed by ``SeedSequence(seed, spawn_key=(purpose, iteration, i))``.
+``sample_noise`` derives the keys of the whole batch in one vectorized pass
+and re-keys a single generator per sample, bit for bit the same draws as that
+per-sample definition, ``noise_block`` in ``tests/reference.py``, column by
+column.
 """
 
 from __future__ import annotations
@@ -98,18 +99,6 @@ class HorizonGrid:
 
     def times(self) -> np.ndarray:
         return self.start + self.dt * np.arange(self.steps + 1)
-
-
-def noise_block(seed: int, purpose: int, iteration: int, sample: int, steps: int, m: int) -> np.ndarray:
-    """Unit-normal increments for one sample, (steps, m).
-
-    Counter-based: the block is a pure function of (seed, purpose,
-    iteration, sample), so any sample's draws can be regenerated in
-    isolation and are independent of the batch size and column order.
-    """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(purpose, iteration, sample))
-    gen = np.random.Generator(np.random.Philox(ss))
-    return gen.standard_normal((steps, m))
 
 
 # NumPy's SeedSequence constants: hashmix, mix, and generate_state
@@ -160,9 +149,10 @@ def _sample_keys(seed: int, purpose: int, iteration: int, batch: int) -> np.ndar
 def sample_noise(seed: int, purpose: int, iteration: int, batch: int, steps: int, m: int) -> np.ndarray:
     """Stacked increments for a batch, (steps, m, batch); column i is sample i.
 
-    Bit-identical to ``noise_block`` column by column, which stays the
-    definition: the keys of all samples come from ``_sample_keys`` in one
-    pass, and one Philox generator is re-keyed per sample.
+    Bit-identical column by column to the per-sample definition,
+    ``noise_block`` in ``tests/reference.py``: the keys of all samples come
+    from ``_sample_keys`` in one pass, and one Philox generator is re-keyed
+    per sample.
     """
     keys = _sample_keys(seed, purpose, iteration, batch)
     bitgen = np.random.Philox(0)
@@ -177,10 +167,6 @@ def sample_noise(seed: int, purpose: int, iteration: int, batch: int, steps: int
     return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
-# ---------------------------------------------------------------------------
-# single-vector step operations
-
-
 def minimizing_control(z, gain, out=None):
     """u* = gain @ z (into ``out``) with gain = -R_u^{-1} Gamma_u' precomputed."""
     return np.matmul(gain, z, out=out)
@@ -191,61 +177,10 @@ def adversary_control(z, inv_epsilon: float, out=None):
     return np.multiply(z, float(inv_epsilon), out=out)
 
 
-def optimal_controls(z, gamma_u, r_u, epsilon: float):
-    """Feedback controls (u*, v*) for a single value-gradient vector z (m,).
-
-    Raises ``LinAlgError`` unless R_u is positive definite.
-    """
-    z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
-    gamma_u = np.atleast_2d(np.asarray(gamma_u, dtype=np.float64))
-    r_u = np.atleast_2d(np.asarray(r_u, dtype=np.float64))
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    np.linalg.cholesky(r_u)
-    gain = -np.linalg.solve(r_u, gamma_u.T)
-    u = minimizing_control(z, gain)
-    v = adversary_control(z, 1.0 / epsilon)
-    return np.asarray(u).ravel(), np.asarray(v).ravel()
-
-
 def h_quadratic(costs: CostSpec, gamma_u: np.ndarray, inv_epsilon: float) -> np.ndarray:
     """S = Gamma_u R_u^{-1} Gamma_u' - inv_epsilon * I, the generator's quadratic form."""
     m = gamma_u.shape[0]
     return gamma_u @ costs.solve_r(gamma_u.T) - inv_epsilon * np.eye(m)
-
-
-def h_drift(x, z, costs: CostSpec, gamma_u, t: float = 0.0, mode: str = "minmax") -> float:
-    """Generator h at a single state: q(x) - 0.5 z' S z."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
-    gamma_u = np.atleast_2d(np.asarray(gamma_u, dtype=np.float64))
-    inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
-    s_mat = h_quadratic(costs, gamma_u, inv_eps)
-    return costs.running_cost(x, t) - 0.5 * float((z.T @ s_mat @ z)[0, 0])
-
-
-def fsde_step(x, u, v, dw, sys: SystemModel, grid: HorizonGrid, t: float | None = None):
-    """One Euler step of the modified forward SDE, single state vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
-    dw = np.asarray(dw, dtype=np.float64).reshape(-1, 1)
-    t = grid.start if t is None else t
-    f = sys.drift(x, t)
-    k = sys.gamma_u @ u + v
-    nxt = x + f * grid.dt + sys.sigma @ (k * grid.dt + dw * math.sqrt(grid.dt))
-    return np.asarray(nxt).ravel()
-
-
-def bsde_step(y: float, z, h: float, u, v, gamma_u, dw, grid: HorizonGrid) -> float:
-    """One Euler step of the compensated backward SDE, scalar value."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1, 1)
-    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
-    dw = np.asarray(dw, dtype=np.float64).reshape(-1, 1)
-    gamma_u = np.atleast_2d(np.asarray(gamma_u, dtype=np.float64))
-    k = gamma_u @ u + v
-    drift = -float(h) + float((z.T @ k)[0, 0])
-    return float(y) + drift * grid.dt + float((z.T @ dw)[0, 0]) * math.sqrt(grid.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +219,6 @@ class RolloutBatch:
     @property
     def diverged(self) -> int:
         return int(np.sum(~self.alive))
-
-    def trajectory(self, i: int) -> np.ndarray:
-        """States of sample i as (N+1, n)."""
-        return self.states[:, :, i]
 
 
 def _value_of(x) -> np.ndarray:
@@ -395,14 +326,13 @@ def rollout_batch(
     fold = ad.fold_step(ad.StepConstants(None, *step_args))  # once per rollout
     with np.errstate(all="ignore"):
         for step in range(n_steps):
-            t_now = grid.start + step * dt
             z_vals = _value_of(z_cur)
             minimizing_control(z_vals, gain, controls[step])
             if adversary:
                 adversary_control(z_vals, inv_eps, adv_controls[step])
 
-            q_run = costs.running_expr(x_cur, t_now)
-            f_drift = sys.drift(x_cur, t_now)
+            q_run = costs.running_expr(x_cur)
+            f_drift = sys.drift(x_cur)
             consts = ad.StepConstants(noise[step], *step_args, fold)
             xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, consts)
             x_cur = ad.rows(xy, 0, sys.n)

@@ -25,7 +25,7 @@ from .autodiff import Tape, finite_difference_check
 from .fbsde import HorizonGrid
 from .neural import NetParams, init_net, lstm_stack_forward
 from .systems import CostSpec, lq_double_integrator, pendulum, quadcopter
-from .training import ParamStore, TrainConfig, init_store, training_step
+from .training import PARAM_NAMES, ParamStore, TrainConfig, _views, init_store, training_step
 
 
 @dataclass
@@ -151,26 +151,17 @@ def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
     input and carry state perturbed."""
     rng = np.random.default_rng(seed)
     net0 = init_net(input_dim, hidden, 2, rng)
-    sizes = [arr.size for arr in net0.arrays()]
-    shapes = [arr.shape for arr in net0.arrays()]
-    x_size = input_dim * batch
-    total_size = sum(sizes) + x_size
+    shapes = dict(zip(PARAM_NAMES, (arr.shape for arr in net0.arrays())), x=(input_dim, batch))
 
     def f(vec):
         tape = Tape()
-        offset = 0
-        leaves = []
-        for size, shape in zip(sizes, shapes):
-            leaves.append(tape.leaf(vec[offset:offset + size].reshape(shape)))
-            offset += size
-        x = tape.leaf(vec[offset:offset + x_size].reshape(input_dim, batch))
-        out, _ = lstm_stack_forward(NetParams.of(leaves), x)
-        leaves.append(x)
+        *weights, x = leaves = [tape.leaf(view) for _, view in _views(vec, shapes)]
+        out, _ = lstm_stack_forward(NetParams.of(weights), x)
         scal = _scalarize(tape, out)
         grads = tape.backward(scal, leaves)
         return float(scal.value[0, 0]), np.concatenate([g.ravel() for g in grads])
 
-    point = rng.uniform(-0.8, 0.8, size=total_size)
+    point = rng.uniform(-0.8, 0.8, size=sum(r * c for r, c in shapes.values()))
     err = finite_difference_check(f, point)
     return AuditRow("lstm-step", 1, err, tol)
 

@@ -58,7 +58,7 @@ class SystemModel:
     n: int
     p: int
     m: int
-    drift: Callable  # drift(X, t) on (n, M) columns, dual-mode
+    drift: Callable  # drift(X) on (n, M) columns, dual-mode; every system is time-invariant
     actuation: np.ndarray  # G, (n, p)
     sigma: np.ndarray  # (n, m)
     gamma_u: np.ndarray  # (m, p)
@@ -81,18 +81,6 @@ class SystemModel:
             raise ValueError(
                 f"{self.name}: actuation is not sigma @ gamma_u (residual {residual:.3e})"
             )
-
-    def eval_dynamics(self, x, t: float = 0.0):
-        """(f, G, Sigma, Gamma_u) at a single state; all finite or ValueError."""
-        x = np.asarray(x, dtype=np.float64).reshape(self.n)
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{self.name}: non-finite state {x}")
-        f = np.asarray(self.drift(x.reshape(self.n, 1), t)).reshape(self.n, 1)
-        out = (f, self.actuation, self.sigma, self.gamma_u)
-        for part in out:
-            if not np.all(np.isfinite(part)):
-                raise ValueError(f"{self.name}: non-finite dynamics term at {x}")
-        return out
 
 
 def wrap_angle(delta):
@@ -186,21 +174,13 @@ class CostSpec:
             maps = self._quad_maps[id(weights)] = (weights, forward, vjp)
         return ad.column_map(X, maps[1], maps[2])
 
-    def running_expr(self, X, t: float = 0.0):
+    def running_expr(self, X):
         """Batched running cost, (1, M) from (n, M); dual-mode."""
         return self._quad(X, self.running_weights)
 
     def terminal_expr(self, X):
         """Batched terminal cost, (1, M) from (n, M); dual-mode."""
         return self._quad(X, self.terminal_weights)
-
-    def running_cost(self, x, t: float = 0.0) -> float:
-        out = self.running_expr(np.asarray(x, dtype=np.float64).reshape(-1, 1), t)
-        return float(np.asarray(out)[0, 0])
-
-    def terminal_cost(self, x) -> float:
-        out = self.terminal_expr(np.asarray(x, dtype=np.float64).reshape(-1, 1))
-        return float(np.asarray(out)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +218,7 @@ def pendulum(
         out[1] = g[0] + g_acc * (-damping)
         return out
 
-    def drift(X, t=0.0):
+    def drift(X):
         return ad.column_map(X, forward, vjp)
 
     g_mat = np.array([[0.0], [1.0 / inertia]])
@@ -358,7 +338,7 @@ def quadcopter(
         dx[11] = g_rr + v * g_u - u * g_v + cp * qr * g_p + cq * pr * g_q
         return dx
 
-    def drift(X, t=0.0):
+    def drift(X):
         return ad.column_map(X, forward, vjp)
 
     g_mat = np.zeros((12, 4))
@@ -431,7 +411,7 @@ def lq_double_integrator(noise: Any = 0.2) -> SystemModel:
     def vjp(g, X, saved):
         return a_mat.T @ g
 
-    def drift(X, t=0.0):
+    def drift(X):
         return ad.column_map(X, forward, vjp)
 
     g_mat = np.array([[0.0], [1.0]])

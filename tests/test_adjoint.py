@@ -137,7 +137,7 @@ class TestSaving:
         # so the log does not have the layout the adjoint reads
         setup, store = runtime("pendulum", "minmax", steps=3)
 
-        def composed(X, t=0.0):
+        def composed(X):
             return ad.vstack((ad.rows(X, 1, 2), ad.smul(ad.sin(ad.rows(X, 0, 1)), -9.81)))
 
         setup.system.drift = composed

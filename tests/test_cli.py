@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -271,6 +272,7 @@ class TestCommands:
         code = main(["eval", *MICRO, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert "checkpoint not found" in err
         assert str(out / "checkpoint.ckpt") in err
 
@@ -448,7 +450,8 @@ class TestCommands:
         assert "game has no value on this horizon" in err
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_commands() -> list[str]:
@@ -467,3 +470,48 @@ class TestReadmeCommands:
     def test_documented_command_resolves(self, line):
         args = build_parser().parse_args(shlex.split(line)[1:])
         resolve_config(args)
+
+
+PACKAGE = ROOT / "src" / "minmax_fbsde"
+# defined in src/ and called only by tests, on purpose
+TEST_ONLY = {
+    "bsde_consistency_gaps",  # acceptance criterion 4's consistency check
+}
+
+
+def module_level_definitions(tree: ast.Module):
+    """Names of the functions and classes a module defines, and of their
+    classes' methods as ``Class.method``; dunders are left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("__"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}"
+
+
+def referenced_names(tree: ast.Module):
+    """Every name a module reads, every attribute it looks up and every name it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+            if node.asname:
+                yield node.asname
+
+
+def test_src_defines_only_code_that_runs():
+    # the package's own modules and the benchmark are the callers; the
+    # package's __init__ only re-exports, and an export is not a call
+    src = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+           if p.name != "__init__.py"}
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    used = {name for tree in [*src.values(), *bench] for name in referenced_names(tree)}
+    unused = [name for tree in src.values() for name in module_level_definitions(tree)
+              if name.rsplit(".", 1)[-1] not in used and name not in TEST_ONLY]
+    assert not unused, f"defined in src/ but only tests use them: {unused}"

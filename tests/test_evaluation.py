@@ -18,12 +18,10 @@ from minmax_fbsde.evaluation import (
     riccati_oracle,
     summarize,
     sweep_to_csv,
-    task_success,
     terminal_success,
-    total_state_variance,
     variance_reduction,
 )
-from minmax_fbsde.fbsde import HorizonGrid, rollout_batch, sample_noise
+from minmax_fbsde.fbsde import HorizonGrid, RolloutBatch, rollout_batch, sample_noise
 from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
 from minmax_fbsde.training import TrainConfig, init_store, load_checkpoint
 
@@ -45,41 +43,31 @@ def lq_setup(**tops):
     return build_runtime(override(default_config("lq"), **tops))
 
 
+def succeeds(terminal, sys) -> bool:
+    """``terminal_success`` of one terminal state, passed as an (n, 1) column."""
+    return bool(terminal_success(np.reshape(terminal, (-1, 1)), sys)[0])
+
+
 class TestTaskSuccess:
     def test_inside_box(self):
-        sys = pendulum()
-        traj = np.array([[0.0, 0.0], [np.pi - 0.19, 0.5]])
-        assert task_success(traj, sys)
+        assert succeeds([np.pi - 0.19, 0.5], pendulum())
 
     def test_angle_outside_box(self):
-        sys = pendulum()
-        traj = np.array([[0.0, 0.0], [np.pi - 0.5, 0.0]])
-        assert not task_success(traj, sys)
+        assert not succeeds([np.pi - 0.5, 0.0], pendulum())
 
     def test_rate_outside_box(self):
-        sys = pendulum()
-        traj = np.array([[0.0, 0.0], [np.pi, 1.5]])
-        assert not task_success(traj, sys)
+        assert not succeeds([np.pi, 1.5], pendulum())
 
     def test_exactly_on_target(self):
-        sys = pendulum()
-        assert task_success(np.array([[0.0, 0.0], [np.pi, 0.0]]), sys)
+        assert succeeds([np.pi, 0.0], pendulum())
 
     def test_angle_judged_on_circle(self):
         sys = pendulum()
-        traj = np.array([[0.0, 0.0], [np.pi + 2 * np.pi - 0.1, 0.0]])
-        assert task_success(traj, sys)
-        traj = np.array([[0.0, 0.0], [-np.pi + 0.05, 0.0]])
-        assert task_success(traj, sys)
+        assert succeeds([np.pi + 2 * np.pi - 0.1, 0.0], sys)
+        assert succeeds([-np.pi + 0.05, 0.0], sys)
 
     def test_nonfinite_terminal_fails(self):
-        sys = pendulum()
-        assert not task_success(np.array([[0.0, 0.0], [np.nan, 0.0]]), sys)
-
-    def test_only_terminal_state_matters(self):
-        sys = pendulum()
-        traj = np.array([[99.0, 99.0], [np.pi, 0.0]])
-        assert task_success(traj, sys)
+        assert not succeeds([np.nan, 0.0], pendulum())
 
 
 def task_success_oracle(terminal, sys):
@@ -123,7 +111,6 @@ class TestTerminalSuccess:
         assert mask.shape == (400,) and mask.dtype == bool
         want = [task_success_oracle(x[:, i].copy(), sys) for i in range(400)]
         assert mask.tolist() == want
-        assert mask.tolist() == [task_success(x[:, i].reshape(1, -1), sys) for i in range(400)]
         assert 50 < sum(want) < 350  # both outcomes well represented
         assert not mask[4::13].any()
 
@@ -151,38 +138,46 @@ class TestTerminalSuccess:
         assert 0 < hits < live.size
 
 
+def total_variance(trajs):
+    """``summarize``'s total state variance of pendulum trajectories given as
+    (M, steps, 2), all of them alive."""
+    states = np.ascontiguousarray(np.moveaxis(trajs, 0, 2))
+    steps, _, m = states.shape
+    batch = RolloutBatch(
+        states=states, values=np.zeros((steps, 1, m)), z_grads=np.zeros((steps, 1, m)),
+        controls=np.zeros((steps - 1, 1, m)), adversary_controls=np.zeros((steps - 1, 1, m)),
+        noise=np.zeros((steps - 1, 1, m)), terminal_targets=np.zeros((1, m)),
+        alive=np.ones(m, dtype=bool), mode="minmax",
+    )
+    sys, costs, _, _ = pendulum_setup()
+    grid = HorizonGrid(0.0, 0.02 * (steps - 1), steps - 1)
+    return summarize(batch, sys, costs, grid, "minmax", False, 0).total_state_variance
+
+
 class TestVariance:
     def test_hand_value(self):
-        trajs = np.array([0.0, 2.0]).reshape(2, 1, 1)
-        assert total_state_variance(trajs) == pytest.approx(2.0)
+        trajs = np.array([[0.0, 0.0], [2.0, 0.0]]).reshape(2, 1, 2)
+        assert total_variance(trajs) == pytest.approx(2.0)
 
     def test_sums_over_steps_and_dims(self):
         rng = np.random.default_rng(0)
-        trajs = rng.normal(size=(6, 4, 3))
-        total = sum(
-            total_state_variance(trajs[:, [s], [d]].reshape(6, 1, 1))
-            for s in range(4) for d in range(3)
-        )
-        assert total_state_variance(trajs) == pytest.approx(total)
+        trajs = rng.normal(size=(6, 4, 2))
+        total = sum(np.var(trajs[:, s, d], ddof=1) for s in range(4) for d in range(2))
+        assert total_variance(trajs) == pytest.approx(total)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(1)
         trajs = rng.normal(size=(5, 3, 2))
         shuffled = trajs[[3, 1, 4, 0, 2]]
-        assert total_state_variance(shuffled) == pytest.approx(
-            total_state_variance(trajs))
+        assert total_variance(shuffled) == pytest.approx(total_variance(trajs))
 
     def test_identical_trajectories_zero(self):
         trajs = np.ones((4, 3, 2))
-        assert total_state_variance(trajs) == 0.0
+        assert total_variance(trajs) == 0.0
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError, match="two"):
-            total_state_variance(np.ones((1, 3, 2)))
-
-    def test_needs_three_axes(self):
-        with pytest.raises(ValueError, match="shape"):
-            total_state_variance(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="live trajectories"):
+            total_variance(np.ones((1, 3, 2)))
 
 
 class TestEvaluate:
@@ -254,9 +249,10 @@ class TestEvaluate:
         assert batch.diverged == len(dead)
         report = summarize(batch, sys, costs, grid, "minmax", False, 5)
         states = batch.states[:, :, batch.alive]
+        trajectories = np.moveaxis(states, 2, 0)  # (M, N+1, n)
         expected = dataclasses.replace(
             report,
-            total_state_variance=total_state_variance(np.moveaxis(states, 2, 0)),
+            total_state_variance=float(np.sum(np.var(trajectories, axis=0, ddof=1))),
             state_mean=np.mean(states, axis=2).copy(),
             state_std=np.std(states, axis=2, ddof=1),
         )
@@ -363,7 +359,6 @@ class TestRiccati:
         x = np.array([0.7, -0.3])
         assert ric.value(x, 2) == pytest.approx(
             0.5 * x @ ric.p_mats[2] @ x + ric.c_offs[2])
-        np.testing.assert_allclose(ric.gradient(x, 2), ric.p_mats[2] @ x)
         cols = np.column_stack([x, 2 * x])
         np.testing.assert_allclose(
             ric.z_of(cols, 2), bench.sigma.T @ ric.p_mats[2] @ cols)

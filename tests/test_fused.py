@@ -13,8 +13,9 @@ from minmax_fbsde import autodiff as ad
 from minmax_fbsde import fbsde, gradcheck, training
 from minmax_fbsde.autodiff import StepConstants, Tape
 from minmax_fbsde.config import build_runtime, default_config
-from minmax_fbsde.fbsde import bsde_step, fsde_step, h_drift, h_quadratic
+from minmax_fbsde.fbsde import h_quadratic
 from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
+from reference import bsde_step, fsde_step, h_drift
 
 
 def _ones_row(x):
@@ -63,7 +64,8 @@ def fbsde_step_composed(x, y, z, f, q, c):
     q_mat, g_mat = (k + c.s_mat * 0.5) * c.dt, (c.sigma @ k) * c.dt
     dw_hat = c.dw * c.sqdt
     w = ad.add(ad.matmul(q_mat, z), dw_hat)
-    y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), ad.colsum(ad.mul(z, w)))
+    col_sum = np.ones((1, c.dw.shape[0]))  # 1'(z * w) as a ones-row product
+    y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), ad.matmul(col_sum, ad.mul(z, w)))
     x_new = ad.add(ad.add(ad.add(x, ad.smul(f, c.dt)), ad.matmul(g_mat, z)), c.sigma @ dw_hat)
     return ad.vstack([x_new, y_new])
 
@@ -73,7 +75,7 @@ def pendulum_drift_composed(sys):
     inertia = sys.params["mass"] * sys.params["length"] ** 2
     grav_coeff = sys.params["mass"] * gravity * sys.params["length"]
 
-    def drift(X, t=0.0):
+    def drift(X):
         theta = ad.rows(X, 0, 1)
         omega = ad.rows(X, 1, 2)
         acc = (omega * (-damping) + ad.sin(theta) * (-grav_coeff)) * (1.0 / inertia)
@@ -92,7 +94,7 @@ def quadcopter_drift_composed(sys):
     jx, jy, jz = sys.params["jx"], sys.params["jy"], sys.params["jz"]
     gravity = sys.params["gravity"]
 
-    def drift(X, t=0.0):
+    def drift(X):
         phi, th, psi = ad.rows(X, 3, 4), ad.rows(X, 4, 5), ad.rows(X, 5, 6)
         u, v, w = ad.rows(X, 6, 7), ad.rows(X, 7, 8), ad.rows(X, 8, 9)
         pr, qr, rr = ad.rows(X, 9, 10), ad.rows(X, 10, 11), ad.rows(X, 11, 12)
@@ -375,14 +377,13 @@ class TestRollout:
         consts = StepConstants(dw, sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps),
                                sys.sigma, grid.dt, math.sqrt(grid.dt),
                                inv_eps if adversary else None)
-        t = grid.start
-        xy = ad.fbsde_step(x, y, z, sys.drift(x, t), costs.running_expr(x, t), consts)
+        xy = ad.fbsde_step(x, y, z, sys.drift(x), costs.running_expr(x), consts)
         for i in range(cols):
             u = gain @ z[:, i]
             v = z[:, i] * inv_eps if adversary else np.zeros(sys.m)
-            h = h_drift(x[:, i], z[:, i], costs, sys.gamma_u, t=t, mode=mode)
+            h = h_drift(x[:, i], z[:, i], costs, sys.gamma_u, mode=mode)
             np.testing.assert_allclose(
-                xy[: sys.n, i], fsde_step(x[:, i], u, v, dw[:, i], sys, grid, t),
+                xy[: sys.n, i], fsde_step(x[:, i], u, v, dw[:, i], sys, grid),
                 rtol=1e-12, atol=1e-12)
             assert xy[sys.n, i] == pytest.approx(
                 bsde_step(y[0, i], z[:, i], h, u, v, sys.gamma_u, dw[:, i], grid),

@@ -17,6 +17,7 @@ from minmax_fbsde.neural import (
     xavier_init,
     zero_state,
 )
+from minmax_fbsde.training import PARAM_NAMES, _views
 
 
 class TestInit:
@@ -100,16 +101,11 @@ class TestCellGradient:
         rng = np.random.default_rng(5)
         net0 = init_net(2, 3, 1, rng)
         x0 = rng.normal(size=(2, 2))
-        sizes = [a.size for a in net0.arrays()]
-        shapes = [a.shape for a in net0.arrays()]
+        shapes = dict(zip(PARAM_NAMES, (a.shape for a in net0.arrays())))
 
         def f(vec):
             tape = Tape()
-            offset = 0
-            leaves = []
-            for size, shape in zip(sizes, shapes):
-                leaves.append(tape.leaf(vec[offset : offset + size].reshape(shape)))
-                offset += size
+            leaves = [tape.leaf(view) for _, view in _views(vec, shapes)]
             out, _ = lstm_stack_forward(NetParams.of(leaves), tape.constant(x0))
             y = ad.sumsq(out)
             grads = tape.backward(y, leaves)
@@ -119,21 +115,12 @@ class TestCellGradient:
         assert finite_difference_check(f, point) < 1e-5
 
 
-def flat_named(vec, shapes):
-    """(name, view) pairs tiling the flat ``vec``, as a ``ParamStore`` lays them out."""
-    named, start = [], 0
-    for name, (rows, cols) in shapes.items():
-        named.append((name, vec[start : start + rows * cols].reshape(rows, cols)))
-        start += rows * cols
-    return named
-
-
 class TestAdam:
     def test_first_step_closed_form(self):
         theta = np.array([1.0])
-        named = flat_named(theta, {"w": (1, 1)})
+        named = _views(theta, {"w": (1, 1)})
         state = AdamState.zeros(theta.size, lr=1e-3)
-        adam_step(state, named, dict(flat_named(np.array([3.0]), {"w": (1, 1)})))
+        adam_step(state, named, dict(_views(np.array([3.0]), {"w": (1, 1)})))
         # bias correction makes the first step lr * g / (|g| + eps)
         expected = 1.0 - 1e-3 * 3.0 / (3.0 + 1e-8)
         assert theta[0] == pytest.approx(expected, abs=1e-15)
@@ -142,35 +129,35 @@ class TestAdam:
 
     def test_moments_update(self):
         theta = np.array([0.0])
-        named = flat_named(theta, {"w": (1, 1)})
+        named = _views(theta, {"w": (1, 1)})
         state = AdamState.zeros(theta.size)
-        adam_step(state, named, dict(flat_named(np.array([2.0]), {"w": (1, 1)})))
+        adam_step(state, named, dict(_views(np.array([2.0]), {"w": (1, 1)})))
         assert state.m[0] == pytest.approx(0.1 * 2.0)
         assert state.v[0] == pytest.approx(0.001 * 4.0)
 
     def test_nonfinite_gradient_leaves_params_untouched(self):
         shapes = {"a": (2, 1), "b": (1, 2)}
         theta = np.array([1.0, 2.0, 3.0, 4.0])
-        named = flat_named(theta, shapes)
+        named = _views(theta, shapes)
         state = AdamState.zeros(theta.size)
         state.m[:], state.v[:] = 0.5, 0.25
-        grads = dict(flat_named(np.array([1.0, 1.0, np.nan, 1.0]), shapes))  # b's first entry
+        grads = dict(_views(np.array([1.0, 1.0, np.nan, 1.0]), shapes))  # b's first entry
         with pytest.raises(NonFiniteGradient, match="'b'"):
             adam_step(state, named, grads)
         np.testing.assert_array_equal(theta, [1.0, 2.0, 3.0, 4.0])
         assert state.t == 0
         np.testing.assert_array_equal(state.m, 0.5)
         np.testing.assert_array_equal(state.v, 0.25)
-        grads = dict(flat_named(np.array([np.inf, 1.0, 1.0, 1.0]), shapes))
+        grads = dict(_views(np.array([np.inf, 1.0, 1.0, 1.0]), shapes))
         with pytest.raises(NonFiniteGradient, match="'a'"):
             adam_step(state, named, grads)
 
     def test_descends_simple_quadratic(self):
         theta = np.array([5.0])
-        named = flat_named(theta, {"w": (1, 1)})
+        named = _views(theta, {"w": (1, 1)})
         state = AdamState.zeros(theta.size, lr=0.1)
         for _ in range(300):
-            adam_step(state, named, dict(flat_named(2.0 * theta, {"w": (1, 1)})))
+            adam_step(state, named, dict(_views(2.0 * theta, {"w": (1, 1)})))
         assert abs(theta[0]) < 0.2
 
     def test_whole_vector_update_matches_each_entry(self):
@@ -180,7 +167,7 @@ class TestAdam:
         theta, g = rng.normal(size=9), rng.normal(size=9)
         flat = theta.copy()
         state = AdamState.zeros(9, lr=0.01)
-        adam_step(state, flat_named(flat, shapes), dict(flat_named(g, shapes)))
+        adam_step(state, _views(flat, shapes), dict(_views(g, shapes)))
         for i in range(9):
             one = AdamState.zeros(1, lr=0.01)
             p = theta[i : i + 1].copy()
@@ -189,17 +176,17 @@ class TestAdam:
 
     def test_arrays_that_do_not_tile_one_vector_are_refused(self):
         theta = np.zeros(3)
-        named = flat_named(theta, {"a": (1, 1), "b": (2, 1)})
+        named = _views(theta, {"a": (1, 1), "b": (2, 1)})
         state = AdamState.zeros(3)
         separate = {"a": np.ones((1, 1)), "b": np.ones((2, 1))}
         with pytest.raises(ValueError, match="consecutive views of one float64 vector"):
             adam_step(state, named, separate)
         swapped = [named[1], named[0]]
         with pytest.raises(ValueError, match="consecutive views"):
-            adam_step(state, swapped, dict(flat_named(np.ones(3), {"b": (2, 1), "a": (1, 1)})))
+            adam_step(state, swapped, dict(_views(np.ones(3), {"b": (2, 1), "a": (1, 1)})))
         short = AdamState.zeros(2)
         with pytest.raises(ValueError, match="moments hold 2 entries, the parameters 3"):
-            adam_step(short, named, dict(flat_named(np.ones(3), {"a": (1, 1), "b": (2, 1)})))
+            adam_step(short, named, dict(_views(np.ones(3), {"a": (1, 1), "b": (2, 1)})))
         assert state.t == short.t == 0 and not theta.any() and not short.m.any()
 
 

@@ -69,12 +69,12 @@ class TestDeviation:
             target=sys.target, r_u=np.array([[0.1]]), epsilon=1.0,
             angle_dims=sys.angle_dims,
         )
-        x = np.array([2.5, -0.7])
-        shifted = x + np.array([2 * np.pi * 3, 0.0])
-        assert costs.terminal_cost(x) == pytest.approx(
-            costs.terminal_cost(shifted), rel=1e-12)
-        assert costs.running_cost(x) == pytest.approx(
-            costs.running_cost(shifted), rel=1e-12)
+        x = np.array([[2.5], [-0.7]])
+        shifted = x + np.array([[2 * np.pi * 3], [0.0]])
+        assert costs.terminal_expr(x)[0, 0] == pytest.approx(
+            costs.terminal_expr(shifted)[0, 0], rel=1e-12)
+        assert costs.running_expr(x)[0, 0] == pytest.approx(
+            costs.running_expr(shifted)[0, 0], rel=1e-12)
 
 
 class TestCostSpec:
@@ -133,37 +133,31 @@ class TestCostSpec:
         # wraps to magnitude pi, so q = 0.5 * pi^2
         sys = pendulum()
         costs = self.make(target=sys.target, angle_dims=(0,))
-        q = costs.running_cost(np.array([0.0, 0.0]))
+        q = costs.running_expr(np.zeros((2, 1)))[0, 0]
         assert q == pytest.approx(0.5 * np.pi**2)
 
     def test_terminal_at_target_is_zero(self):
         costs = self.make()
-        assert costs.terminal_cost(np.zeros(2)) == 0.0
+        assert costs.terminal_expr(np.zeros((2, 1)))[0, 0] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=2))
     def test_costs_nonnegative(self, xs):
         costs = self.make()
-        x = np.array(xs)
-        assert costs.running_cost(x) >= 0.0
-        assert costs.terminal_cost(x) >= 0.0
+        x = np.array(xs).reshape(2, 1)
+        assert costs.running_expr(x)[0, 0] >= 0.0
+        assert costs.terminal_expr(x)[0, 0] >= 0.0
 
     def test_batched_columns_match_single(self):
         costs = self.make()
         X = np.array([[1.0, -2.0, 0.5], [0.3, 0.0, -1.0]])
         batched = costs.running_expr(X).ravel()
-        singles = [costs.running_cost(X[:, j]) for j in range(3)]
+        singles = [costs.running_expr(X[:, j : j + 1])[0, 0] for j in range(3)]
         np.testing.assert_allclose(batched, singles)
 
 
-def _noise_consistency(sys: SystemModel, n_states=1000, seed=0):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        x = rng.normal(scale=2.0, size=(sys.n, n_states // 10))
-        _, G, Sigma, Gamma = sys.eval_dynamics(x[:, :1], 0.0)
-        worst = max(worst, float(np.max(np.abs(G - Sigma @ Gamma))))
-    return worst
+def _noise_consistency(sys: SystemModel):
+    return float(np.max(np.abs(sys.actuation - sys.sigma @ sys.gamma_u)))
 
 
 class TestPendulum:
@@ -175,15 +169,14 @@ class TestPendulum:
 
     def test_drift_hand_value(self):
         sys = pendulum()
-        x = np.array([[0.1], [0.3]])
-        f, G, Sigma, Gamma = sys.eval_dynamics(x, 0.0)
+        f = sys.drift(np.array([[0.1], [0.3]]))
         assert f[0, 0] == pytest.approx(0.3)
         expected = (-0.1 * 0.3 - 9.81 * np.sin(0.1)) / 1.0
         assert f[1, 0] == pytest.approx(expected)
 
     def test_actuation_on_velocity_channel(self):
         sys = pendulum()
-        _, G, Sigma, Gamma = sys.eval_dynamics(sys.x0.reshape(-1, 1), 0.0)
+        G = sys.actuation
         assert G[0, 0] == 0.0
         assert G[1, 0] == pytest.approx(1.0)  # 1/(m l^2)
 
@@ -194,11 +187,6 @@ class TestPendulum:
     def test_success_tolerances(self):
         sys = pendulum()
         np.testing.assert_allclose(sys.success_tol, [0.2, 1.0])
-
-    def test_nonfinite_state_rejected(self):
-        sys = pendulum()
-        with pytest.raises(ValueError):
-            sys.eval_dynamics(np.array([[np.nan], [0.0]]), 0.0)
 
     def test_undamped_energy_conservation_order(self):
         # with damping off and no control the Euler flow's energy drift
@@ -212,8 +200,7 @@ class TestPendulum:
         def drift_flow(dt, steps):
             x = np.array([[2.0], [0.0]])
             for _ in range(steps):
-                f, *_ = sys.eval_dynamics(x, 0.0)
-                x = x + dt * f
+                x = x + dt * sys.drift(x)
             return abs(energy(x.ravel()) - energy([2.0, 0.0]))
 
         err_coarse = drift_flow(0.01, 100)
@@ -229,7 +216,7 @@ class TestQuadcopter:
 
     def test_hover_trim_zero_drift(self):
         sys = quadcopter()
-        f, *_ = sys.eval_dynamics(sys.x0.reshape(-1, 1), 0.0)
+        f = sys.drift(sys.x0.reshape(-1, 1))
         np.testing.assert_allclose(f, 0.0, atol=1e-14)
 
     def test_noise_channel_identity(self):
@@ -255,7 +242,7 @@ class TestQuadcopter:
         sys = quadcopter()
         x = np.zeros((12, 1))
         x[6, 0] = 1.0
-        f, *_ = sys.eval_dynamics(x, 0.0)
+        f = sys.drift(x)
         assert f[0, 0] == pytest.approx(1.0)
         assert abs(f[1, 0]) < 1e-14 and abs(f[2, 0]) < 1e-14
 
@@ -265,7 +252,7 @@ class TestQuadcopter:
         sys = quadcopter()
         x = np.zeros((12, 1))
         x[4, 0] = -0.1
-        f, *_ = sys.eval_dynamics(x, 0.0)
+        f = sys.drift(x)
         assert f[6, 0] == pytest.approx(9.81 * np.sin(0.1), rel=1e-9)
         # trim thrust no longer cancels the body-z gravity component
         assert f[8, 0] == pytest.approx(9.81 * (np.cos(0.1) - 1.0), rel=1e-9)
@@ -274,11 +261,11 @@ class TestQuadcopter:
 class TestLq:
     def test_double_integrator_matrices(self):
         sys = lq_double_integrator(noise=0.2)
-        f, G, Sigma, Gamma = sys.eval_dynamics(np.array([[1.0], [2.0]]), 0.0)
+        f = sys.drift(np.array([[1.0], [2.0]]))
         assert f[0, 0] == 2.0 and f[1, 0] == 0.0
-        np.testing.assert_allclose(G, [[0.0], [1.0]])
-        np.testing.assert_allclose(Sigma, [[0.0], [0.2]])
-        np.testing.assert_allclose(Gamma, [[5.0]])
+        np.testing.assert_allclose(sys.actuation, [[0.0], [1.0]])
+        np.testing.assert_allclose(sys.sigma, [[0.0], [0.2]])
+        np.testing.assert_allclose(sys.gamma_u, [[5.0]])
 
     def test_noise_channel_identity(self):
         assert _noise_consistency(lq_double_integrator(0.2)) < 1e-10
@@ -295,7 +282,7 @@ class TestFactories:
     def test_physics_override(self):
         sys = make_system("pendulum", noise="low", physics={"mass": 2.0})
         x = np.array([[0.5], [0.0]])
-        f, *_ = sys.eval_dynamics(x, 0.0)
+        f = sys.drift(x)
         # heavier bob, same torque arm: theta-dd = -g sin(theta) / l
         assert f[1, 0] == pytest.approx(-9.81 * np.sin(0.5))
 
