@@ -161,15 +161,15 @@ PRIMITIVES = {
 }
 
 
-def _sigmoid(a, out=None):
-    """Logistic function as 0.5 tanh(a / 2) + 0.5, in place when ``out`` is given.
+def _sigmoid(a):
+    """Logistic function as 0.5 tanh(a / 2) + 0.5.
 
     NumPy ufuncs only; it cannot overflow, maps -inf and +inf to exactly 0
     and 1, propagates NaN and is within 2.3e-16 absolute of the exact value.
-    The LSTM kernel, the taped primitive and the eager helper all call it,
-    so they agree bit for bit.
+    The taped primitive and the eager helper call it; the LSTM kernel gets
+    the same bits from its halved sigmoid rows and one tanh over all gates.
     """
-    half = np.tanh(np.multiply(a, 0.5, out=out), out=out)
+    half = np.tanh(np.multiply(a, 0.5))
     half *= 0.5
     half += 0.5
     return half

@@ -49,12 +49,7 @@ class TrainSection:
     steps: int = 75
     hidden_size: int = 16
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     checkpoint_every: int = 500
-    clip_norm: Any = None
-    forget_bias: float = 1.0
     divergence_tolerance: float = 0.1
 
 
@@ -309,14 +304,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(_int(t.steps, "train.steps") >= 1, "train.steps", "must be >= 1")
     _require(_int(t.hidden_size, "train.hidden_size") >= 1, "train.hidden_size", "must be >= 1")
     _require(_num(t.learning_rate, "train.learning_rate") > 0, "train.learning_rate", "must be > 0")
-    _require(0 <= _num(t.adam_beta1, "train.adam_beta1") < 1, "train.adam_beta1", "must lie in [0, 1)")
-    _require(0 <= _num(t.adam_beta2, "train.adam_beta2") < 1, "train.adam_beta2", "must lie in [0, 1)")
-    _require(_num(t.adam_epsilon, "train.adam_epsilon") > 0, "train.adam_epsilon", "must be > 0")
     _require(_int(t.checkpoint_every, "train.checkpoint_every") >= 0,
              "train.checkpoint_every", "must be >= 0")
-    if t.clip_norm is not None:
-        _require(_num(t.clip_norm, "train.clip_norm") > 0, "train.clip_norm", "must be > 0 or null")
-    _num(t.forget_bias, "train.forget_bias")
     _require(0 <= _num(t.divergence_tolerance, "train.divergence_tolerance") <= 1,
              "train.divergence_tolerance", "must lie in [0, 1]")
 
@@ -432,12 +421,7 @@ def build_runtime(cfg: ExperimentConfig) -> RuntimeSetup:
         seed=cfg.seed,
         hidden_size=cfg.train.hidden_size,
         learning_rate=cfg.train.learning_rate,
-        adam_beta1=cfg.train.adam_beta1,
-        adam_beta2=cfg.train.adam_beta2,
-        adam_epsilon=cfg.train.adam_epsilon,
         checkpoint_every=cfg.train.checkpoint_every,
-        clip_norm=None if cfg.train.clip_norm is None else float(cfg.train.clip_norm),
-        forget_bias=cfg.train.forget_bias,
         workers=cfg.workers,
         divergence_tolerance=cfg.train.divergence_tolerance,
     )

@@ -194,7 +194,6 @@ class TapeHandles:
     tape: Tape
     y_terminal: Var
     y_star: Var
-    x_terminal: Var
 
 
 @dataclass
@@ -341,8 +340,6 @@ def rollout_batch(
             x_vals = _value_of(x_cur)
             if z_fn is not None:
                 z_cur = z_fn(x_vals, step + 1)
-                if tape is not None:
-                    z_cur = tape.constant(z_cur)
             else:
                 z_cur, lstm_state = neural.lstm_stack_forward(net, x_cur, lstm_state)
 
@@ -355,7 +352,7 @@ def rollout_batch(
 
     handles = None
     if tape is not None:
-        handles = TapeHandles(tape=tape, y_terminal=y_cur, y_star=y_star, x_terminal=x_cur)
+        handles = TapeHandles(tape=tape, y_terminal=y_cur, y_star=y_star)
     return RolloutBatch(
         states=states,
         values=values,

@@ -78,13 +78,13 @@ def init_net(
     hidden_size: int,
     output_dim: int,
     rng: np.random.Generator,
-    forget_bias: float = 1.0,
 ) -> NetParams:
-    """Xavier-uniform weights, zero biases except the forget-gate block."""
+    """Xavier-uniform weights, zero biases except the forget-gate block,
+    which starts at 1 (Jozefowicz et al., ICML 2015)."""
 
     def bias(h: int) -> np.ndarray:
         b = np.zeros((4 * h, 1))
-        b[h : 2 * h] = forget_bias
+        b[h : 2 * h] = 1.0
         return b
 
     h = hidden_size

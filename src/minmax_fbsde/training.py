@@ -47,12 +47,7 @@ class TrainConfig:
     seed: int = 0
     hidden_size: int = 16
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     checkpoint_every: int = 500
-    clip_norm: float | None = None
-    forget_bias: float = 1.0
     workers: int = 1  # accepted for existing callers; only 1 is valid
     divergence_tolerance: float = 0.1
 
@@ -126,10 +121,9 @@ def init_store(sys: SystemModel, cfg: TrainConfig) -> ParamStore:
     """Seeded initialization; parameter draws use their own substream."""
     ss = np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=(9, 0, 0))
     rng = np.random.Generator(np.random.Philox(ss))
-    net = neural.init_net(sys.n, cfg.hidden_size, sys.m, rng, forget_bias=cfg.forget_bias)
+    net = neural.init_net(sys.n, cfg.hidden_size, sys.m, rng)
     theta = np.concatenate([a.ravel() for a in net.arrays()] + [np.zeros(1 + sys.m)])
-    adam = neural.AdamState.zeros(theta.size, lr=cfg.learning_rate, beta1=cfg.adam_beta1,
-                                  beta2=cfg.adam_beta2, eps=cfg.adam_epsilon)
+    adam = neural.AdamState.zeros(theta.size, lr=cfg.learning_rate)
     return ParamStore(theta, expected_shapes(sys, cfg.hidden_size), adam)
 
 
@@ -167,9 +161,10 @@ def training_step(
 ) -> StepResult:
     """Roll the batch out, backpropagate the loss, return the gradients.
 
-    The rollout runs tape-free; only the loss head (terminal cost, loss and
-    weight decay) is taped, with the terminal state and value as leaves, and
-    ``fbsde.rollout_adjoint`` carries its cotangents back through the steps.
+    The rollout runs tape-free; only the loss head (loss and weight decay) is
+    taped, with the rollout's terminal cost and value as leaves. The terminal
+    cost's logged VJP turns its cotangent into the terminal state's, and
+    ``fbsde.rollout_adjoint`` carries those back through the steps.
     Samples that go non-finite are dropped and the rollout is rerun on the
     survivors (their noise streams are untouched by the exclusion); more than
     ``divergence_tolerance`` dead samples aborts the run. ``workers`` accepts
@@ -190,19 +185,20 @@ def training_step(
         batch.alive = np.ones(batch.batch_size, dtype=bool)
 
     tape = Tape()
-    x_terminal = tape.leaf(batch.states[-1])
+    y_star = tape.leaf(batch.terminal_targets)
     y_terminal = tape.leaf(batch.values[-1])
     theta = [tape.leaf(arr) for arr in store.net.arrays()]
-    y_star = costs.terminal_expr(x_terminal)
     loss_var = fbsde.training_loss_expr(
         y_star, y_terminal, theta, costs.beta, costs.weight_decay, batch.batch_size
     )
     loss = float(loss_var.value[0, 0])
     if not math.isfinite(loss):
         raise TrainingDiverged(f"iteration {iteration}: non-finite loss {loss!r}")
-    batch.handles = fbsde.TapeHandles(tape, y_terminal, y_star, x_terminal)
+    batch.handles = fbsde.TapeHandles(tape, y_terminal, y_star)
 
-    g_x, g_y, *decay = tape.backward(loss_var, [x_terminal, y_terminal, *theta])
+    g_star, g_y, *decay = tape.backward(loss_var, [y_star, y_terminal, *theta])
+    _, (x_terminal,), (vjp, saved_cost) = saved[-1]  # the rollout's terminal cost
+    g_x = vjp(g_star, x_terminal, saved_cost)
     net_grads, g_y0, g_z0 = fbsde.rollout_adjoint(saved, g_x, g_y)
     grad = np.empty_like(store.theta)
     grads = dict(_views(grad, store.shapes))
@@ -213,15 +209,6 @@ def training_step(
     mean_tc = float(np.mean(batch.terminal_targets))
     return StepResult(loss=loss, batch=batch, grad=grad, grads=grads, diverged=diverged,
                       mean_terminal_cost=mean_tc)
-
-
-def clip_gradients(grad: np.ndarray, clip_norm: float) -> float:
-    """Global-norm clipping of the flat gradient in place; returns the
-    pre-clip norm."""
-    norm = float(np.linalg.norm(grad))
-    if norm > clip_norm > 0:
-        grad *= clip_norm / norm
-    return norm
 
 
 @dataclass
@@ -246,13 +233,11 @@ def train(
     out_dir: str | None = None,
     config_hash: str = "",
     progress: Callable[[HistoryRow], None] | None = None,
-    store: ParamStore | None = None,
 ) -> tuple[ParamStore, list[HistoryRow]]:
     """Run the full optimization. Writes checkpoints and the loss history
     under ``out_dir`` when given; on divergence the last checkpoint survives.
     """
-    if store is None:
-        store = init_store(sys, cfg)
+    store = init_store(sys, cfg)
     history: list[HistoryRow] = []
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt") if out_dir else None
     if out_dir:
@@ -269,8 +254,6 @@ def train(
                 store, sys, costs, cfg.grid, cfg.batch_size, cfg.seed, k, cfg.mode,
                 divergence_tolerance=cfg.divergence_tolerance,
             )
-            if cfg.clip_norm:
-                clip_gradients(result.grad, cfg.clip_norm)
             neural.adam_step(store.adam, store.named_parameters(), result.grads)
             row = HistoryRow(k, result.loss, result.mean_terminal_cost, result.diverged)
             history.append(row)

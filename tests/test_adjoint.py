@@ -98,12 +98,27 @@ class TestLossHead:
         result = step(setup, store, 4)
         handles = result.batch.handles
         assert isinstance(handles.tape, Tape)
-        # 10 leaves (x_T, y_T and eight weight arrays), the terminal cost, the
-        # loss and the weight decay: independent of the number of steps
-        assert len(handles.tape) == 34
-        assert np.array_equal(handles.x_terminal.value, result.batch.states[-1])
+        # 10 leaves (g(x_T), y_T and eight weight arrays), the loss and the
+        # weight decay: independent of the number of steps
+        assert len(handles.tape) == 33
         assert np.array_equal(handles.y_terminal.value, result.batch.values[-1])
         assert np.array_equal(handles.y_star.value, result.batch.terminal_targets)
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_terminal_cost_evaluated_once_per_step(self, monkeypatch, iterations):
+        # installed by setattr on the instance, as the benchmark's tracer does
+        setup, store = runtime("pendulum", "minmax", steps=3)
+        calls = []
+        terminal_expr = setup.costs.terminal_expr
+
+        def counted(x):
+            calls.append(x.shape)
+            return terminal_expr(x)
+
+        monkeypatch.setattr(setup.costs, "terminal_expr", counted)
+        for k in range(iterations):
+            step(setup, store, 4, iteration=k)
+        assert calls == [(setup.system.n, 4)] * iterations
 
 
 class TestSaving:

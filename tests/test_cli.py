@@ -93,9 +93,9 @@ class TestParse:
             parse_config(None, ["turbo=1"])
 
     def test_typed_values(self):
-        tree = parse_overrides(["train.clip_norm=null", "cost.epsilon=0.5",
+        tree = parse_overrides(["eval.checkpoint=null", "cost.epsilon=0.5",
                                 "sweep.epsilons=[1.0, 2.0]", "noise=high"])
-        assert tree["train"]["clip_norm"] is None
+        assert tree["eval"]["checkpoint"] is None
         assert tree["cost"]["epsilon"] == 0.5
         assert tree["sweep"]["epsilons"] == [1.0, 2.0]
         assert tree["noise"] == "high"
@@ -118,7 +118,6 @@ class TestValidation:
         ("cost.weight_decay", -0.1, "cost.weight_decay"),
         ("train.iterations", 0, "train.iterations"),
         ("train.learning_rate", 0, "train.learning_rate"),
-        ("train.clip_norm", -2, "train.clip_norm"),
         ("eval.batch_size", 1, "eval.batch_size"),
         ("workers", 0, "workers"),
         ("workers", 2, "workers"),
@@ -137,6 +136,23 @@ class TestValidation:
     def test_bad_value_names_its_key(self, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(None, [f"{key}={value}"])
+
+    # training settings that had one value in use and are constants now
+    @pytest.mark.parametrize("source", ["set", "file"])
+    @pytest.mark.parametrize("key,value", [
+        ("clip_norm", -2), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
+        ("adam_epsilon", 1e-8), ("forget_bias", 1.0),
+    ])
+    def test_removed_training_key_exits_two(self, tmp_path, capsys, source, key, value):
+        if source == "set":
+            args = ["--set", f"train.{key}={value}"]
+        else:
+            path = tmp_path / "exp.yaml"
+            path.write_text(f"train:\n  {key}: {value}\n")
+            args = ["--config", str(path)]
+        assert main(["train", *MICRO, *args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: train.{key}: unknown configuration key\n"
+        assert not (tmp_path / "out").exists()
 
     def test_infinite_success_tolerance_leaves_a_dimension_free(self):
         cfg = parse_config(None, ["eval.success_tolerance=[.inf, 1.0]"])
@@ -459,6 +475,20 @@ def readme_commands() -> list[str]:
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S)
     return [line.strip() for block in blocks for line in block.splitlines()
             if line.startswith("minmax-fbsde ")]
+
+
+def readme_configuration() -> str:
+    """The YAML block of the README's ``## Configuration`` section."""
+    section = README.read_text().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"^```yaml\n(.*?)^```", section, re.M | re.S).group(1)
+
+
+def test_readme_configuration_parses(tmp_path):
+    # every documented key must exist; a removed key still documented fails here
+    path = tmp_path / "readme.yaml"
+    path.write_text(readme_configuration())
+    cfg = parse_config(str(path))
+    assert cfg.to_dict() == default_config("pendulum").to_dict()
 
 
 class TestReadmeCommands:

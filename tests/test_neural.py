@@ -47,11 +47,6 @@ class TestInit:
         np.testing.assert_array_equal(b[4:8], 1.0)
         np.testing.assert_array_equal(b[8:16], 0.0)
 
-    def test_forget_gate_bias_configurable(self):
-        rng = np.random.default_rng(2)
-        net = init_net(3, 4, 1, rng, forget_bias=0.0)
-        np.testing.assert_array_equal(net.layer1.b, 0.0)
-
     def test_deterministic_given_rng_seed(self):
         a = init_net(3, 4, 2, np.random.default_rng(7))
         b = init_net(3, 4, 2, np.random.default_rng(7))

@@ -19,7 +19,6 @@ from minmax_fbsde.training import (
     ParamStore,
     TrainConfig,
     TrainingDiverged,
-    clip_gradients,
     expected_shapes,
     history_to_csv,
     init_store,
@@ -209,23 +208,6 @@ class TestTrainingStep:
         with pytest.raises(TrainingDiverged, match="3/8 samples diverged"):
             training_step(store, sys, costs, cfg.grid, 8, cfg.seed, 0, "minmax",
                           divergence_tolerance=0.1)
-
-
-class TestClip:
-    def test_noop_below_threshold(self):
-        grad = np.array([3.0, 4.0])
-        norm = clip_gradients(grad, 10.0)
-        assert norm == pytest.approx(5.0)
-        np.testing.assert_array_equal(grad, [3.0, 4.0])
-
-    def test_rescales_above_threshold(self):
-        grad = np.array([3.0, 4.0, 0.0])
-        view = grad[:2].reshape(1, 2)  # a parameter's view sees the clip
-        norm = clip_gradients(grad, 1.0)
-        assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(view, [[0.6, 0.8]])
-        assert grad[2] == 0.0
-        assert math.sqrt(float(np.sum(grad * grad))) == pytest.approx(1.0)
 
 
 class TestTrainLoop:
