@@ -49,7 +49,6 @@ class TrainSection:
     steps: int = 75
     hidden_size: int = 16
     learning_rate: float = 1e-3
-    checkpoint_every: int = 500
     divergence_tolerance: float = 0.1
 
 
@@ -304,8 +303,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(_int(t.steps, "train.steps") >= 1, "train.steps", "must be >= 1")
     _require(_int(t.hidden_size, "train.hidden_size") >= 1, "train.hidden_size", "must be >= 1")
     _require(_num(t.learning_rate, "train.learning_rate") > 0, "train.learning_rate", "must be > 0")
-    _require(_int(t.checkpoint_every, "train.checkpoint_every") >= 0,
-             "train.checkpoint_every", "must be >= 0")
     _require(0 <= _num(t.divergence_tolerance, "train.divergence_tolerance") <= 1,
              "train.divergence_tolerance", "must lie in [0, 1]")
 
@@ -421,7 +418,6 @@ def build_runtime(cfg: ExperimentConfig) -> RuntimeSetup:
         seed=cfg.seed,
         hidden_size=cfg.train.hidden_size,
         learning_rate=cfg.train.learning_rate,
-        checkpoint_every=cfg.train.checkpoint_every,
         workers=cfg.workers,
         divergence_tolerance=cfg.train.divergence_tolerance,
     )

@@ -4,8 +4,7 @@ Parameters are held in small dataclasses whose fields may be either plain
 ndarrays (evaluation) or tape Vars (training); the forward functions are
 written against the dual-mode expression helpers so one implementation
 serves both paths. In a ``training.ParamStore`` the arrays are views of one
-flat float64 vector, and Adam updates that vector and its two moment
-vectors as wholes.
+flat float64 vector, and Adam updates that vector as a whole.
 
 Gate layout inside each fused (4h, .) parameter block is
 (input, forget, cell-candidate, output), in that row order.
@@ -148,17 +147,20 @@ def lstm_stack_forward(net: NetParams, x, state=None):
     return out, ((h1n, c1n), (h2n, c2n))
 
 
+# Adam's decay rates and denominator guard: Kingma and Ba's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam's settings, step count and first/second moment vectors, laid out
-    like the flat parameter vector they update."""
+    """Adam's learning rate, step count and first/second moment vectors, laid
+    out like the flat parameter vector they update."""
 
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
 
     @classmethod
@@ -200,11 +202,11 @@ def adam_step(state: AdamState, named_params, grads: dict) -> None:
         name = named_params[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
         raise NonFiniteGradient(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

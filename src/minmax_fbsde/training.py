@@ -4,8 +4,8 @@ deterministic loss history.
 
 Every trainable parameter lives in one float64 vector θ, laid out in
 ``expected_shapes`` order; the network's arrays, y0 and z0 are reshaped views
-of it, a step's gradient is one vector of the same layout, Adam's moments
-are two more, and a checkpoint's payload is θ ‖ m ‖ v.
+of it, a step's gradient is one vector of the same layout, and a
+checkpoint's payload is θ alone: a trained run hands on nothing else.
 
 All stochasticity flows through counter-based streams keyed by the run seed,
 so a (config, seed) pair reproduces every draw bit for bit. A step rolls the
@@ -31,7 +31,7 @@ from .autodiff import Tape
 from .fbsde import HorizonGrid, RolloutBatch
 from .systems import CostSpec, SystemModel
 
-CHECKPOINT_SCHEMA = "minmax-fbsde.checkpoint.v1"
+CHECKPOINT_SCHEMA = "minmax-fbsde.checkpoint.v2"
 LOSS_SCHEMA = "minmax-fbsde.loss-history.v1"
 
 class TrainingDiverged(RuntimeError):
@@ -47,7 +47,6 @@ class TrainConfig:
     seed: int = 0
     hidden_size: int = 16
     learning_rate: float = 1e-3
-    checkpoint_every: int = 500
     workers: int = 1  # accepted for existing callers; only 1 is valid
     divergence_tolerance: float = 0.1
 
@@ -91,8 +90,9 @@ def _views(vec: np.ndarray, shapes: dict[str, tuple[int, int]]) -> list[tuple[st
 @dataclass
 class ParamStore:
     """Trainable state: the flat parameter vector ``theta`` laid out as
-    ``shapes`` (``expected_shapes``), and Adam's state over it. ``net``, ``y0``
-    and ``z0`` are views of ``theta``, so writing them writes θ."""
+    ``shapes`` (``expected_shapes``), and Adam's state over it while training
+    (None for a loaded checkpoint). ``net``, ``y0`` and ``z0`` are views of
+    ``theta``, so writing them writes θ."""
 
     theta: np.ndarray
     shapes: dict[str, tuple[int, int]]
@@ -234,14 +234,18 @@ def train(
     config_hash: str = "",
     progress: Callable[[HistoryRow], None] | None = None,
 ) -> tuple[ParamStore, list[HistoryRow]]:
-    """Run the full optimization. Writes checkpoints and the loss history
-    under ``out_dir`` when given; on divergence the last checkpoint survives.
+    """Run the full optimization. Under ``out_dir``, when given, writes the
+    loss history and, after the last step, the checkpoint; a checkpoint
+    already there is removed before the first step, so a run that diverges
+    leaves none.
     """
     store = init_store(sys, cfg)
     history: list[HistoryRow] = []
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt") if out_dir else None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        if os.path.exists(ckpt_path):
+            os.remove(ckpt_path)
 
     def flush():
         if out_dir:
@@ -259,8 +263,6 @@ def train(
             history.append(row)
             if progress is not None:
                 progress(row)
-            if ckpt_path and cfg.checkpoint_every and (k + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(store, ckpt_path, seed=cfg.seed, config_hash=config_hash)
     except (TrainingDiverged, neural.NonFiniteGradient):
         flush()
         raise
@@ -348,19 +350,12 @@ def save_checkpoint(store: ParamStore, path: str, seed: int = 0, config_hash: st
         "schema": CHECKPOINT_SCHEMA,
         "config_hash": config_hash,
         "seed": int(seed),
-        "adam": {
-            "t": store.adam.t,
-            "lr": store.adam.lr,
-            "beta1": store.adam.beta1,
-            "beta2": store.adam.beta2,
-            "eps": store.adam.eps,
-        },
         "entries": [
-            {"name": prefix + name, "rows": int(rows), "cols": int(cols)}
-            for prefix in ("", "adam.m.", "adam.v.") for name, (rows, cols) in store.shapes.items()
+            {"name": name, "rows": int(rows), "cols": int(cols)}
+            for name, (rows, cols) in store.shapes.items()
         ],
     }
-    payload = np.concatenate([store.theta, store.adam.m, store.adam.v], dtype="<f8").tobytes()
+    payload = np.asarray(store.theta, dtype="<f8").tobytes()
     blob = json.dumps(manifest, sort_keys=True).encode() + b"\n" + payload
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
@@ -392,7 +387,7 @@ def _manifest_entries(manifest, prefix: str = "") -> list[tuple[str, int, int]]:
 
 
 def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
-    """Rebuild a ParamStore (parameters and optimizer moments) from disk."""
+    """Rebuild a ParamStore of the trained parameters θ from disk."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
@@ -416,26 +411,14 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         raise CheckpointError(
             f"{path}: expected {expected} payload bytes, found {len(payload)}"
         )
-    params = entries[: len(PARAM_NAMES)]
-    layout = [(prefix + name, rows, cols)
-              for prefix in ("", "adam.m.", "adam.v.") for name, rows, cols in params]
-    if [name for name, _, _ in params] != list(PARAM_NAMES) or entries != layout:
+    if [name for name, _, _ in entries] != list(PARAM_NAMES):
         raise CheckpointError(
             f"{path}: manifest entries are not the parameters {', '.join(PARAM_NAMES)}, "
-            "then adam.m.* and adam.v.* over them, in that order"
+            "in that order"
         )
-    try:
-        meta = manifest["adam"]
-        settings = dict(lr=float(meta["lr"]), beta1=float(meta["beta1"]),
-                        beta2=float(meta["beta2"]), eps=float(meta["eps"]), t=int(meta["t"]))
-    except (KeyError, TypeError, ValueError):
-        raise CheckpointError(
-            f"{path}: manifest lacks the optimizer state 'adam' (t, lr, beta1, beta2, eps)"
-        ) from None
-    theta, m, v = (np.array(part, dtype=np.float64)
-                   for part in np.split(np.frombuffer(payload, dtype="<f8"), 3))
-    shapes = {name: (rows, cols) for name, rows, cols in params}
-    return ParamStore(theta, shapes, neural.AdamState(m, v, **settings)), manifest
+    theta = np.array(np.frombuffer(payload, dtype="<f8"), dtype=np.float64)
+    shapes = {name: (rows, cols) for name, rows, cols in entries}
+    return ParamStore(theta, shapes), manifest
 
 
 def validate_checkpoint(manifest: dict, shapes: dict[str, tuple[int, int]], config_hash: str | None = None) -> None:
@@ -448,7 +431,7 @@ def validate_checkpoint(manifest: dict, shapes: dict[str, tuple[int, int]], conf
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {listed[name]}, expected {shape}"
             )
-    if config_hash is not None and manifest.get("config_hash") not in ("", config_hash):
+    if config_hash is not None and manifest.get("config_hash") != config_hash:
         raise CheckpointError(
             f"config hash mismatch: checkpoint {manifest.get('config_hash')!r}, "
             f"expected {config_hash!r}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minmax_fbsde import config as config_mod
-from minmax_fbsde import evaluation, training
+from minmax_fbsde import evaluation, fbsde, training
 from minmax_fbsde.cli import build_parser, main, resolve_config
 from minmax_fbsde.config import (
     ConfigError,
@@ -141,7 +141,7 @@ class TestValidation:
     @pytest.mark.parametrize("source", ["set", "file"])
     @pytest.mark.parametrize("key,value", [
         ("clip_norm", -2), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
-        ("adam_epsilon", 1e-8), ("forget_bias", 1.0),
+        ("adam_epsilon", 1e-8), ("forget_bias", 1.0), ("checkpoint_every", 500),
     ])
     def test_removed_training_key_exits_two(self, tmp_path, capsys, source, key, value):
         if source == "set":
@@ -292,6 +292,23 @@ class TestCommands:
         assert "checkpoint not found" in err
         assert str(out / "checkpoint.ckpt") in err
 
+    def test_eval_after_a_diverged_retrain_finds_no_checkpoint(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the seed is not part of the model fingerprint, so a checkpoint left by
+        # the seed-0 run would pass eval's checks for the seed-1 config
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--out", str(out)]) == 0
+
+        def nan_noise(seed, purpose, iteration, batch, steps, m):
+            return np.full((steps, m, batch), np.nan)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fbsde, "sample_noise", nan_noise)
+            assert main(["train", *MICRO, "--seed", "1", "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["eval", *MICRO, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint not found: {out / 'checkpoint.ckpt'}\n"
+
     def test_eval_after_train(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--out", str(out)]) == 0
@@ -327,7 +344,7 @@ class TestCommands:
         assert code == 1
         assert "shape mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["entries", "adam"])
+    @pytest.mark.parametrize("key", ["entries", "schema"])
     def test_eval_malformed_manifest_exits_one(self, tmp_path, capsys, key):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--out", str(out)]) == 0
@@ -489,6 +506,14 @@ def test_readme_configuration_parses(tmp_path):
     path.write_text(readme_configuration())
     cfg = parse_config(str(path))
     assert cfg.to_dict() == default_config("pendulum").to_dict()
+
+
+def test_readme_output_files_name_every_schema():
+    # a schema bump that leaves the README on the old name fails here
+    section = README.read_text().split("\n## Output files\n", 1)[1].split("\n## ", 1)[0]
+    for schema in (training.CHECKPOINT_SCHEMA, training.LOSS_SCHEMA, evaluation.EVAL_SCHEMA,
+                   evaluation.TRAJECTORY_SCHEMA, evaluation.SWEEP_SCHEMA):
+        assert f"`{schema}`" in section, schema
 
 
 class TestReadmeCommands:

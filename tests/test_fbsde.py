@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmax_fbsde import fbsde
+from minmax_fbsde.config import build_runtime, parse_config
 from minmax_fbsde.fbsde import (
     PURPOSE_EVAL,
     PURPOSE_TRAIN,
@@ -350,6 +352,28 @@ class TestRollout:
         store = init_store(sys, cfg)
         monkeypatch.setattr(fbsde, "adversary_control", boom)
         rollout_batch(store, sys, costs, grid, 2, 0, mode="minmax", adversary=False)
+
+    @pytest.mark.parametrize("system", ["pendulum", "quadcopter", "lq"])
+    def test_adversary_off_moves_the_state_as_baseline(self, system):
+        # the adversary that moves the state is the I/epsilon term of the
+        # step's gain; with it off, a cheap adversary (epsilon = 1e-3) must
+        # leave the states and value gradients exactly at the baseline's,
+        # and every state must be the reference Euler step with v = 0
+        cfg = parse_config(None, [f"system={system}", "cost.epsilon=0.001", "train.steps=5",
+                                  "train.horizon=0.1", "train.hidden_size=4"])
+        setup = build_runtime(cfg)
+        store = init_store(setup.system, setup.train)
+        run = functools.partial(rollout_batch, store, setup.system, setup.costs, setup.grid, 4, 3)
+        off = run(mode="minmax", adversary=False)
+        base = run(mode="baseline")
+        np.testing.assert_array_equal(off.states, base.states)
+        np.testing.assert_array_equal(off.z_grads, base.z_grads)
+        zero = np.zeros(setup.system.m)
+        for k in range(setup.grid.steps):
+            for i in range(4):
+                step = fsde_step(off.states[k, :, i], off.controls[k, :, i], zero,
+                                 off.noise[k, :, i], setup.system, setup.grid)
+                np.testing.assert_allclose(off.states[k + 1, :, i], step, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     def test_alive_is_the_per_step_accumulation(self, poison):

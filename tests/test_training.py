@@ -1,7 +1,6 @@
 import copy
 import json
 import math
-import operator
 import warnings
 
 import numpy as np
@@ -269,30 +268,47 @@ class TestTrainLoop:
 
         monkeypatch.setattr(fbsde, "sample_noise", flaky)
         out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoint.ckpt").write_bytes(b"a previous run's checkpoint")
         with pytest.raises(TrainingDiverged):
             train(sys, costs, cfg, out_dir=str(out))
         csv = (out / "loss_history.csv").read_text()
         assert len(csv.strip().splitlines()) == 2 + 2  # header lines + 2 clean iters
+        assert not (out / "checkpoint.ckpt").exists()
 
 
 def malformed(blob: bytes, kind: str) -> bytes:
-    """A v1 checkpoint with its entries reordered (out.b before out.W in the
-    parameters and in both moments, bytes moved with them), one parameter
-    entry missing (with its bytes) or one extra entry (with 8 bytes)."""
+    """A checkpoint with its entries reordered (out.b before out.W, bytes
+    moved with them), one entry missing (with its bytes) or one extra entry
+    (with 8 bytes)."""
     head, _, payload = blob.partition(b"\n")
     manifest = json.loads(head)
     sizes = [8 * e["rows"] * e["cols"] for e in manifest["entries"]]
     offsets = np.cumsum([0] + sizes)
     pairs = [(e, payload[lo:hi]) for e, lo, hi in zip(manifest["entries"], offsets, offsets[1:])]
     if kind == "reordered":
-        for i in (6, 16, 26):
-            pairs[i], pairs[i + 1] = pairs[i + 1], pairs[i]
+        pairs[6], pairs[7] = pairs[7], pairs[6]
     elif kind == "missing":
         del pairs[7]
     else:
         pairs.append(({"name": "extra", "rows": 1, "cols": 1}, bytes(8)))
     manifest["entries"] = [e for e, _ in pairs]
     return json.dumps(manifest, sort_keys=True).encode() + b"\n" + b"".join(c for _, c in pairs)
+
+
+def as_v1(blob: bytes) -> bytes:
+    """A v2 checkpoint rewritten in the v1 layout: the ``adam`` manifest
+    object, the parameters, then ``adam.m.*`` and ``adam.v.*`` over them,
+    and the payload θ ‖ m ‖ v (zero moments)."""
+    head, _, payload = blob.partition(b"\n")
+    manifest = json.loads(head)
+    params = manifest["entries"]
+    manifest["schema"] = "minmax-fbsde.checkpoint.v1"
+    manifest["adam"] = {"t": 0, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+    manifest["entries"] = [dict(e, name=prefix + e["name"])
+                           for prefix in ("", "adam.m.", "adam.v.") for e in params]
+    return (json.dumps(manifest, sort_keys=True).encode() + b"\n"
+            + payload + bytes(2 * len(payload)))
 
 
 class TestCheckpoint:
@@ -307,34 +323,20 @@ class TestCheckpoint:
         for (name, a), (_, b) in zip(store.named_parameters(), loaded.named_parameters()):
             np.testing.assert_array_equal(a, b)
         assert loaded.shapes == store.shapes
-        assert loaded.adam.t == store.adam.t
-        assert loaded.adam.lr == store.adam.lr
-        for flat in ("theta", "adam.m", "adam.v"):
-            a, b = (operator.attrgetter(flat)(s) for s in (store, loaded))
-            assert a.dtype == b.dtype == np.float64
-            assert a.tobytes() == b.tobytes(), flat
+        assert loaded.adam is None
+        assert loaded.theta.dtype == store.theta.dtype == np.float64
+        assert loaded.theta.tobytes() == store.theta.tobytes()
 
-    def test_v1_bytes_entry_by_entry(self, tmp_path):
-        # the v1 layout: a sorted-key JSON manifest line, then every parameter,
-        # every adam.m.<name> and every adam.v.<name>, each little-endian float64
+    def test_v2_bytes_entry_by_entry(self, tmp_path):
+        # the v2 layout: a sorted-key JSON manifest line, then every parameter
+        # in expected_shapes order, each little-endian float64
         sys, costs, cfg = small_problem()
         store, _ = train(sys, costs, cfg)
-        assert store.adam.t == cfg.iterations
         shapes = expected_shapes(sys, cfg.hidden_size)
-        bounds = np.cumsum([0] + [r * c for r, c in shapes.values()])
-
-        def pieces(vec):
-            return [vec[lo:hi].reshape(shape)
-                    for lo, hi, shape in zip(bounds, bounds[1:], shapes.values())]
-
         named = dict(store.named_parameters())
         entries = [(name, named[name]) for name in shapes]
-        entries += [(f"adam.m.{name}", a) for name, a in zip(shapes, pieces(store.adam.m))]
-        entries += [(f"adam.v.{name}", a) for name, a in zip(shapes, pieces(store.adam.v))]
         manifest = {
             "schema": CHECKPOINT_SCHEMA, "config_hash": "cafe", "seed": 4,
-            "adam": {"t": store.adam.t, "lr": store.adam.lr, "beta1": store.adam.beta1,
-                     "beta2": store.adam.beta2, "eps": store.adam.eps},
             "entries": [{"name": name, "rows": a.shape[0], "cols": a.shape[1]}
                         for name, a in entries],
         }
@@ -410,14 +412,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="aaa111.*bbb222"):
             validate_checkpoint(manifest, shapes, config_hash="bbb222")
 
-    def test_legacy_blank_hash_accepted(self, tmp_path):
+    def test_blank_hash_refused_when_a_hash_is_given(self, tmp_path):
         sys, costs, cfg = small_problem()
         store = init_store(sys, cfg)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(store, path, config_hash="")
         _, manifest = load_checkpoint(path)
-        validate_checkpoint(manifest, expected_shapes(sys, cfg.hidden_size),
-                            config_hash="whatever")
+        shapes = expected_shapes(sys, cfg.hidden_size)
+        validate_checkpoint(manifest, shapes)
+        with pytest.raises(CheckpointError, match="checkpoint '', expected 'whatever'"):
+            validate_checkpoint(manifest, shapes, config_hash="whatever")
 
     @staticmethod
     def _rewrite_manifest(path, edit):
@@ -427,7 +431,7 @@ class TestCheckpoint:
         open(path, "wb").write(json.dumps(manifest).encode() + b"\n" + payload)
         return manifest
 
-    @pytest.mark.parametrize("key", ["entries", "adam"])
+    @pytest.mark.parametrize("key", ["entries", "schema"])
     def test_manifest_missing_section(self, tmp_path, key):
         sys, costs, cfg = small_problem()
         path = str(tmp_path / "model.ckpt")
@@ -456,10 +460,10 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_store(sys, cfg), str(path))
         path.write_bytes(malformed(path.read_bytes(), kind))
-        with pytest.raises(CheckpointError, match="adam.m.* and adam.v.*"):
+        with pytest.raises(CheckpointError, match="in that order"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("kind", ["reordered", "missing", "extra"])
+    @pytest.mark.parametrize("kind", ["reordered", "missing", "extra", "v1"])
     def test_eval_of_a_malformed_layout_is_one_error_line(self, tmp_path, capsys, kind):
         micro = ["--set", "system=lq", "--set", "train.iterations=2",
                  "--set", "train.batch_size=4", "--set", "train.steps=5",
@@ -467,12 +471,16 @@ class TestCheckpoint:
                  "--out", str(tmp_path / "run")]
         assert main(["train", *micro]) == 0
         ckpt = tmp_path / "run" / "checkpoint.ckpt"
-        ckpt.write_bytes(malformed(ckpt.read_bytes(), kind))
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(as_v1(blob) if kind == "v1" else malformed(blob, kind))
         capsys.readouterr()
         assert main(["eval", *micro]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "in that order" in err
+        if kind == "v1":
+            assert "'minmax-fbsde.checkpoint.v1', expected 'minmax-fbsde.checkpoint.v2'" in err
+        else:
+            assert "in that order" in err
 
     def test_manifest_negative_shape(self, tmp_path):
         # negating both sides keeps the payload size consistent
