@@ -274,7 +274,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
                  f"unknown preset {cfg.noise!r}; presets: {sorted(NOISE_PRESETS)}")
     else:
         _require(_num(cfg.noise, "noise") >= 0, "noise", "scale must be >= 0")
-    _int(cfg.seed, "seed")
+    _require(_int(cfg.seed, "seed") >= 0, "seed", "must be >= 0")
     _require(_int(cfg.workers, "workers") == 1, "workers",
              f"must be 1, got {cfg.workers}: the batch runs serially")
     _require(isinstance(cfg.out, str) and cfg.out, "out", "must be a non-empty path")
@@ -308,7 +308,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     e = cfg.eval
     _require(_int(e.batch_size, "eval.batch_size") >= 2, "eval.batch_size", "must be >= 2")
-    _int(e.seed, "eval.seed")
+    _require(_int(e.seed, "eval.seed") >= 0, "eval.seed", "must be >= 0")
     if e.checkpoint is not None:
         _require(isinstance(e.checkpoint, str), "eval.checkpoint", "must be a path or null")
     if e.success_tolerance is not None:
@@ -340,18 +340,19 @@ def override(cfg: ExperimentConfig, mode: str | None = None,
 
 
 def model_fingerprint(cfg: ExperimentConfig) -> str:
-    """Short hash of everything that defines the trained model: system,
-    physics, noise, mode, cost shape and the architecture/grid. Checkpoints
-    carry it so stale or mismatched files are rejected."""
+    """Short hash of everything that defines a trained model: system, physics,
+    noise, mode, seed, the cost section and the whole train section
+    (architecture, grid and budget). It is a checkpoint's ``config_hash``, so
+    ``eval`` and ``training.train_or_load`` refuse a model trained under other
+    settings. ``out``, ``workers``, ``eval.*`` and ``sweep.*`` do not enter it."""
     payload = {
         "system": cfg.system,
         "noise": cfg.noise,
         "physics": dict(sorted(cfg.physics.items())),
         "mode": cfg.mode,
+        "seed": cfg.seed,
         "cost": asdict(cfg.cost),
-        "horizon": cfg.train.horizon,
-        "steps": cfg.train.steps,
-        "hidden_size": cfg.train.hidden_size,
+        "train": asdict(cfg.train),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

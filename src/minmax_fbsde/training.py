@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -31,7 +31,7 @@ from .autodiff import Tape
 from .fbsde import HorizonGrid, RolloutBatch
 from .systems import CostSpec, SystemModel
 
-CHECKPOINT_SCHEMA = "minmax-fbsde.checkpoint.v2"
+CHECKPOINT_SCHEMA = "minmax-fbsde.checkpoint.v3"
 LOSS_SCHEMA = "minmax-fbsde.loss-history.v1"
 
 class TrainingDiverged(RuntimeError):
@@ -276,8 +276,6 @@ def train(
 # cached training: reuse a checkpoint only if the same code trained it under
 # the same settings
 
-PROVENANCE_FILE = "provenance"
-
 
 def source_hash() -> str:
     """sha256 of the source of every module that shapes the trained numbers."""
@@ -288,57 +286,33 @@ def source_hash() -> str:
     return digest.hexdigest()
 
 
-def provenance_key(setup) -> str:
-    """Hash of a runtime setup's resolved training config, costs and system,
-    and of ``source_hash()``. A cached checkpoint is valid for this key only."""
-    costs = {f.name: getattr(setup.costs, f.name) for f in fields(setup.costs)}
-    payload = {
-        "system": [setup.system.name, setup.system.params],
-        "train": asdict(setup.train),
-        "costs": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in costs.items()},
-        "source": source_hash(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def train_or_load(
     setup, job_dir: str, progress: Callable[[HistoryRow], None] | None = None,
 ) -> tuple[ParamStore, list[HistoryRow] | None]:
     """Train ``setup`` into ``job_dir``, or reuse the checkpoint found there.
 
-    The checkpoint is reused only when the ``provenance`` file next to it
-    holds ``provenance_key(setup)``, so a changed budget, cost or solver
-    source retrains. ``progress`` is passed to ``train``. Returns the store
-    and the loss history, which is None when the checkpoint was reused.
+    The checkpoint is reused only when it loads, its shapes and
+    ``config_hash`` match ``setup`` (``setup.model_hash`` covers the system,
+    costs, seed and the whole training section, budget included) and its
+    manifest's ``source`` is ``source_hash()``; anything else retrains.
+    ``train`` removes the old checkpoint before its first step and writes the
+    new one after its last, so an interrupted retrain leaves none. ``progress``
+    is passed to ``train``. Returns the store and the loss history, which is
+    None when the checkpoint was reused.
     """
-    key = provenance_key(setup)
-    ckpt = os.path.join(job_dir, "checkpoint.ckpt")
-    sidecar = os.path.join(job_dir, PROVENANCE_FILE)
     try:
-        with open(sidecar) as fh:
-            fresh = fh.read().strip() == key
-    except OSError:
-        fresh = False
-    if fresh:
-        try:
-            store, manifest = load_checkpoint(ckpt)
-            validate_checkpoint(
-                manifest, expected_shapes(setup.system, setup.train.hidden_size), setup.model_hash
-            )
+        store, manifest = load_checkpoint(os.path.join(job_dir, "checkpoint.ckpt"))
+        validate_checkpoint(
+            manifest, expected_shapes(setup.system, setup.train.hidden_size), setup.model_hash
+        )
+        if manifest.get("source") == source_hash():
             return store, None
-        except (CheckpointError, OSError):
-            pass  # unreadable cache: retrain below
-    os.makedirs(job_dir, exist_ok=True)
-    if os.path.exists(sidecar):
-        os.remove(sidecar)  # an interrupted retrain must not look finished
-    store, history = train(
+    except (CheckpointError, OSError):
+        pass  # missing or unreadable cache: retrain below
+    return train(
         setup.system, setup.costs, setup.train,
         out_dir=job_dir, config_hash=setup.model_hash, progress=progress,
     )
-    with open(sidecar, "w") as fh:
-        fh.write(key + "\n")
-    return store, history
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +320,14 @@ def train_or_load(
 
 
 def save_checkpoint(store: ParamStore, path: str, seed: int = 0, config_hash: str = "") -> None:
+    """Write θ under a manifest of its schema, seed, ``config_hash`` (the
+    model fingerprint that ``eval`` checks), ``source`` (``source_hash()`` of
+    the code writing it, which ``train_or_load`` checks) and entries."""
     manifest = {
         "schema": CHECKPOINT_SCHEMA,
         "config_hash": config_hash,
         "seed": int(seed),
+        "source": source_hash(),
         "entries": [
             {"name": name, "rows": int(rows), "cols": int(cols)}
             for name, (rows, cols) in store.shapes.items()
@@ -418,6 +396,9 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         )
     theta = np.array(np.frombuffer(payload, dtype="<f8"), dtype=np.float64)
     shapes = {name: (rows, cols) for name, rows, cols in entries}
+    for name, values in _views(theta, shapes):
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"{path}: parameter {name!r} holds a non-finite value")
     return ParamStore(theta, shapes), manifest
 
 

@@ -3,8 +3,8 @@
 Each test checks one release criterion and prints a single PASS/FAIL line,
 so a full run reads as a checklist. The training-backed criteria cache
 their checkpoints under runs/acceptance/; the first run trains everything
-(about seven minutes on two cores), later runs reuse the artifacts as long
-as the budgets and the solver source are unchanged (see
+(about five and a half minutes on two cores), later runs reuse a checkpoint
+as long as its manifest's config hash and solver source match (see
 ``training.train_or_load``). Delete runs/acceptance/ to retrain from scratch.
 
 Budgets are deliberately smaller than the shipped defaults where the quick

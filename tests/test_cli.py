@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import re
 import shlex
@@ -132,6 +133,8 @@ class TestValidation:
         ("cost.running_weights", "[1.0, .nan]", r"cost.running_weights\[1\]"),
         ("sweep.epsilons", "[1.0, .inf]", r"sweep.epsilons\[1\]"),
         ("eval.success_tolerance", "[.nan, 1.0]", r"eval.success_tolerance\[0\]"),
+        ("seed", -1, "seed"),
+        ("eval.seed", -5, "eval.seed"),
     ])
     def test_bad_value_names_its_key(self, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -205,23 +208,28 @@ class TestRuntimeAssembly:
     def test_fingerprint_ignores_bookkeeping(self):
         a = default_config("pendulum")
         b = default_config("pendulum")
-        b.seed = 99
         b.out = "elsewhere"
-        b.eval.batch_size = 4
-        b.train.iterations = 1
+        b.workers = 2
+        b.eval = config_mod.EvalSection(batch_size=4, seed=5, checkpoint="x.ckpt",
+                                        success_tolerance=[1.0, 1.0])
+        b.sweep = config_mod.SweepSection(epsilons=[3.0], success_threshold=0.1)
         assert model_fingerprint(a) == model_fingerprint(b)
 
     def test_fingerprint_tracks_model_shape(self):
+        # every training and cost setting, and every top-level key that
+        # shapes the trained model, enters the fingerprint
         a = default_config("pendulum")
-        for mutate in (
-            lambda c: setattr(c.train, "hidden_size", 99),
-            lambda c: setattr(c.cost, "epsilon", 99.0),
-            lambda c: setattr(c, "mode", "baseline"),
-            lambda c: setattr(c, "noise", "high"),
-        ):
+        tops = {"system": "lq", "mode": "baseline", "noise": "high", "seed": 1,
+                "physics": {"mass": 2.0}}
+        inputs = [(None, name, value) for name, value in tops.items()]
+        for section, kind in (("train", config_mod.TrainSection), ("cost", config_mod.CostSection)):
+            for f in dataclasses.fields(kind):
+                old = getattr(getattr(a, section), f.name)
+                inputs.append((section, f.name, [*old, 1.0] if isinstance(old, list) else old + 1))
+        for section, name, value in inputs:
             b = default_config("pendulum")
-            mutate(b)
-            assert model_fingerprint(a) != model_fingerprint(b)
+            setattr(b if section is None else getattr(b, section), name, value)
+            assert model_fingerprint(a) != model_fingerprint(b), (section, name)
 
     def test_override_is_a_deep_copy(self):
         cfg = default_config("pendulum")
@@ -294,8 +302,8 @@ class TestCommands:
 
     def test_eval_after_a_diverged_retrain_finds_no_checkpoint(self, tmp_path, capsys,
                                                                monkeypatch):
-        # the seed is not part of the model fingerprint, so a checkpoint left by
-        # the seed-0 run would pass eval's checks for the seed-1 config
+        # the seed-1 retrain removes the seed-0 checkpoint before its first
+        # step, so eval finds no file rather than a stale one
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--out", str(out)]) == 0
 
@@ -335,6 +343,20 @@ class TestCommands:
         meta = json.loads((out / "eval_run.json").read_text())
         assert meta["command"] == "eval"
         assert (out / "eval_config.yaml").read_bytes() == written["config.yaml"]
+
+    def test_eval_refuses_another_seed_or_budget(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--seed", "0", "--out", str(out)]) == 0
+        trained = json.loads((out / "checkpoint.ckpt").read_bytes().partition(b"\n")[0])
+        for other in (["--seed", "1"], ["--set", "train.iterations=3"]):
+            args = [*MICRO, *other, "--out", str(out)]
+            expected = model_fingerprint(resolve_config(build_parser().parse_args(["eval", *args])))
+            capsys.readouterr()
+            assert main(["eval", *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: config hash mismatch") and err.count("\n") == 1
+            assert trained["config_hash"] in err and expected in err
+        assert main(["eval", *MICRO, "--seed", "0", "--out", str(out)]) == 0
 
     def test_eval_rejects_mismatched_architecture(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -383,6 +405,8 @@ class TestCommands:
         code = main(["train", "--set", "cost.epsilon=-1"])
         assert code == 2
         assert "cost.epsilon" in capsys.readouterr().err
+        assert main(["train", "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: seed: must be >= 0\n"
 
     def test_workers_other_than_one_exits_two(self, tmp_path, capsys):
         assert main(["train", *MICRO, "--set", "workers=2", "--out", str(tmp_path)]) == 2

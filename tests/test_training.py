@@ -296,19 +296,26 @@ def malformed(blob: bytes, kind: str) -> bytes:
     return json.dumps(manifest, sort_keys=True).encode() + b"\n" + b"".join(c for _, c in pairs)
 
 
-def as_v1(blob: bytes) -> bytes:
-    """A v2 checkpoint rewritten in the v1 layout: the ``adam`` manifest
-    object, the parameters, then ``adam.m.*`` and ``adam.v.*`` over them,
-    and the payload θ ‖ m ‖ v (zero moments)."""
+def as_v2(blob: bytes) -> bytes:
+    """A v3 checkpoint rewritten as v2: the same θ, under a manifest without
+    ``source``."""
     head, _, payload = blob.partition(b"\n")
     manifest = json.loads(head)
-    params = manifest["entries"]
-    manifest["schema"] = "minmax-fbsde.checkpoint.v1"
-    manifest["adam"] = {"t": 0, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-    manifest["entries"] = [dict(e, name=prefix + e["name"])
-                           for prefix in ("", "adam.m.", "adam.v.") for e in params]
-    return (json.dumps(manifest, sort_keys=True).encode() + b"\n"
-            + payload + bytes(2 * len(payload)))
+    manifest["schema"] = "minmax-fbsde.checkpoint.v2"
+    del manifest["source"]
+    return json.dumps(manifest, sort_keys=True).encode() + b"\n" + payload
+
+
+def with_nonfinite(blob: bytes, value: float) -> bytes:
+    """A checkpoint with ``value`` written into the last element of ``out.b``
+    and into ``psi.z0``, so the first bad parameter is ``out.b``."""
+    head, _, payload = blob.partition(b"\n")
+    theta = np.frombuffer(payload, dtype="<f8").copy()
+    store = ParamStore(theta, {e["name"]: (e["rows"], e["cols"])
+                               for e in json.loads(head)["entries"]})
+    store.net.out_b[-1] = value
+    store.z0[...] = value
+    return head + b"\n" + theta.astype("<f8").tobytes()
 
 
 class TestCheckpoint:
@@ -327,8 +334,8 @@ class TestCheckpoint:
         assert loaded.theta.dtype == store.theta.dtype == np.float64
         assert loaded.theta.tobytes() == store.theta.tobytes()
 
-    def test_v2_bytes_entry_by_entry(self, tmp_path):
-        # the v2 layout: a sorted-key JSON manifest line, then every parameter
+    def test_v3_bytes_entry_by_entry(self, tmp_path):
+        # the v3 layout: a sorted-key JSON manifest line, then every parameter
         # in expected_shapes order, each little-endian float64
         sys, costs, cfg = small_problem()
         store, _ = train(sys, costs, cfg)
@@ -337,6 +344,7 @@ class TestCheckpoint:
         entries = [(name, named[name]) for name in shapes]
         manifest = {
             "schema": CHECKPOINT_SCHEMA, "config_hash": "cafe", "seed": 4,
+            "source": training.source_hash(),
             "entries": [{"name": name, "rows": a.shape[0], "cols": a.shape[1]}
                         for name, a in entries],
         }
@@ -463,7 +471,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="in that order"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("kind", ["reordered", "missing", "extra", "v1"])
+    @pytest.mark.parametrize("kind", ["reordered", "missing", "extra", "v2", "nonfinite-nan",
+                                      "nonfinite-inf"])
     def test_eval_of_a_malformed_layout_is_one_error_line(self, tmp_path, capsys, kind):
         micro = ["--set", "system=lq", "--set", "train.iterations=2",
                  "--set", "train.batch_size=4", "--set", "train.steps=5",
@@ -472,15 +481,32 @@ class TestCheckpoint:
         assert main(["train", *micro]) == 0
         ckpt = tmp_path / "run" / "checkpoint.ckpt"
         blob = ckpt.read_bytes()
-        ckpt.write_bytes(as_v1(blob) if kind == "v1" else malformed(blob, kind))
+        if kind == "v2":
+            ckpt.write_bytes(as_v2(blob))
+        elif kind.startswith("nonfinite"):
+            ckpt.write_bytes(with_nonfinite(blob, float(kind.split("-")[1])))
+        else:
+            ckpt.write_bytes(malformed(blob, kind))
         capsys.readouterr()
         assert main(["eval", *micro]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        if kind == "v1":
-            assert "'minmax-fbsde.checkpoint.v1', expected 'minmax-fbsde.checkpoint.v2'" in err
+        if kind == "v2":
+            assert "'minmax-fbsde.checkpoint.v2', expected 'minmax-fbsde.checkpoint.v3'" in err
+        elif kind.startswith("nonfinite"):
+            assert "parameter 'out.b' holds a non-finite value" in err
         else:
             assert "in that order" in err
+
+    def test_nonfinite_parameter_refused(self, tmp_path):
+        sys, costs, cfg = small_problem()
+        store = init_store(sys, cfg)
+        store.y0[0, 0] = np.inf
+        store.net.layer2.b[3] = np.nan
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(store, path)
+        with pytest.raises(CheckpointError, match="parameter 'lstm2.b' holds a non-finite value"):
+            load_checkpoint(path)
 
     def test_manifest_negative_shape(self, tmp_path):
         # negating both sides keeps the payload size consistent
@@ -551,12 +577,25 @@ class TestTrainOrLoad:
         _, history = training.train_or_load(self.setup_for(), job)
         assert history is None
 
-    def test_checkpoint_without_provenance_retrains(self, tmp_path):
+    @pytest.mark.parametrize("stale", ["source", "v2"])
+    def test_stale_checkpoint_retrains(self, tmp_path, stale):
+        # a checkpoint written by other solver source, or in the v2 layout,
+        # which recorded no source at all
         setup = self.setup_for()
         job = tmp_path / "job"
         train(setup.system, setup.costs, setup.train, out_dir=str(job),
               config_hash=setup.model_hash)
+        ckpt = job / "checkpoint.ckpt"
+        blob = ckpt.read_bytes()
+        if stale == "v2":
+            ckpt.write_bytes(as_v2(blob))
+        else:
+            head, _, payload = blob.partition(b"\n")
+            manifest = dict(json.loads(head), source="edited solver")
+            ckpt.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n" + payload)
         _, history = training.train_or_load(setup, str(job))
         assert history is not None
-        assert (job / training.PROVENANCE_FILE).read_text().strip() == \
-            training.provenance_key(setup)
+        _, manifest = load_checkpoint(str(ckpt))
+        assert manifest["schema"] == CHECKPOINT_SCHEMA
+        assert manifest["source"] == training.source_hash()
+        assert sorted(p.name for p in job.iterdir()) == ["checkpoint.ckpt", "loss_history.csv"]
