@@ -57,13 +57,11 @@ class EvalSection:
     batch_size: int = 128
     seed: int = 1234
     checkpoint: Any = None  # default: <out>/checkpoint.ckpt
-    success_tolerance: Any = None  # per-dimension override list
 
 
 @dataclass
 class SweepSection:
     epsilons: list[float] = field(default_factory=list)
-    success_threshold: float = 0.8
 
 
 @dataclass
@@ -74,7 +72,6 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1  # accepted for existing configs; rollouts are serial, so only 1
     out: str = "runs/pendulum"
-    physics: dict = field(default_factory=dict)
     cost: CostSection = field(default_factory=CostSection)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
@@ -159,10 +156,6 @@ def _merge_into(cfg, data: dict, path: str) -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{dotted}: expected a mapping")
             _merge_into(getattr(cfg, key), value, path=f"{dotted}.")
-        elif key == "physics" and path == "":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{dotted}: expected a mapping of constants")
-            getattr(cfg, key).update(value)
         else:
             setattr(cfg, key, value)
 
@@ -174,7 +167,9 @@ def _set_dotted(tree: dict, dotted: str, value) -> None:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigError(f"{dotted}: cannot descend into non-mapping")
-    node[parts[-1]] = value
+    if value != {} or not isinstance(node.get(parts[-1]), dict):
+        # an empty mapping adds nothing to a section, but still names its key
+        node[parts[-1]] = value
 
 
 def parse_overrides(pairs: list[str]) -> dict:
@@ -232,7 +227,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
 def _flatten(tree: dict, prefix: str = ""):
     for key, value in tree.items():
         dotted = f"{prefix}{key}"
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             yield from _flatten(value, prefix=f"{dotted}.")
         else:
             yield dotted, value
@@ -243,12 +238,11 @@ def _require(cond: bool, dotted: str, message: str) -> None:
         raise ConfigError(f"{dotted}: {message}")
 
 
-def _num(value, dotted: str, allow_inf: bool = False) -> float:
+def _num(value, dotted: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              dotted, f"expected a number, got {value!r}")
     value = float(value)
-    _require(math.isfinite(value) or (allow_inf and not math.isnan(value)),
-             dotted, f"expected a finite number, got {value!r}")
+    _require(math.isfinite(value), dotted, f"expected a finite number, got {value!r}")
     return value
 
 
@@ -258,13 +252,17 @@ def _int(value, dotted: str) -> int:
     return value
 
 
-def _numlist(value, dotted: str, allow_inf: bool = False) -> list[float]:
+def _numlist(value, dotted: str) -> list[float]:
     _require(isinstance(value, (list, tuple)), dotted,
              f"expected a list of numbers, got {value!r}")
-    return [_num(v, f"{dotted}[{i}]", allow_inf) for i, v in enumerate(value)]
+    return [_num(v, f"{dotted}[{i}]") for i, v in enumerate(value)]
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Check every setting, naming the first bad one by its dotted key, and
+    store each float-typed setting as a float, so ``beta: 1`` and
+    ``beta: 1.0`` are one config, one ``config.yaml`` and one fingerprint.
+    Integer settings refuse a float such as ``3.0``."""
     _require(cfg.system in SYSTEM_FACTORIES, "system",
              f"unknown system {cfg.system!r}; expected one of {sorted(SYSTEM_FACTORIES)}")
     _require(cfg.mode in ("minmax", "baseline"), "mode",
@@ -273,54 +271,53 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _require(cfg.noise in NOISE_PRESETS, "noise",
                  f"unknown preset {cfg.noise!r}; presets: {sorted(NOISE_PRESETS)}")
     else:
-        _require(_num(cfg.noise, "noise") >= 0, "noise", "scale must be >= 0")
+        cfg.noise = _num(cfg.noise, "noise")
+        _require(cfg.noise >= 0, "noise", "scale must be >= 0")
     _require(_int(cfg.seed, "seed") >= 0, "seed", "must be >= 0")
     _require(_int(cfg.workers, "workers") == 1, "workers",
              f"must be 1, got {cfg.workers}: the batch runs serially")
     _require(isinstance(cfg.out, str) and cfg.out, "out", "must be a non-empty path")
-    for key, value in cfg.physics.items():
-        _num(value, f"physics.{key}")
 
     c = cfg.cost
-    _numlist(c.running_weights, "cost.running_weights")
-    _numlist(c.terminal_weights, "cost.terminal_weights")
+    c.running_weights = _numlist(c.running_weights, "cost.running_weights")
+    c.terminal_weights = _numlist(c.terminal_weights, "cost.terminal_weights")
     _require(all(w >= 0 for w in c.running_weights), "cost.running_weights", "weights must be >= 0")
     _require(all(w >= 0 for w in c.terminal_weights), "cost.terminal_weights", "weights must be >= 0")
     if isinstance(c.control_weight, (list, tuple)):
-        _require(all(_num(w, "cost.control_weight") > 0 for w in c.control_weight),
-                 "cost.control_weight", "entries must be > 0")
+        c.control_weight = _numlist(c.control_weight, "cost.control_weight")
+        _require(all(w > 0 for w in c.control_weight), "cost.control_weight", "entries must be > 0")
     else:
-        _require(_num(c.control_weight, "cost.control_weight") > 0,
-                 "cost.control_weight", "must be > 0")
-    _require(_num(c.epsilon, "cost.epsilon") > 0, "cost.epsilon", "must be > 0")
-    _require(0.0 <= _num(c.beta, "cost.beta") <= 1.0, "cost.beta", "must lie in [0, 1]")
-    _require(_num(c.weight_decay, "cost.weight_decay") >= 0, "cost.weight_decay", "must be >= 0")
+        c.control_weight = _num(c.control_weight, "cost.control_weight")
+        _require(c.control_weight > 0, "cost.control_weight", "must be > 0")
+    c.epsilon = _num(c.epsilon, "cost.epsilon")
+    _require(c.epsilon > 0, "cost.epsilon", "must be > 0")
+    c.beta = _num(c.beta, "cost.beta")
+    _require(0.0 <= c.beta <= 1.0, "cost.beta", "must lie in [0, 1]")
+    c.weight_decay = _num(c.weight_decay, "cost.weight_decay")
+    _require(c.weight_decay >= 0, "cost.weight_decay", "must be >= 0")
 
     t = cfg.train
     _require(_int(t.iterations, "train.iterations") >= 1, "train.iterations", "must be >= 1")
     _require(_int(t.batch_size, "train.batch_size") >= 1, "train.batch_size", "must be >= 1")
-    _require(_num(t.horizon, "train.horizon") > 0, "train.horizon", "must be > 0")
+    t.horizon = _num(t.horizon, "train.horizon")
+    _require(t.horizon > 0, "train.horizon", "must be > 0")
     _require(_int(t.steps, "train.steps") >= 1, "train.steps", "must be >= 1")
     _require(_int(t.hidden_size, "train.hidden_size") >= 1, "train.hidden_size", "must be >= 1")
-    _require(_num(t.learning_rate, "train.learning_rate") > 0, "train.learning_rate", "must be > 0")
-    _require(0 <= _num(t.divergence_tolerance, "train.divergence_tolerance") <= 1,
-             "train.divergence_tolerance", "must lie in [0, 1]")
+    t.learning_rate = _num(t.learning_rate, "train.learning_rate")
+    _require(t.learning_rate > 0, "train.learning_rate", "must be > 0")
+    t.divergence_tolerance = _num(t.divergence_tolerance, "train.divergence_tolerance")
+    _require(0 <= t.divergence_tolerance <= 1, "train.divergence_tolerance", "must lie in [0, 1]")
 
     e = cfg.eval
     _require(_int(e.batch_size, "eval.batch_size") >= 2, "eval.batch_size", "must be >= 2")
     _require(_int(e.seed, "eval.seed") >= 0, "eval.seed", "must be >= 0")
     if e.checkpoint is not None:
         _require(isinstance(e.checkpoint, str), "eval.checkpoint", "must be a path or null")
-    if e.success_tolerance is not None:
-        # inf leaves a dimension unconstrained, as the quadcopter's defaults do
-        tol = _numlist(e.success_tolerance, "eval.success_tolerance", allow_inf=True)
-        _require(all(v > 0 for v in tol), "eval.success_tolerance", "entries must be > 0")
 
     s = cfg.sweep
-    for i, eps in enumerate(_numlist(s.epsilons, "sweep.epsilons")):
+    s.epsilons = _numlist(s.epsilons, "sweep.epsilons")
+    for i, eps in enumerate(s.epsilons):
         _require(eps > 0, f"sweep.epsilons[{i}]", "must be > 0")
-    _require(0 <= _num(s.success_threshold, "sweep.success_threshold") <= 1,
-             "sweep.success_threshold", "must lie in [0, 1]")
 
 
 def override(cfg: ExperimentConfig, mode: str | None = None,
@@ -340,15 +337,17 @@ def override(cfg: ExperimentConfig, mode: str | None = None,
 
 
 def model_fingerprint(cfg: ExperimentConfig) -> str:
-    """Short hash of everything that defines a trained model: system, physics,
-    noise, mode, seed, the cost section and the whole train section
-    (architecture, grid and budget). It is a checkpoint's ``config_hash``, so
-    ``eval`` and ``training.train_or_load`` refuse a model trained under other
-    settings. ``out``, ``workers``, ``eval.*`` and ``sweep.*`` do not enter it."""
+    """Short hash of everything that defines a trained model: system, noise,
+    mode, seed, the cost section and the whole train section (architecture,
+    grid and budget). The system's constants are not settings: they live in
+    its factory in ``systems.py``, whose source the checkpoint's ``source``
+    covers. This is a checkpoint's ``config_hash``, so ``eval`` and
+    ``training.train_or_load`` refuse a model trained under other settings.
+    ``out``, ``workers``, ``eval.*`` and ``sweep.*`` do not enter it. Numbers
+    enter as ``validate_config`` stores them, so ``1`` and ``1.0`` agree."""
     payload = {
         "system": cfg.system,
         "noise": cfg.noise,
-        "physics": dict(sorted(cfg.physics.items())),
         "mode": cfg.mode,
         "seed": cfg.seed,
         "cost": asdict(cfg.cost),
@@ -376,16 +375,7 @@ class RuntimeSetup:
 
 def build_runtime(cfg: ExperimentConfig) -> RuntimeSetup:
     validate_config(cfg)
-    sys = make_system(cfg.system, noise=cfg.noise, physics=cfg.physics)
-    if cfg.eval.success_tolerance is not None:
-        tol = np.asarray(cfg.eval.success_tolerance, dtype=np.float64)
-        if tol.shape != sys.success_tol.shape:
-            raise ConfigError(
-                f"eval.success_tolerance: expected {sys.success_tol.shape[0]} entries, "
-                f"got {tol.shape[0]}"
-            )
-        sys.success_tol = tol
-
+    sys = make_system(cfg.system, noise=cfg.noise)
     if len(cfg.cost.running_weights) != sys.n:
         raise ConfigError(f"cost.running_weights: expected {sys.n} entries for {cfg.system}, "
                           f"got {len(cfg.cost.running_weights)}")

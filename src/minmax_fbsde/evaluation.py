@@ -386,6 +386,10 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# a sweep condition whose success rate falls below this is marked failed
+SWEEP_MIN_SUCCESS = 0.8
+
+
 def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]:
     """Train and evaluate one controller per adversary temperature, plus the
     risk-neutral baseline, reusing a cached checkpoint only where
@@ -396,11 +400,11 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
     (None when either side has no report). ``variance_reduction.json`` next
     to ``sweep.csv`` holds the whole ``variance_reduction`` comparison of
     each min-max condition, keyed by its label (null where the row has
-    none). Failed trainings become rows with status ``failed`` and the sweep
-    moves on. A run counts as successful when its success rate clears the
-    sweep threshold. Each row's ``checkpoint`` is relative to ``out_dir``, so
-    the table does not depend on where the sweep
-    directory lives.
+    none). A failed training, and a condition whose success rate falls below
+    ``SWEEP_MIN_SUCCESS`` (0.8), become rows with status ``failed``, and the
+    sweep moves on. Each row's ``checkpoint`` is relative to
+    ``out_dir``, so the table does not depend on where the sweep directory
+    lives.
     """
     from . import config as config_mod
     from . import training
@@ -446,7 +450,7 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
             row["success_rate"] = report.success_rate
             row["total_state_variance"] = report.total_state_variance
             row["mean_terminal_cost"] = report.mean_terminal_cost
-            if report.success_rate < config.sweep.success_threshold:
+            if report.success_rate < SWEEP_MIN_SUCCESS:
                 row["status"] = "failed"
         except Exception as exc:  # noqa: BLE001 - sweep must keep going
             row["status"] = "failed"

@@ -28,6 +28,9 @@ from .systems import CostSpec, lq_double_integrator, pendulum, quadcopter
 from .training import PARAM_NAMES, ParamStore, TrainConfig, _views, init_store, training_step
 
 
+TOLERANCE = 1e-4  # largest relative error an audited derivative may show
+
+
 @dataclass
 class AuditRow:
     name: str
@@ -72,7 +75,7 @@ def _audit(op_name: str, fn, shapes, points: int, seed: int) -> AuditRow:
             return float(out.value[0, 0]), np.concatenate([g.ravel() for g in grads])
 
         worst = max(worst, finite_difference_check(f, vec0))
-    return AuditRow(op_name, points, worst, 1e-4)
+    return AuditRow(op_name, points, worst, TOLERANCE)
 
 
 def _step_constants(mode: str) -> ad.StepConstants:
@@ -145,11 +148,11 @@ def audit_primitives(points: int = 100) -> list[AuditRow]:
     return rows
 
 
-def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
-                    seed: int = 3, tol: float = 1e-4) -> AuditRow:
-    """One forward pass of the two-layer recurrent cell with every weight,
-    input and carry state perturbed."""
-    rng = np.random.default_rng(seed)
+def audit_lstm_step() -> AuditRow:
+    """One forward pass of the two-layer recurrent cell (hidden size 5, input
+    size 3, batch 4) with every weight, input and carry state perturbed."""
+    hidden, input_dim, batch = 5, 3, 4
+    rng = np.random.default_rng(3)
     net0 = init_net(input_dim, hidden, 2, rng)
     shapes = dict(zip(PARAM_NAMES, (arr.shape for arr in net0.arrays())), x=(input_dim, batch))
 
@@ -163,7 +166,7 @@ def audit_lstm_step(hidden: int = 5, input_dim: int = 3, batch: int = 4,
 
     point = rng.uniform(-0.8, 0.8, size=sum(r * c for r, c in shapes.values()))
     err = finite_difference_check(f, point)
-    return AuditRow("lstm-step", 1, err, tol)
+    return AuditRow("lstm-step", 1, err, TOLERANCE)
 
 
 def taped_gradients(store: ParamStore, sys, costs: CostSpec, grid: HorizonGrid,
@@ -187,13 +190,13 @@ def taped_gradients(store: ParamStore, sys, costs: CostSpec, grid: HorizonGrid,
     return batch, float(loss.value[0, 0]), dict(zip(leaves, grads))
 
 
-def audit_rollout(steps: int = 5, batch: int = 2, seed: int = 11,
-                  tol: float = 1e-4, system: str = "pendulum", adjoint: bool = False) -> AuditRow:
-    """Full solver pass: multi-step importance-sampled rollout plus training
-    loss, differentiated with respect to every trainable parameter by the
-    taped oracle (``taped_gradients``) or, with ``adjoint``, by the adjoint
-    of ``training.training_step``."""
-    sys = pendulum(noise="low") if system == "pendulum" else lq_double_integrator()
+def audit_rollout(adjoint: bool = False) -> AuditRow:
+    """Full solver pass: a 5-step importance-sampled pendulum rollout of 2
+    samples plus training loss, differentiated with respect to every
+    trainable parameter by the taped oracle (``taped_gradients``) or, with
+    ``adjoint``, by the adjoint of ``training.training_step``."""
+    steps, batch, seed = 5, 2, 11
+    sys = pendulum(noise="low")
     costs = CostSpec(
         running_weights=np.array([1.0, 0.1]),
         terminal_weights=np.array([10.0, 1.0]),
@@ -220,7 +223,7 @@ def audit_rollout(steps: int = 5, batch: int = 2, seed: int = 11,
         return loss, np.concatenate([g.ravel() for g in grads.values()])
 
     err = finite_difference_check(f, store.theta, step=1e-5)
-    return AuditRow(f"{'adjoint-' if adjoint else ''}rollout-loss-{system}", 1, err, tol)
+    return AuditRow(f"{'adjoint-' if adjoint else ''}rollout-loss-pendulum", 1, err, TOLERANCE)
 
 
 def run_all(points: int = 100) -> list[AuditRow]:

@@ -2,16 +2,22 @@
 
 Dynamics have the form
 
-    dx = f(x) dt + G u dt + Sigma dw,      G = Sigma @ Gamma_u  (exactly)
+    dx = f(x) dt + G u dt + Sigma dw,      G = Sigma @ Gamma_u
 
-with constant actuation G, constant diffusion Sigma, and constant noise-to-
-control map Gamma_u for every system shipped here. Drift functions operate
-on column batches (n, M) and run taped and tape-free. Every drift and both
-quadratic costs are each one ``autodiff.column_map``: a NumPy forward plus
-its hand-written vector-Jacobian product, so a call records one tape node
-(the 12-state quadcopter drift used to record about 60) and the training
-adjoint (``fbsde.rollout_adjoint``) finds the product it needs. The tape-free
-path runs the same forward, so evaluation is unchanged bit for bit.
+with constant diffusion Sigma and constant noise-to-control map Gamma_u for
+every system shipped here. The control enters through the noise channels, so
+the actuation G is not stored: ``SystemModel.actuation`` is Sigma @ Gamma_u.
+Each system is defined once, by its factory: its constants (masses, lengths,
+inertias) and its success box are fixed there, and a config only selects the
+system and its noise level.
+
+Drift functions operate on column batches (n, M) and run taped and
+tape-free. Every drift and both quadratic costs are each one
+``autodiff.column_map``: a NumPy forward plus its hand-written
+vector-Jacobian product, so a call records one tape node (the 12-state
+quadcopter drift used to record about 60) and the training adjoint
+(``fbsde.rollout_adjoint``) finds the product it needs. The tape-free path
+runs the same forward, so evaluation is unchanged bit for bit.
 
 Angle coordinates are wrapped to (-pi, pi] around the target for cost and
 success evaluation only, never inside integration.
@@ -51,7 +57,9 @@ class SystemModel:
     """A task: dynamics, noise layout, goal state, and success tolerances.
 
     ``success_tol`` is a per-dimension tolerance on the terminal deviation
-    from ``target``; unconstrained dimensions carry ``inf``.
+    from ``target``; unconstrained dimensions carry ``inf``. The actuation G
+    is derived, ``sigma @ gamma_u``, so it cannot disagree with the noise
+    layout.
     """
 
     name: str
@@ -59,7 +67,6 @@ class SystemModel:
     p: int
     m: int
     drift: Callable  # drift(X) on (n, M) columns, dual-mode; every system is time-invariant
-    actuation: np.ndarray  # G, (n, p)
     sigma: np.ndarray  # (n, m)
     gamma_u: np.ndarray  # (m, p)
     target: np.ndarray  # (n,)
@@ -70,17 +77,16 @@ class SystemModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.actuation = np.asarray(self.actuation, dtype=np.float64).reshape(self.n, self.p)
         self.sigma = np.asarray(self.sigma, dtype=np.float64).reshape(self.n, self.m)
         self.gamma_u = np.asarray(self.gamma_u, dtype=np.float64).reshape(self.m, self.p)
         self.target = np.asarray(self.target, dtype=np.float64).reshape(self.n)
         self.x0 = np.asarray(self.x0, dtype=np.float64).reshape(self.n)
         self.success_tol = np.asarray(self.success_tol, dtype=np.float64).reshape(self.n)
-        residual = np.max(np.abs(self.actuation - self.sigma @ self.gamma_u))
-        if residual > 1e-10:
-            raise ValueError(
-                f"{self.name}: actuation is not sigma @ gamma_u (residual {residual:.3e})"
-            )
+
+    @property
+    def actuation(self) -> np.ndarray:
+        """G = Sigma @ Gamma_u, (n, p); zero when the system carries no noise."""
+        return self.sigma @ self.gamma_u
 
 
 def wrap_angle(delta):
@@ -221,13 +227,10 @@ def pendulum(
     def drift(X):
         return ad.column_map(X, forward, vjp)
 
-    g_mat = np.array([[0.0], [1.0 / inertia]])
+    # G = sigma @ gamma = (0, 1/inertia); at noise 0 both vanish, the
+    # degenerate noiseless variant used by deterministic tests
     sigma = np.array([[0.0], [scale / inertia]])
-    gamma = np.array([[1.0 / scale]]) if scale > 0 else np.array([[0.0]])
-    if scale == 0:
-        # degenerate noiseless variant used by deterministic tests
-        sigma = np.zeros((2, 1))
-        g_mat = np.zeros((2, 1))
+    gamma = np.array([[1.0 / scale if scale > 0 else 0.0]])
 
     return SystemModel(
         name="pendulum",
@@ -235,7 +238,6 @@ def pendulum(
         p=1,
         m=1,
         drift=drift,
-        actuation=g_mat,
         sigma=sigma,
         gamma_u=gamma,
         target=np.array([np.pi, 0.0]),
@@ -341,18 +343,14 @@ def quadcopter(
     def drift(X):
         return ad.column_map(X, forward, vjp)
 
-    g_mat = np.zeros((12, 4))
-    g_mat[8, 0] = -1.0  # specific force acts along -z_body (up)
-    g_mat[9, 1] = 1.0
-    g_mat[10, 2] = 1.0
-    g_mat[11, 3] = 1.0
-
+    # noise and control share the w, p, q, r rate rows; the specific force
+    # acts along -z_body (up), so G = sigma @ gamma is -1 on the thrust row
     sigma = np.zeros((12, 4))
     gamma = np.zeros((4, 4))
     if scale > 0:
-        for k, row in enumerate((8, 9, 10, 11)):
+        for k, (row, sign) in enumerate(((8, -1.0), (9, 1.0), (10, 1.0), (11, 1.0))):
             sigma[row, k] = scale
-            gamma[k, k] = g_mat[row, k] / scale
+            gamma[k, k] = sign / scale
 
     target = np.zeros(12)
     target[0], target[1], target[2] = 1.0, 1.0, -1.0
@@ -366,7 +364,6 @@ def quadcopter(
         p=4,
         m=4,
         drift=drift,
-        actuation=g_mat if scale > 0 else np.zeros((12, 4)),
         sigma=sigma,
         gamma_u=gamma,
         target=target,
@@ -414,11 +411,8 @@ def lq_double_integrator(noise: Any = 0.2) -> SystemModel:
     def drift(X):
         return ad.column_map(X, forward, vjp)
 
-    g_mat = np.array([[0.0], [1.0]])
-    sigma = np.array([[0.0], [scale]])
-    gamma = np.array([[1.0 / scale]]) if scale > 0 else np.array([[0.0]])
-    if scale == 0:
-        g_mat = np.zeros((2, 1))
+    sigma = np.array([[0.0], [scale]])  # G = sigma @ gamma = (0, 1)
+    gamma = np.array([[1.0 / scale if scale > 0 else 0.0]])
 
     return SystemModel(
         name="lq",
@@ -426,7 +420,6 @@ def lq_double_integrator(noise: Any = 0.2) -> SystemModel:
         p=1,
         m=1,
         drift=drift,
-        actuation=g_mat,
         sigma=sigma,
         gamma_u=gamma,
         target=np.zeros(2),
@@ -445,11 +438,13 @@ SYSTEM_FACTORIES = {
 }
 
 
-def make_system(name: str, noise: Any = "low", physics: dict | None = None) -> SystemModel:
+def make_system(name: str, noise: Any = "low") -> SystemModel:
+    """The named system at a noise preset or scale, with the constants and the
+    success box its factory fixes."""
     try:
         factory = SYSTEM_FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown system {name!r}; available: {sorted(SYSTEM_FACTORIES)}"
         ) from None
-    return factory(noise=noise, **(physics or {}))
+    return factory(noise=noise)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from minmax_fbsde import evaluation
 from minmax_fbsde.config import build_runtime, default_config, override
 from minmax_fbsde.evaluation import (
     EVAL_SCHEMA,
@@ -430,7 +431,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive"):
             epsilon_sweep(cfg, [0.5, -1.0], str(tmp_path))
 
-    def test_micro_sweep_end_to_end(self, tmp_path):
+    def test_micro_sweep_end_to_end(self, tmp_path, monkeypatch):
+        # 3 iterations need not clear the fixed success rate; with it at 0
+        # every trained condition is ok
+        monkeypatch.setattr(evaluation, "SWEEP_MIN_SUCCESS", 0.0)
         cfg = default_config("lq")
         cfg = override(cfg, out=str(tmp_path))
         cfg.train.iterations = 3
@@ -438,7 +442,6 @@ class TestSweep:
         cfg.train.steps = 5
         cfg.train.horizon = 0.1
         cfg.eval.batch_size = 8
-        cfg.sweep.success_threshold = 0.0
         rows = epsilon_sweep(cfg, [0.5], str(tmp_path))
         assert [r["mode"] for r in rows] == ["baseline", "minmax"]
         assert rows[0]["epsilon"] is None

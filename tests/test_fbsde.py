@@ -206,7 +206,7 @@ class TestSteps:
         decay = SystemModel(
             name="decay", n=1, m=1, p=1,
             drift=lambda X: -np.asarray(X),
-            actuation=np.zeros((1, 1)), sigma=np.zeros((1, 1)),
+            sigma=np.zeros((1, 1)),
             gamma_u=np.ones((1, 1)), target=np.zeros(1), x0=np.ones(1),
             state_labels=("x",), success_tol=np.ones(1), angle_dims=(),
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,10 +158,6 @@ class TestCostSpec:
         np.testing.assert_allclose(batched, singles)
 
 
-def _noise_consistency(sys: SystemModel):
-    return float(np.max(np.abs(sys.actuation - sys.sigma @ sys.gamma_u)))
-
-
 class TestPendulum:
     def test_dimensions(self):
         sys = pendulum()
@@ -181,8 +179,11 @@ class TestPendulum:
         assert G[1, 0] == pytest.approx(1.0)  # 1/(m l^2)
 
     def test_noise_channel_identity(self):
-        assert _noise_consistency(pendulum("low")) < 1e-10
-        assert _noise_consistency(pendulum("high")) < 1e-10
+        # sigma @ gamma_u is the physical G = (0, 1/(m l^2)) at every noise level
+        for sys, inertia in ((pendulum("low"), 1.0), (pendulum("high"), 1.0),
+                             (pendulum("low", mass=2.0), 2.0)):
+            np.testing.assert_array_equal(sys.sigma @ sys.gamma_u, [[0.0], [1.0 / inertia]])
+            np.testing.assert_array_equal(sys.actuation, sys.sigma @ sys.gamma_u)
 
     def test_success_tolerances(self):
         sys = pendulum()
@@ -220,8 +221,14 @@ class TestQuadcopter:
         np.testing.assert_allclose(f, 0.0, atol=1e-14)
 
     def test_noise_channel_identity(self):
-        assert _noise_consistency(quadcopter("low")) < 1e-10
-        assert _noise_consistency(quadcopter("high")) < 1e-10
+        # sigma @ gamma_u is the physical G: the specific force pushes up
+        # (-1 on the w row) and each torque drives its own rate
+        expected = np.zeros((12, 4))
+        expected[8:, :] = np.diag([-1.0, 1.0, 1.0, 1.0])
+        for noise in ("low", "high"):
+            sys = quadcopter(noise)
+            np.testing.assert_array_equal(sys.sigma @ sys.gamma_u, expected)
+            np.testing.assert_array_equal(sys.actuation, expected)
 
     def test_noise_enters_actuated_rows_only(self):
         sys = quadcopter()
@@ -268,7 +275,9 @@ class TestLq:
         np.testing.assert_allclose(sys.gamma_u, [[5.0]])
 
     def test_noise_channel_identity(self):
-        assert _noise_consistency(lq_double_integrator(0.2)) < 1e-10
+        sys = lq_double_integrator(0.2)
+        np.testing.assert_array_equal(sys.sigma @ sys.gamma_u, [[0.0], [1.0]])
+        np.testing.assert_array_equal(sys.actuation, [[0.0], [1.0]])
 
 
 class TestFactories:
@@ -279,17 +288,14 @@ class TestFactories:
         sys = make_system("pendulum", noise="high")
         assert sys.params["noise_scale"] == 0.8
 
-    def test_physics_override(self):
-        sys = make_system("pendulum", noise="low", physics={"mass": 2.0})
-        x = np.array([[0.5], [0.0]])
-        f = sys.drift(x)
-        # heavier bob, same torque arm: theta-dd = -g sin(theta) / l
-        assert f[1, 0] == pytest.approx(-9.81 * np.sin(0.5))
-
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="cartpole"):
             make_system("cartpole")
 
-    def test_unknown_physics_key(self):
-        with pytest.raises(TypeError):
-            make_system("pendulum", physics={"wing_span": 1.0})
+    def test_actuation_is_derived(self):
+        # G is sigma @ gamma_u, never a stored field that could disagree
+        assert "actuation" not in {f.name for f in dataclasses.fields(SystemModel)}
+        sys = make_system("lq", noise=0.0)
+        np.testing.assert_array_equal(sys.actuation, np.zeros((2, 1)))
+        with pytest.raises(AttributeError):
+            sys.actuation = np.ones((2, 1))
