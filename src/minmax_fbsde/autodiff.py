@@ -10,7 +10,10 @@ Column-wise batches (one sample per column) fall out of the shape rules for
 free, because every primitive either acts element-wise or contracts over
 rows only.
 
-The same expression helpers (``matmul``, ``sin``, ``rows``, ...) accept
+The vocabulary is what the solver runs: the loss head's ``add``, ``sub``,
+``smul`` and ``sumsq``, the ``matmul`` and ``rows`` of the taped oracle and
+the network, the ``mul`` and ``total`` that the gradient audit scalarizes
+with, and the four fused primitives below. The expression helpers accept
 plain ndarrays and then evaluate eagerly without recording, so model code
 written against them runs both taped (training) and tape-free (evaluation).
 
@@ -38,11 +41,10 @@ which logs each fused call's inputs and saved arrays, and the adjoint
 holds only the loss head. Taping the whole rollout remains the gradient
 oracle for tests and the audit.
 
-The sigmoid is NumPy's own ``0.5 tanh(a / 2) + 0.5`` (``_sigmoid``); the
-package needs no special-function library. The LSTM cell folds the ``a / 2``
+The one sigmoid is the LSTM cell's, NumPy's own ``0.5 tanh(a / 2) + 0.5``;
+the package needs no special-function library. The cell folds the ``a / 2``
 into its packed weights: their sigmoid rows are stored halved, which is exact,
-so one tanh covers all gate rows and the result is still ``_sigmoid``'s to the
-bit.
+so one tanh covers all gate rows.
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ class Var:
     """Handle to one tape node: (tape, index). Shape is fixed at creation."""
 
     __slots__ = ("tape", "idx")
-    # keep numpy from consuming Var operands so __r*__ methods fire
-    __array_ufunc__ = None
 
     def __init__(self, tape: "Tape", idx: int):
         self.tape = tape
@@ -98,35 +98,6 @@ class Var:
 
     def __repr__(self) -> str:
         return f"Var(idx={self.idx}, shape={self.shape})"
-
-    # arithmetic sugar; scalars multiply via scalar-multiply, everything else
-    # must conform exactly
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return smul(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
-    def __neg__(self):
-        return smul(self, -1.0)
 
 
 class _Node:
@@ -146,33 +117,14 @@ PRIMITIVES = {
     "sub": "subtract",
     "mul": "element-multiply",
     "smul": "scalar-multiply",
-    "tanh": "tanh",
-    "sigmoid": "sigmoid",
-    "sin": "sin",
-    "cos": "cos",
     "sum": "sum",
     "sumsq": "sum-of-squares",
-    "vstack": "concat-rows",
     "rows": "slice-rows",
     "lstm_cell": "lstm-cell",
     "affine": "affine",
     "fbsde_step": "fbsde-step",
     "column_map": "column-map",
 }
-
-
-def _sigmoid(a):
-    """Logistic function as 0.5 tanh(a / 2) + 0.5.
-
-    NumPy ufuncs only; it cannot overflow, maps -inf and +inf to exactly 0
-    and 1, propagates NaN and is within 2.3e-16 absolute of the exact value.
-    The taped primitive and the eager helper call it; the LSTM kernel gets
-    the same bits from its halved sigmoid rows and one tanh over all gates.
-    """
-    half = np.tanh(np.multiply(a, 0.5))
-    half *= 0.5
-    half += 0.5
-    return half
 
 
 def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -201,25 +153,10 @@ def _forward(op: str, vals: tuple[np.ndarray, ...], aux) -> np.ndarray:
         return vals[0] * vals[1]
     if op == "smul":
         return vals[0] * aux
-    if op == "tanh":
-        return np.tanh(vals[0])
-    if op == "sigmoid":
-        return _sigmoid(vals[0])
-    if op == "sin":
-        return np.sin(vals[0])
-    if op == "cos":
-        return np.cos(vals[0])
     if op == "sum":
         return np.sum(vals[0]).reshape(1, 1)
     if op == "sumsq":
         return np.sum(vals[0] * vals[0]).reshape(1, 1)
-    if op == "vstack":
-        widths = {v.shape[1] for v in vals}
-        if len(widths) > 1:
-            raise ShapeError(
-                f"concat-rows: column counts differ: {[v.shape for v in vals]}"
-            )
-        return np.vstack(vals)
     if op == "rows":
         lo, hi = aux
         nrows = vals[0].shape[0]
@@ -254,24 +191,10 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
         _acc(grads, ins[1], g * values(ins[0]))
     elif op == "smul":
         _acc(grads, ins[0], g * node.aux)
-    elif op == "tanh":
-        _acc(grads, ins[0], g * (1.0 - node.value * node.value))
-    elif op == "sigmoid":
-        _acc(grads, ins[0], g * node.value * (1.0 - node.value))
-    elif op == "sin":
-        _acc(grads, ins[0], g * np.cos(values(ins[0])))
-    elif op == "cos":
-        _acc(grads, ins[0], -g * np.sin(values(ins[0])))
     elif op == "sum":
         _acc(grads, ins[0], np.full(values(ins[0]).shape, g[0, 0]))
     elif op == "sumsq":
         _acc(grads, ins[0], (2.0 * g[0, 0]) * values(ins[0]))
-    elif op == "vstack":
-        off = 0
-        for i in ins:
-            r = values(i).shape[0]
-            _acc(grads, i, g[off : off + r])
-            off += r
     elif op == "rows":
         lo, hi = node.aux
         full = np.zeros(values(ins[0]).shape)
@@ -662,30 +585,6 @@ def smul(x, c: float):
     return np.asarray(x) * float(c)
 
 
-def tanh(x):
-    if isinstance(x, Var):
-        return x.tape.apply("tanh", x)
-    return np.tanh(x)
-
-
-def sigmoid(x):
-    if isinstance(x, Var):
-        return x.tape.apply("sigmoid", x)
-    return _sigmoid(x)
-
-
-def sin(x):
-    if isinstance(x, Var):
-        return x.tape.apply("sin", x)
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Var):
-        return x.tape.apply("cos", x)
-    return np.cos(x)
-
-
 def total(x):
     """Sum of all entries, as a (1, 1) matrix."""
     if isinstance(x, Var):
@@ -699,13 +598,6 @@ def sumsq(x):
         return x.tape.apply("sumsq", x)
     arr = np.asarray(x)
     return np.sum(arr * arr).reshape(1, 1)
-
-
-def vstack(parts: Sequence):
-    tape = _tape_of(*parts)
-    if tape is None:
-        return np.vstack([np.asarray(p) for p in parts])
-    return tape.apply("vstack", *[_lift(tape, p) for p in parts])
 
 
 def rows(x, lo: int, hi: int):

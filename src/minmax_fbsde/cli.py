@@ -263,13 +263,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_oracle_check(cfg)
         if args.command == "grad-check":
             return cmd_grad_check(cfg)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except (CheckpointError, ConfigError, RiccatiBlowUp, training.TrainingDiverged) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CheckpointError, ConfigError, RiccatiBlowUp, training.TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

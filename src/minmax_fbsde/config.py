@@ -10,6 +10,7 @@ import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field, asdict
 from typing import Any
 
@@ -29,6 +30,16 @@ from .training import TrainConfig
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the dotted key path."""
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader that also reads ``1e6`` and ``5e-1`` as floats;
+    the YAML 1.1 rules it follows otherwise require a dot in every float."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+                              list("-+0123456789"))
 
 
 @dataclass
@@ -182,7 +193,7 @@ def parse_overrides(pairs: list[str]) -> dict:
         if not key:
             raise ConfigError(f"override {pair!r} has an empty key")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{key}: unparseable value {raw!r} ({exc})") from exc
         _set_dotted(tree, key, value)
@@ -197,7 +208,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
-                loaded = yaml.safe_load(fh)
+                loaded = yaml.load(fh, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"config file {path}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
@@ -265,6 +276,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     Integer settings refuse a float such as ``3.0``."""
     _require(cfg.system in SYSTEM_FACTORIES, "system",
              f"unknown system {cfg.system!r}; expected one of {sorted(SYSTEM_FACTORIES)}")
+    dims = SYSTEM_FACTORIES[cfg.system]()  # n and p, as the one definition fixes them
     _require(cfg.mode in ("minmax", "baseline"), "mode",
              f"expected minmax or baseline, got {cfg.mode!r}")
     if isinstance(cfg.noise, str):
@@ -279,13 +291,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _require(isinstance(cfg.out, str) and cfg.out, "out", "must be a non-empty path")
 
     c = cfg.cost
-    c.running_weights = _numlist(c.running_weights, "cost.running_weights")
-    c.terminal_weights = _numlist(c.terminal_weights, "cost.terminal_weights")
-    _require(all(w >= 0 for w in c.running_weights), "cost.running_weights", "weights must be >= 0")
-    _require(all(w >= 0 for w in c.terminal_weights), "cost.terminal_weights", "weights must be >= 0")
+    for key in ("running_weights", "terminal_weights"):
+        weights = _numlist(getattr(c, key), f"cost.{key}")
+        _require(all(w >= 0 for w in weights), f"cost.{key}", "weights must be >= 0")
+        _require(len(weights) == dims.n, f"cost.{key}",
+                 f"expected {dims.n} entries for {cfg.system}, got {len(weights)}")
+        setattr(c, key, weights)
     if isinstance(c.control_weight, (list, tuple)):
         c.control_weight = _numlist(c.control_weight, "cost.control_weight")
         _require(all(w > 0 for w in c.control_weight), "cost.control_weight", "entries must be > 0")
+        _require(len(c.control_weight) == dims.p, "cost.control_weight",
+                 f"expected {dims.p} entries, got {len(c.control_weight)}")
     else:
         c.control_weight = _num(c.control_weight, "cost.control_weight")
         _require(c.control_weight > 0, "cost.control_weight", "must be > 0")
@@ -376,16 +392,8 @@ class RuntimeSetup:
 def build_runtime(cfg: ExperimentConfig) -> RuntimeSetup:
     validate_config(cfg)
     sys = make_system(cfg.system, noise=cfg.noise)
-    if len(cfg.cost.running_weights) != sys.n:
-        raise ConfigError(f"cost.running_weights: expected {sys.n} entries for {cfg.system}, "
-                          f"got {len(cfg.cost.running_weights)}")
-    if len(cfg.cost.terminal_weights) != sys.n:
-        raise ConfigError(f"cost.terminal_weights: expected {sys.n} entries for {cfg.system}, "
-                          f"got {len(cfg.cost.terminal_weights)}")
     cw = cfg.cost.control_weight
     if isinstance(cw, (list, tuple)):
-        if len(cw) != sys.p:
-            raise ConfigError(f"cost.control_weight: expected {sys.p} entries, got {len(cw)}")
         r_u = np.asarray(cw, dtype=np.float64)
     else:
         r_u = np.full(sys.p, float(cw))

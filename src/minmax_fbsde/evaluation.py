@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import fbsde
+from . import config as config_mod
+from . import fbsde, training
 from .fbsde import HorizonGrid, RolloutBatch
 from .systems import CostSpec, SystemModel, wrap_angle
 from .training import ParamStore
@@ -406,9 +407,6 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
     ``out_dir``, so the table does not depend on where the sweep directory
     lives.
     """
-    from . import config as config_mod
-    from . import training
-
     rows = []
     baseline = None
     reductions = {}

@@ -188,9 +188,10 @@ def training_step(
     y_star = tape.leaf(batch.terminal_targets)
     y_terminal = tape.leaf(batch.values[-1])
     theta = [tape.leaf(arr) for arr in store.net.arrays()]
-    loss_var = fbsde.training_loss_expr(
-        y_star, y_terminal, theta, costs.beta, costs.weight_decay, batch.batch_size
-    )
+    with np.errstate(all="ignore"):  # a runaway loss is reported below, not warned about
+        loss_var = fbsde.training_loss_expr(
+            y_star, y_terminal, theta, costs.beta, costs.weight_decay, batch.batch_size
+        )
     loss = float(loss_var.value[0, 0])
     if not math.isfinite(loss):
         raise TrainingDiverged(f"iteration {iteration}: non-finite loss {loss!r}")

@@ -1,16 +1,21 @@
-"""Single-vector references that the batched solver is tested against.
+"""References that the batched solver is tested against.
 
-Each function spells out one piece of the FBSDE scheme for a single sample,
-written from its definition rather than from the batched kernels: the
-per-sample noise stream that ``fbsde.sample_noise`` must reproduce bit for
-bit, the feedback controls, the generator h, and one Euler step of the
-forward and of the backward equation.
+The single-vector functions spell out one piece of the FBSDE scheme for a
+single sample, written from its definition rather than from the batched
+kernels: the per-sample noise stream that ``fbsde.sample_noise`` must
+reproduce bit for bit, the feedback controls, the generator h, and one Euler
+step of the forward and of the backward equation. The element-wise ops
+(``sigmoid``, ``tanh``, ``sin``, ``cos``, ``concat_rows``) are what the tests
+compose the fused kernels from, taped or tape-free; the solver's tape has no
+such primitives.
 """
 
+import functools
 import math
 
 import numpy as np
 
+from minmax_fbsde import autodiff as ad
 from minmax_fbsde.fbsde import HorizonGrid, adversary_control, h_quadratic, minimizing_control
 from minmax_fbsde.systems import CostSpec, SystemModel
 
@@ -76,3 +81,43 @@ def bsde_step(y: float, z, h: float, u, v, gamma_u, dw, grid: HorizonGrid) -> fl
     k = gamma_u @ u + v
     drift = -float(h) + float((z.T @ k)[0, 0])
     return float(y) + drift * grid.dt + float((z.T @ dw)[0, 0]) * math.sqrt(grid.dt)
+
+
+def _elementwise(fn, slope):
+    """An element-wise op as one ``column_map``, whose product multiplies the
+    cotangent by the derivative ``slope(x, value)``."""
+    def forward(x):
+        value = fn(x)
+        return value, value
+
+    return lambda x: ad.column_map(x, forward, lambda g, x, value: g * slope(x, value))
+
+
+def _logistic(a):
+    """0.5 tanh(a / 2) + 0.5, in the LSTM kernel's operation order."""
+    half = np.tanh(np.multiply(a, 0.5))
+    half *= 0.5
+    half += 0.5
+    return half
+
+
+sigmoid = _elementwise(_logistic, lambda x, s: s * (1.0 - s))
+tanh = _elementwise(np.tanh, lambda x, t: 1.0 - t * t)
+sin = _elementwise(np.sin, lambda x, _: np.cos(x))
+cos = _elementwise(np.cos, lambda x, _: -np.sin(x))
+
+
+def placement(rows, offset, width):
+    """0/1 matrix that puts ``rows`` columns at ``offset`` of a ``width``-column block."""
+    place = np.zeros((rows, width))
+    place[np.arange(rows), offset + np.arange(rows)] = 1.0
+    return place
+
+
+def concat_rows(parts):
+    """The parts stacked by rows, as a sum of 0/1 placement products; exact
+    for finite inputs."""
+    ends = np.cumsum([0] + [part.shape[0] for part in parts])
+    pieces = [ad.matmul(placement(hi - lo, lo, ends[-1]).T, part)
+              for part, lo, hi in zip(parts, ends, ends[1:])]
+    return functools.reduce(ad.add, pieces)

@@ -11,6 +11,7 @@ from minmax_fbsde.autodiff import (
     as_matrix,
     finite_difference_check,
 )
+from reference import concat_rows, sigmoid, tanh
 
 
 def finite_matrices(rows, cols, lo=-3.0, hi=3.0):
@@ -81,11 +82,11 @@ class TestForward:
         assert ad.total(x).value[0, 0] == 10.0
         assert ad.sumsq(x).value[0, 0] == 30.0
 
-    def test_vstack_then_rows_roundtrip(self):
+    def test_concat_rows_then_rows_roundtrip(self):
         tape = Tape()
         a = tape.leaf(np.arange(6.0).reshape(2, 3))
         b = tape.leaf(np.arange(9.0).reshape(3, 3))
-        stacked = ad.vstack([a, b])
+        stacked = concat_rows([a, b])
         assert stacked.shape == (5, 3)
         back = ad.rows(stacked, 2, 5)
         np.testing.assert_array_equal(back.value, b.value)
@@ -111,55 +112,46 @@ class TestForward:
         with pytest.raises(ValueError):
             ad.add(a, b)
 
-    def test_operator_sugar(self):
-        tape = Tape()
-        a = tape.leaf([[2.0]])
-        b = tape.leaf([[3.0]])
-        assert (a + b).value[0, 0] == 5.0
-        assert (a - b).value[0, 0] == -1.0
-        assert (a * b).value[0, 0] == 6.0
-        assert (a @ b).value[0, 0] == 6.0
-        assert (-a).value[0, 0] == -2.0
-        assert (2.0 * a).value[0, 0] == 4.0
-
     def test_eager_numpy_mode(self):
         # the same helpers act directly on arrays when no Var is involved
         out = ad.add(np.array([[1.0]]), np.array([[2.0]]))
         assert isinstance(out, np.ndarray)
         assert out[0, 0] == 3.0
-        assert ad.tanh(np.zeros((1, 1)))[0, 0] == 0.0
+        assert ad.smul(np.ones((1, 1)), -2.0)[0, 0] == -2.0
 
 
 class TestSigmoid:
-    """The one NumPy sigmoid behind ``ad.sigmoid``, the taped primitive and
-    the LSTM kernel; ``scipy.special.expit`` is the oracle here only."""
+    """The reference sigmoid in ``tests/reference.py``, 0.5 tanh(a / 2) + 0.5
+    in the LSTM kernel's operation order, whose gates ``test_fused`` checks
+    against it; ``scipy.special.expit`` is the oracle here only."""
 
-    GRID = np.concatenate([np.linspace(-750.0, 750.0, 300_001), np.linspace(-40.0, 40.0, 80_001)])
+    GRID = np.concatenate([np.linspace(-750.0, 750.0, 300_001),
+                           np.linspace(-40.0, 40.0, 80_001)]).reshape(1, -1)
 
     def test_matches_expit(self):
         from scipy.special import expit
 
-        assert np.max(np.abs(ad.sigmoid(self.GRID) - expit(self.GRID))) <= 1e-15
+        assert np.max(np.abs(sigmoid(self.GRID) - expit(self.GRID))) <= 1e-15
 
     def test_eager_and_taped_agree(self):
         x = np.linspace(-40.0, 40.0, 64 * 40).reshape(64, 40)
-        taped = ad.sigmoid(Tape().leaf(x)).value
-        assert taped.tobytes() == ad.sigmoid(x).tobytes()
+        taped = sigmoid(Tape().leaf(x)).value
+        assert taped.tobytes() == sigmoid(x).tobytes()
 
     def test_infinities_saturate_exactly(self):
-        out = ad.sigmoid(np.array([[np.inf, -np.inf]]))
+        out = sigmoid(np.array([[np.inf, -np.inf]]))
         assert out[0, 0] == 1.0 and out[0, 1] == 0.0
 
     def test_nan_propagates(self):
-        assert np.isnan(ad.sigmoid(np.array([[np.nan, 0.0]])))[0].tolist() == [True, False]
+        assert np.isnan(sigmoid(np.array([[np.nan, 0.0]])))[0].tolist() == [True, False]
 
     def test_finite_inputs_raise_no_warning(self):
         import warnings
 
         with warnings.catch_warnings(), np.errstate(all="warn"):
             warnings.simplefilter("error")
-            ad.sigmoid(self.GRID)
-            ad.sigmoid(Tape().leaf(self.GRID.reshape(1, -1)))
+            sigmoid(self.GRID)
+            sigmoid(Tape().leaf(self.GRID))
             # LSTM gates driven to both saturations by the bias alone
             hid, cols = 2, 8
             bias = np.resize([1e300, -1e300, 750.0, -750.0], (4 * hid, 1))
@@ -244,7 +236,7 @@ class TestBackward:
         def once():
             tape = Tape()
             a = tape.leaf(a0)
-            y = ad.sumsq(ad.tanh(ad.matmul(a, a)))
+            y = ad.sumsq(tanh(ad.matmul(a, a)))
             (g,) = tape.backward(y, [a])
             return g
 
@@ -315,7 +307,7 @@ def test_gradient_matches_finite_differences(a, seed):
         tape = Tape()
         x = tape.leaf(vec.reshape(2, 2))
         c = tape.constant(w)
-        y = ad.sumsq(ad.tanh(ad.matmul(c, x)))
+        y = ad.sumsq(tanh(ad.matmul(c, x)))
         (g,) = tape.backward(y, [x])
         return float(y.value[0, 0]), g.ravel()
 

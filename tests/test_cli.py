@@ -108,6 +108,18 @@ class TestParse:
         assert tree["sweep"]["epsilons"] == [1.0, 2.0]
         assert tree["noise"] == "high"
 
+    def test_exponent_numbers_are_floats(self, tmp_path):
+        # 1e6 is lq's own default temperature; YAML 1.1 alone would read a string
+        default = parse_config(None, ["system=lq"])
+        given = parse_config(None, ["system=lq", "cost.epsilon=1e6"])
+        assert model_fingerprint(given) == model_fingerprint(default)
+        assert given.to_yaml() == default.to_yaml()
+        path = tmp_path / "exp.yaml"
+        path.write_text("train:\n  learning_rate: 1e-3\n")
+        assert parse_config(str(path), ["noise=5e-1"]).train.learning_rate == 1e-3
+        assert parse_config(None, ["noise=5e-1"]).noise == 0.5
+        assert parse_overrides(["cost.epsilon=-2.5E+2"])["cost"]["epsilon"] == -250.0
+
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_overrides(["no_equals_sign"])
@@ -454,6 +466,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pair.split('=')[0]}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    def test_weight_count_exits_two_before_any_output(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--set", "cost.running_weights=[1]", "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: cost.running_weights: expected 2 entries for pendulum, got 1\n")
+        assert not out.exists()
+
+    def test_runaway_loss_is_one_error_line(self, tmp_path, capsys):
+        args = ["train", "--set", "train.learning_rate=1.0e+100", "--set", "train.iterations=5",
+                "--set", "train.batch_size=8", "--set", "train.steps=5",
+                "--out", str(tmp_path / "out")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: iteration 1: non-finite loss inf\n"
+
     def test_missing_config_file_exits_two(self, capsys):
         code = main(["train", "--config", "/nonexistent/exp.yaml"])
         assert code == 2
@@ -608,6 +636,13 @@ PACKAGE = ROOT / "src" / "minmax_fbsde"
 TEST_ONLY = {
     "bsde_consistency_gaps",  # acceptance criterion 4's consistency check
 }
+# defined in src/ and called only by the gradient audit, on purpose; outside
+# its own module the audit is no caller of anything else
+AUDIT_ONLY = {
+    "mul": "weights every entry of an audited output before it is summed",
+    "total": "sums the weighted entries to the (1, 1) the backward sweep starts from",
+    "finite_difference_check": "the central differences every audit row is checked against",
+}
 
 
 def module_level_definitions(tree: ast.Module):
@@ -636,13 +671,39 @@ def referenced_names(tree: ast.Module):
                 yield node.asname
 
 
+def autodiff_references(tree: ast.Module, inside: bool):
+    """The ``autodiff`` names a module uses: ``ad.<name>``, ``autodiff.<name>``,
+    an import from ``.autodiff`` or, ``inside`` ``autodiff.py``, a bare name;
+    ``np.sin`` is no use of an ``autodiff.sin``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("ad", "autodiff")):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            yield from (alias.name for alias in node.names)
+        elif inside and isinstance(node, ast.Name):
+            yield node.id
+
+
 def test_src_defines_only_code_that_runs():
     # the package's own modules and the benchmark are the callers; the
     # package's __init__ only re-exports, and an export is not a call
-    src = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+    src = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
            if p.name != "__init__.py"}
-    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
-    used = {name for tree in [*src.values(), *bench] for name in referenced_names(tree)}
-    unused = [name for tree in src.values() for name in module_level_definitions(tree)
-              if name.rsplit(".", 1)[-1] not in used and name not in TEST_ONLY]
-    assert not unused, f"defined in src/ but only tests use them: {unused}"
+    callers = [(stem, tree) for stem, tree in src.items() if stem != "gradcheck"]
+    callers += [("bench", ast.parse(p.read_text())) for p in sorted((ROOT / "bench").glob("*.py"))]
+    used = {name for _, tree in callers for name in referenced_names(tree)}
+    used_ad = {name for stem, tree in callers
+               for name in autodiff_references(tree, stem == "autodiff")}
+    audit = set(referenced_names(src["gradcheck"]))
+    unused = []
+    for stem, tree in src.items():
+        for name in module_level_definitions(tree):
+            short = name.rsplit(".", 1)[-1]
+            # a method is looked up on an instance, so any attribute counts
+            pool = used_ad if stem == "autodiff" and "." not in name else used
+            # the audit calls its own helpers and the AUDIT_ONLY names
+            audited = short in audit and (stem == "gradcheck" or name in AUDIT_ONLY)
+            if not (short in pool or name in TEST_ONLY or audited):
+                unused.append(f"{stem}.{name}")
+    assert not unused, f"defined in src/ but only tests or the audit use them: {unused}"

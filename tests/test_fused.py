@@ -1,6 +1,7 @@
 """The fused tape primitives against the element-wise compositions they
 replace. The compositions below are the oracle: they spell each block out in
-the unfused primitives, in the same operation order as the fused kernels.
+the tape's elementary primitives and the reference ops of
+``tests/reference.py``, in the same operation order as the fused kernels.
 That includes the system drifts and the quadratic cost, which the solver
 records as one ``column_map`` node each."""
 
@@ -15,19 +16,13 @@ from minmax_fbsde.autodiff import StepConstants, Tape
 from minmax_fbsde.config import build_runtime, default_config
 from minmax_fbsde.fbsde import h_quadratic
 from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
-from reference import bsde_step, fsde_step, h_drift
+from reference import (bsde_step, concat_rows, cos, fsde_step, h_drift, placement, sigmoid,
+                       sin, tanh)
 
 
 def _ones_row(x):
     cols = x.shape[1] if isinstance(x, ad.Var) else np.asarray(x).shape[1]
     return np.ones((1, cols))
-
-
-def _placement(rows, offset, width):
-    """0/1 matrix that puts ``rows`` columns at ``offset`` of a ``width``-column block."""
-    place = np.zeros((rows, width))
-    place[np.arange(rows), offset + np.arange(rows)] = 1.0
-    return place
 
 
 def lstm_cell_composed(W, U, b, x, h_prev, c_prev, pack=None):
@@ -37,17 +32,17 @@ def lstm_cell_composed(W, U, b, x, h_prev, c_prev, pack=None):
     hid, d = U.shape[1], W.shape[1]
     width = d + hid + 1
     packed = ad.add(
-        ad.add(ad.matmul(W, _placement(d, 0, width)), ad.matmul(U, _placement(hid, d, width))),
-        ad.matmul(b, _placement(1, d + hid, width)),
+        ad.add(ad.matmul(W, placement(d, 0, width)), ad.matmul(U, placement(hid, d, width))),
+        ad.matmul(b, placement(1, d + hid, width)),
     )
-    pre = ad.matmul(packed, ad.vstack([x, h_prev, _ones_row(x)]))
-    gate_i = ad.sigmoid(ad.rows(pre, 0, hid))
-    gate_f = ad.sigmoid(ad.rows(pre, hid, 2 * hid))
-    cand = ad.tanh(ad.rows(pre, 2 * hid, 3 * hid))
-    gate_o = ad.sigmoid(ad.rows(pre, 3 * hid, 4 * hid))
+    pre = ad.matmul(packed, concat_rows([x, h_prev, _ones_row(x)]))
+    gate_i = sigmoid(ad.rows(pre, 0, hid))
+    gate_f = sigmoid(ad.rows(pre, hid, 2 * hid))
+    cand = tanh(ad.rows(pre, 2 * hid, 3 * hid))
+    gate_o = sigmoid(ad.rows(pre, 3 * hid, 4 * hid))
     c_new = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
-    h_new = ad.mul(gate_o, ad.tanh(c_new))
-    return ad.vstack([h_new, c_new])
+    h_new = ad.mul(gate_o, tanh(c_new))
+    return concat_rows([h_new, c_new])
 
 
 def affine_composed(W, x, b):
@@ -67,7 +62,7 @@ def fbsde_step_composed(x, y, z, f, q, c):
     col_sum = np.ones((1, c.dw.shape[0]))  # 1'(z * w) as a ones-row product
     y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), ad.matmul(col_sum, ad.mul(z, w)))
     x_new = ad.add(ad.add(ad.add(x, ad.smul(f, c.dt)), ad.matmul(g_mat, z)), c.sigma @ dw_hat)
-    return ad.vstack([x_new, y_new])
+    return concat_rows([x_new, y_new])
 
 
 def pendulum_drift_composed(sys):
@@ -78,8 +73,9 @@ def pendulum_drift_composed(sys):
     def drift(X):
         theta = ad.rows(X, 0, 1)
         omega = ad.rows(X, 1, 2)
-        acc = (omega * (-damping) + ad.sin(theta) * (-grav_coeff)) * (1.0 / inertia)
-        return ad.vstack((omega, acc))
+        acc = ad.smul(ad.add(ad.smul(omega, -damping), ad.smul(sin(theta), -grav_coeff)),
+                      1.0 / inertia)
+        return concat_rows((omega, acc))
 
     return drift
 
@@ -98,9 +94,9 @@ def quadcopter_drift_composed(sys):
         phi, th, psi = ad.rows(X, 3, 4), ad.rows(X, 4, 5), ad.rows(X, 5, 6)
         u, v, w = ad.rows(X, 6, 7), ad.rows(X, 7, 8), ad.rows(X, 8, 9)
         pr, qr, rr = ad.rows(X, 9, 10), ad.rows(X, 10, 11), ad.rows(X, 11, 12)
-        sphi, cphi = ad.sin(phi), ad.cos(phi)
-        sth, cth = ad.sin(th), ad.cos(th)
-        spsi, cpsi = ad.sin(psi), ad.cos(psi)
+        sphi, cphi = sin(phi), cos(phi)
+        sth, cth = sin(th), cos(th)
+        spsi, cpsi = sin(psi), cos(psi)
         pn_dot = ad.add(
             ad.mul(ad.mul(cth, cpsi), u),
             ad.add(
@@ -128,7 +124,7 @@ def quadcopter_drift_composed(sys):
         p_dot = ad.smul(ad.mul(qr, rr), (jy - jz) / jx)
         q_dot = ad.smul(ad.mul(pr, rr), (jz - jx) / jy)
         r_dot = ad.smul(ad.mul(pr, qr), (jx - jy) / jz)
-        return ad.vstack(
+        return concat_rows(
             (pn_dot, pe_dot, pd_dot, pr, qr, rr, u_dot, v_dot, w_dot, p_dot, q_dot, r_dot)
         )
 
@@ -448,3 +444,13 @@ def test_audit_honours_points_and_covers_fused(monkeypatch):
         assert fused in names
     assert len(calls) == 2 * len(rows)
     assert all(row.points == 2 and row.passed for row in rows)
+
+
+def test_every_primitive_has_an_audit_row():
+    """Each ``PRIMITIVES`` entry names an audit row, or the prefix of some
+    (``fbsde-step-minmax``); ``column-map`` is audited through its callers,
+    the drifts and the quadratic cost."""
+    names = [row.name for row in gradcheck.audit_primitives(points=1)]
+    for public in ad.PRIMITIVES.values():
+        prefixes = ("drift", "quadratic-cost") if public == "column-map" else (public,)
+        assert any(name == p or name.startswith(f"{p}-") for name in names for p in prefixes), public
