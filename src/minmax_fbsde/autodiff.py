@@ -4,18 +4,18 @@ The engine is deliberately small: a fixed set of primitives, each with a
 hand-written backward rule, recorded on an append-only tape in evaluation
 order. Values are always dense 2-D arrays of 64-bit reals; vectors are
 columns, scalars are (1, 1). There is no broadcasting: shapes must conform
-exactly, and a bias is broadcast by multiplying with an explicit ones row.
+exactly; ``affine`` adds a (k, 1) bias to every column.
 
 Column-wise batches (one sample per column) fall out of the shape rules for
 free, because every primitive either acts element-wise or contracts over
 rows only.
 
 The vocabulary is what the solver runs: the loss head's ``add``, ``sub``,
-``smul`` and ``sumsq``, the ``matmul`` and ``rows`` of the taped oracle and
-the network, the ``mul`` and ``total`` that the gradient audit scalarizes
-with, and the four fused primitives below. The expression helpers accept
-plain ndarrays and then evaluate eagerly without recording, so model code
-written against them runs both taped (training) and tape-free (evaluation).
+``smul`` and ``sumsq``, the ``mul`` and ``total`` that the gradient audit
+scalarizes with, and the four fused primitives below, ten in all. The
+expression helpers accept plain ndarrays and then evaluate eagerly without
+recording; the rollout, the network and the systems only ever pass them
+arrays.
 
 Three fused primitives collapse the blocks that run at every time step into
 one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``; its
@@ -35,11 +35,12 @@ forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
 ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic costs are
 written this way, so each records one node per call.
 
-Training does not tape its rollout. It runs it tape-free inside ``saving``,
-which logs each fused call's inputs and saved arrays, and the adjoint
+Training does not tape its rollout. It runs it inside ``saving``, which
+logs each fused call's inputs and saved arrays, and the adjoint
 ``fbsde.rollout_adjoint`` calls the same backward functions on them; the tape
-holds only the loss head. Taping the whole rollout remains the gradient
-oracle for tests and the audit.
+holds only the loss head and the audit's probes. The tests' gradient oracle,
+``taped_gradients`` in ``tests/reference.py``, records a whole rollout from
+these primitives and ``column_map`` row splits.
 
 The one sigmoid is the LSTM cell's, NumPy's own ``0.5 tanh(a / 2) + 0.5``;
 the package needs no special-function library. The cell folds the ``a / 2``
@@ -112,14 +113,12 @@ class _Node:
 
 # public names of the primitive set, used in diagnostics and the gradient audit
 PRIMITIVES = {
-    "matmul": "matrix-multiply",
     "add": "add",
     "sub": "subtract",
     "mul": "element-multiply",
     "smul": "scalar-multiply",
     "sum": "sum",
     "sumsq": "sum-of-squares",
-    "rows": "slice-rows",
     "lstm_cell": "lstm-cell",
     "affine": "affine",
     "fbsde_step": "fbsde-step",
@@ -135,13 +134,6 @@ def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _forward(op: str, vals: tuple[np.ndarray, ...], aux) -> np.ndarray:
-    if op == "matmul":
-        a, b = vals
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(
-                f"matrix-multiply: inner dimensions {a.shape} @ {b.shape} do not conform"
-            )
-        return a @ b
     if op == "add":
         _same_shape(op, *vals)
         return vals[0] + vals[1]
@@ -157,14 +149,6 @@ def _forward(op: str, vals: tuple[np.ndarray, ...], aux) -> np.ndarray:
         return np.sum(vals[0]).reshape(1, 1)
     if op == "sumsq":
         return np.sum(vals[0] * vals[0]).reshape(1, 1)
-    if op == "rows":
-        lo, hi = aux
-        nrows = vals[0].shape[0]
-        if not (0 <= lo < hi <= nrows):
-            raise ShapeError(
-                f"slice-rows: bounds [{lo}, {hi}) invalid for {vals[0].shape}"
-            )
-        return vals[0][lo:hi]
     raise KeyError(f"unknown primitive {op!r}")
 
 
@@ -176,11 +160,7 @@ def _acc(grads: list, idx: int, piece: np.ndarray) -> None:
 def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
     op = node.op
     ins = node.inputs
-    if op == "matmul":
-        a, b = values(ins[0]), values(ins[1])
-        _acc(grads, ins[0], g @ b.T)
-        _acc(grads, ins[1], a.T @ g)
-    elif op == "add":
+    if op == "add":
         _acc(grads, ins[0], g)
         _acc(grads, ins[1], g)
     elif op == "sub":
@@ -195,11 +175,6 @@ def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
         _acc(grads, ins[0], np.full(values(ins[0]).shape, g[0, 0]))
     elif op == "sumsq":
         _acc(grads, ins[0], (2.0 * g[0, 0]) * values(ins[0]))
-    elif op == "rows":
-        lo, hi = node.aux
-        full = np.zeros(values(ins[0]).shape)
-        full[lo:hi] = g
-        _acc(grads, ins[0], full)
     elif op in _FUSED:
         vals = tuple(values(i) for i in ins)
         if op == "lstm_cell":
@@ -551,13 +526,6 @@ def _tape_of(*args) -> Tape | None:
 # dual-mode expression helpers: operate on Vars (recording) or ndarrays (eager)
 
 
-def matmul(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-    return tape.apply("matmul", _lift(tape, a), _lift(tape, b))
-
-
 def add(a, b):
     tape = _tape_of(a, b)
     if tape is None:
@@ -598,14 +566,6 @@ def sumsq(x):
         return x.tape.apply("sumsq", x)
     arr = np.asarray(x)
     return np.sum(arr * arr).reshape(1, 1)
-
-
-def rows(x, lo: int, hi: int):
-    if type(x) is np.ndarray:
-        return x[lo:hi]
-    if isinstance(x, Var):
-        return x.tape.apply("rows", x, aux=(int(lo), int(hi)))
-    return np.asarray(x)[lo:hi]
 
 
 _FLOAT64 = np.dtype(np.float64)  # the one native float64 dtype instance

@@ -24,7 +24,7 @@ from . import __version__
 from . import config as config_mod
 from . import evaluation, gradcheck, training
 from .config import ConfigError
-from .evaluation import RiccatiBlowUp, riccati_oracle
+from .evaluation import EvaluationError, RiccatiBlowUp, riccati_oracle
 from .fbsde import HorizonGrid
 from .training import CheckpointError
 
@@ -82,7 +82,7 @@ def write_run_metadata(out_dir: str, cfg, command: str, prefix: str = "") -> Non
         "model_hash": config_mod.model_fingerprint(cfg),
     }
     with open(os.path.join(out_dir, prefix + "run.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -214,7 +214,7 @@ def cmd_oracle_check(cfg) -> int:
             "final_loss": history[-1].loss,
         }
         with open(os.path.join(cfg.out, "oracle_report.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return 0 if all_ok else 1
 
@@ -233,7 +233,7 @@ def cmd_grad_check(cfg) -> int:
             ],
         }
         with open(os.path.join(cfg.out, "gradcheck_report.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return 0 if all(r.passed for r in rows) else 1
 
@@ -263,7 +263,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_oracle_check(cfg)
         if args.command == "grad-check":
             return cmd_grad_check(cfg)
-    except (CheckpointError, ConfigError, RiccatiBlowUp, training.TrainingDiverged, OSError) as exc:
+    except (CheckpointError, ConfigError, EvaluationError, RiccatiBlowUp, training.TrainingDiverged,
+            OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

@@ -28,6 +28,11 @@ TRAJECTORY_SCHEMA = "minmax-fbsde.trajectories.v1"
 SWEEP_SCHEMA = "minmax-fbsde.sweep.v1"
 
 
+class EvaluationError(ValueError):
+    """A batch that cannot be summarized: fewer than two live trajectories,
+    or a statistic that is not finite."""
+
+
 def terminal_success(terminal: np.ndarray, sys: SystemModel) -> np.ndarray:
     """(M,) bool: which columns of the (n, M) terminal states are finite and
     land in the per-dimension tolerance box around the target (angle
@@ -86,7 +91,7 @@ class EvalReport:
 
     def to_json(self) -> str:
         """``to_dict`` as the text of ``eval_report.json``."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def trajectory_csv(self, condition: str = "default") -> str:
         """Per-step mean, std and 95% bands for every state, long format."""
@@ -145,20 +150,35 @@ def summarize(
     adversary: bool,
     seed: int,
 ) -> EvalReport:
+    """The statistics of the live samples; ``EvaluationError`` when fewer
+    than two are live or a statistic is not finite."""
     alive = batch.alive
     m_valid = int(np.count_nonzero(alive))
     if m_valid < 2:
-        raise ValueError(f"only {m_valid} live trajectories; cannot summarize")
+        raise EvaluationError(f"only {m_valid} live trajectories; cannot summarize")
     y_star = batch.terminal_targets[0, alive]
     y_term = batch.values[-1, 0, alive]
-    successes = int(np.count_nonzero(terminal_success(batch.states[-1][:, alive], sys)))
-    # live states, sample-major (Mv, N+1, n), summed over samples in turn; this one copy is
-    # the variance's scratch, and the results are np.mean, np.var and np.std (ddof=1) to the bit
-    live = np.moveaxis(batch.states, 2, 0)[alive]
-    state_mean = np.add.reduce(live, axis=0) / m_valid
-    live -= state_mean
-    state_var = np.add.reduce(np.square(live, out=live), axis=0) / (m_valid - 1)
-
+    # a statistic that overflows is an error below, not a warning here
+    with np.errstate(all="ignore"):
+        successes = int(np.count_nonzero(terminal_success(batch.states[-1][:, alive], sys)))
+        # live states, sample-major (Mv, N+1, n), summed over samples in turn; this one copy
+        # is the variance's scratch, and the results are np.mean, np.var and np.std (ddof=1)
+        # to the bit
+        live = np.moveaxis(batch.states, 2, 0)[alive]
+        state_mean = np.add.reduce(live, axis=0) / m_valid
+        live -= state_mean
+        state_var = np.add.reduce(np.square(live, out=live), axis=0) / (m_valid - 1)
+        stats = {
+            "total_state_variance": float(np.sum(state_var)),  # covers every mean and spread
+            "mean_terminal_cost": float(np.mean(y_star)),
+            "std_terminal_cost": float(np.std(y_star, ddof=1)),
+            "mean_value_gap": float(np.mean(np.abs(y_term - y_star))),
+            "y0": float(batch.values[0, 0, 0]),
+        }
+    overflowed = [name for name, value in stats.items() if not math.isfinite(value)]
+    if overflowed:
+        raise EvaluationError(f"non-finite {', '.join(overflowed)} over {m_valid} live "
+                              "trajectories; cannot summarize")
     return EvalReport(
         mode=mode,
         adversary=adversary,
@@ -166,11 +186,7 @@ def summarize(
         seed=seed,
         diverged=batch.diverged,
         success_rate=successes / m_valid,
-        total_state_variance=float(np.sum(state_var)),
-        mean_terminal_cost=float(np.mean(y_star)),
-        std_terminal_cost=float(np.std(y_star, ddof=1)),
-        mean_value_gap=float(np.mean(np.abs(y_term - y_star))),
-        y0=float(batch.values[0, 0, 0]),
+        **stats,
         times=grid.times(),
         state_mean=state_mean,
         state_std=np.sqrt(state_var),
@@ -458,5 +474,5 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write(sweep_to_csv(rows))
     with open(os.path.join(out_dir, "variance_reduction.json"), "w") as fh:
-        fh.write(json.dumps(reductions, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(reductions, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return rows

@@ -26,28 +26,21 @@ Gamma_u u* + v* = K z, Q = (K + S / 2) dt and G = dt Sigma K (S the
 quadratic form of h), a step is w = Q z + dw sqrt(dt), y' = y - q dt + z'w
 and x' = x + f dt + G z + Sigma dw sqrt(dt): the updates above, to rounding.
 
-Everything is written against the dual-mode expression helpers; samples
-live in columns. Without a tape the rollout runs as plain vectorized numpy,
-and that is how training runs it too: inside ``autodiff.saving`` it logs what
-each fused kernel saved, and ``rollout_adjoint`` then backpropagates through
-time from the cotangents of the terminal state and value. Training tapes only
-the loss head.
+The rollout runs on plain NumPy arrays, samples in columns. Training runs
+it inside ``autodiff.saving``, which logs what each fused kernel saved, and
+``rollout_adjoint`` then backpropagates through time from the cotangents of
+the terminal state and value; training tapes only the loss head.
 
-A tape-free rollout packs each LSTM layer's weights once
-(``neural.pack_net``): [W U b] as one array whose sigmoid rows are halved,
-since sigma(a) = 0.5 tanh(a / 2) + 0.5 and halving is exact. Each cell is one
-GEMM over the block [x; h; 1] and one tanh over all gate rows, and keeps no
-copy of its block: the adjoint rebuilds each step's in one reused array and
-forms that step's share of the [W U b] gradient with one GEMM.
+A rollout packs each LSTM layer's weights once (``neural.pack_net``):
+[W U b] as one array whose sigmoid rows are halved, since
+sigma(a) = 0.5 tanh(a / 2) + 0.5 and halving is exact. Each cell is one GEMM
+over the block [x; h; 1] and one tanh over all gate rows, and keeps no copy
+of its block: the adjoint rebuilds each step's in one reused array and forms
+that step's share of the [W U b] gradient with one GEMM.
 
-With a tape, the whole rollout is recorded instead; that path is the gradient
-oracle the adjoint is tested and audited against (``gradcheck``). Per time
-step it records 12 nodes on every system: one each for the running cost and
-the drift (``column_map`` nodes, see ``systems``), one fused ``fbsde_step``
-for both updates above plus two row slices that take x' and y' out of it,
-and for the value-gradient predictor two fused LSTM cells with two row slices
-each and one ``affine`` read-out. The controls are recorded from values
-only; ``fbsde_step`` derives its own from z.
+The adjoint is tested against an independent oracle, ``taped_gradients`` in
+``tests/reference.py``, which writes the same rollout and loss step by step
+on one ``autodiff.Tape``.
 
 The increments dw are counter-based: sample i of a batch draws from a Philox
 stream keyed by ``SeedSequence(seed, spawn_key=(purpose, iteration, i))``.
@@ -189,7 +182,7 @@ def h_quadratic(costs: CostSpec, gamma_u: np.ndarray, inv_epsilon: float) -> np.
 
 @dataclass
 class TapeHandles:
-    """Live tape nodes a training step needs after the rollout."""
+    """Live tape nodes of a training step's loss head."""
 
     tape: Tape
     y_terminal: Var
@@ -220,20 +213,6 @@ class RolloutBatch:
         return int(np.sum(~self.alive))
 
 
-def _value_of(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else np.asarray(x)
-
-
-def _broadcast_cols(vec, batch: int, tape: Tape | None):
-    """(k, 1) -> (k, M) via an explicit ones row; dual-mode."""
-    if isinstance(vec, Var):
-        ones = vec.tape.constant(np.ones((1, batch)))
-        return ad.matmul(vec, ones)
-    arr = np.asarray(vec, dtype=np.float64).reshape(-1, 1)
-    out = arr @ np.ones((1, batch))
-    return tape.constant(out) if tape is not None else out
-
-
 def rollout_batch(
     params,
     sys: SystemModel,
@@ -246,7 +225,6 @@ def rollout_batch(
     adversary: bool | None = None,
     iteration: int = 0,
     purpose: int = PURPOSE_TRAIN,
-    tape: Tape | None = None,
     noise: np.ndarray | None = None,
     z_fn: Callable | None = None,
     y0=None,
@@ -255,14 +233,12 @@ def rollout_batch(
     """Simulate a batch of coupled forward/backward trajectories.
 
     ``params`` needs attributes ``net`` (NetParams), ``y0`` (1, 1) and ``z0``
-    (m, 1); they hold tape Vars when ``tape`` is set, and then the whole batch
-    is recorded on it and ``.handles`` exposes the terminal nodes (the taped
-    gradient oracle). Training runs it tape-free inside ``autodiff.saving``
-    and differentiates it with ``rollout_adjoint``. Tape-free, the network's
-    weights are packed once at the start (``neural.pack_net``), so they must
-    not change during the call.
+    (m, 1). The network's weights are packed once at the start
+    (``neural.pack_net``), so they must not change during the call. Training
+    runs it inside ``autodiff.saving`` and differentiates it with
+    ``rollout_adjoint``.
     ``z_fn(x_values, step) -> (m, M)`` substitutes an external value-gradient
-    predictor (tape-free only).
+    predictor.
 
     Noise defaults to the counter-based stream indexed by
     (seed, purpose, iteration, sample, step); pass ``noise`` explicitly to
@@ -270,8 +246,9 @@ def rollout_batch(
 
     Samples sit in columns and stay independent throughout (every
     cross-entry contraction runs over rows only), so a sample that goes
-    non-finite cannot contaminate its neighbours; it is flagged in ``alive``
-    and its tail records are garbage.
+    non-finite cannot contaminate its neighbours. A sample is ``alive`` only
+    when its states, values and terminal cost are all finite; a dead
+    sample's tail records are garbage.
     """
     if mode not in ("minmax", "baseline"):
         raise ValueError(f"mode must be 'minmax' or 'baseline', got {mode!r}")
@@ -279,8 +256,6 @@ def rollout_batch(
         adversary = mode == "minmax"
     if mode == "baseline":
         adversary = False
-    if z_fn is not None and tape is not None:
-        raise ValueError("an injected value-gradient predictor runs tape-free only")
 
     if noise is None:
         noise = sample_noise(seed, purpose, iteration, batch_size, grid.steps, sys.m)
@@ -294,7 +269,7 @@ def rollout_batch(
     n_steps = grid.steps
     batch = noise.shape[2]
     net = params.net if params is not None else None
-    if net is not None and tape is None:
+    if net is not None:
         net = neural.pack_net(net, batch)  # once per rollout, never per cell
     y0 = params.y0 if y0 is None else y0
     z0 = params.z0 if z0 is None else z0
@@ -305,54 +280,49 @@ def rollout_batch(
     gain = -costs.solve_r(sys.gamma_u.T)  # (p, m)
     s_mat = h_quadratic(costs, sys.gamma_u, inv_eps)
 
-    x0 = np.repeat(sys.x0.reshape(-1, 1), batch, axis=1)
-    x_cur = tape.constant(x0) if tape is not None else x0
-    y_cur = _broadcast_cols(y0, batch, tape)
-    z_cur = _broadcast_cols(z0, batch, tape)
+    # (k, 1) -> (k, M) through an explicit ones row
+    ones = np.ones((1, batch))
+    x_cur = np.repeat(sys.x0.reshape(-1, 1), batch, axis=1)
+    y_cur = np.asarray(y0, dtype=np.float64).reshape(-1, 1) @ ones
+    z_cur = np.asarray(z0, dtype=np.float64).reshape(-1, 1) @ ones
 
     states = np.empty((n_steps + 1, sys.n, batch))
     values = np.empty((n_steps + 1, 1, batch))
     z_grads = np.empty((n_steps + 1, sys.m, batch))
     controls = np.empty((n_steps, sys.p, batch))
     adv_controls = np.zeros((n_steps, sys.m, batch))
-
-    states[0] = _value_of(x_cur)
-    values[0] = _value_of(y_cur)
-    z_grads[0] = _value_of(z_cur)
+    states[0] = x_cur
+    values[0] = y_cur
+    z_grads[0] = z_cur
 
     lstm_state = None
     step_args = (sys.gamma_u, gain, s_mat, sys.sigma, dt, sqdt, inv_eps if adversary else None)
     fold = ad.fold_step(ad.StepConstants(None, *step_args))  # once per rollout
     with np.errstate(all="ignore"):
         for step in range(n_steps):
-            z_vals = _value_of(z_cur)
-            minimizing_control(z_vals, gain, controls[step])
+            minimizing_control(z_cur, gain, controls[step])
             if adversary:
-                adversary_control(z_vals, inv_eps, adv_controls[step])
+                adversary_control(z_cur, inv_eps, adv_controls[step])
 
             q_run = costs.running_expr(x_cur)
             f_drift = sys.drift(x_cur)
             consts = ad.StepConstants(noise[step], *step_args, fold)
             xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, consts)
-            x_cur = ad.rows(xy, 0, sys.n)
-            y_cur = ad.rows(xy, sys.n, sys.n + 1)
+            x_cur, y_cur = xy[: sys.n], xy[sys.n :]
 
-            x_vals = _value_of(x_cur)
             if z_fn is not None:
-                z_cur = z_fn(x_vals, step + 1)
+                z_cur = z_fn(x_cur, step + 1)
             else:
                 z_cur, lstm_state = neural.lstm_stack_forward(net, x_cur, lstm_state)
 
-            states[step + 1] = x_vals
-            values[step + 1] = _value_of(y_cur)
-            z_grads[step + 1] = _value_of(z_cur)
+            states[step + 1] = x_cur
+            values[step + 1] = y_cur
+            z_grads[step + 1] = z_cur
 
         y_star = costs.terminal_expr(x_cur)
-    alive = np.all(np.isfinite(states[1:]), axis=(0, 1))
-
-    handles = None
-    if tape is not None:
-        handles = TapeHandles(tape=tape, y_terminal=y_cur, y_star=y_star)
+    alive = np.isfinite(y_star[0])
+    for record in (states, values):
+        alive &= np.all(np.isfinite(record), axis=(0, 1))
     return RolloutBatch(
         states=states,
         values=values,
@@ -360,10 +330,9 @@ def rollout_batch(
         controls=controls,
         adversary_controls=adv_controls,
         noise=noise,
-        terminal_targets=_value_of(y_star).reshape(1, batch),
+        terminal_targets=y_star.reshape(1, batch),
         alive=alive,
         mode=mode,
-        handles=handles,
     )
 
 
@@ -375,7 +344,7 @@ _STEP_OPS = ("column_map", "column_map", "fbsde_step", "lstm_cell", "lstm_cell",
 
 
 def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
-    """Backpropagation through time over one tape-free ``rollout_batch``.
+    """Backpropagation through time over one ``rollout_batch``.
 
     ``saved`` is the log of ``autodiff.saving`` around the call: per step
     the running cost and the drift (one ``column_map`` each), ``fbsde_step``,

@@ -1,16 +1,14 @@
 """Two-layer LSTM stack with an affine read-out, plus Adam.
 
-Parameters are held in small dataclasses whose fields may be either plain
-ndarrays (evaluation) or tape Vars (training); the forward functions are
-written against the dual-mode expression helpers so one implementation
-serves both paths. In a ``training.ParamStore`` the arrays are views of one
-flat float64 vector, and Adam updates that vector as a whole.
+Parameters are held in small dataclasses of plain float64 arrays. In a
+``training.ParamStore`` the arrays are views of one flat float64 vector, and
+Adam updates that vector as a whole.
 
 Gate layout inside each fused (4h, .) parameter block is
 (input, forget, cell-candidate, output), in that row order.
 
-A tape-free rollout first calls ``pack_net``: each layer's [W U b] becomes
-one (4h, d + h + 1) array with the sigmoid rows halved (``autodiff.LstmPack``),
+A rollout first calls ``pack_net``: each layer's [W U b] becomes one
+(4h, d + h + 1) array with the sigmoid rows halved (``autodiff.LstmPack``),
 so every cell is one GEMM over [x; h; 1] and one tanh over all gate rows. The
 packs are copies that a weight update makes stale, so they live for one
 rollout and never in a ``ParamStore``.
@@ -19,8 +17,6 @@ rollout and never in a ``ParamStore``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 from . import autodiff as ad
@@ -41,9 +37,9 @@ class LstmLayerParams:
     """Fused gate parameters: W (4h, d), U (4h, h), b (4h, 1), and
     optionally their ``autodiff.LstmPack`` (see ``pack_net``)."""
 
-    W: Any
-    U: Any
-    b: Any
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
     pack: ad.LstmPack | None = None
 
     @property
@@ -57,8 +53,8 @@ class NetParams:
 
     layer1: LstmLayerParams
     layer2: LstmLayerParams
-    out_w: Any  # (out_dim, h)
-    out_b: Any  # (out_dim, 1)
+    out_w: np.ndarray  # (out_dim, h)
+    out_b: np.ndarray  # (out_dim, 1)
 
     def arrays(self) -> list:
         """The eight weight arrays, in the order of the flat parameter vector."""
@@ -104,8 +100,8 @@ def init_net(
 
 
 def pack_net(net: NetParams, cols: int) -> NetParams:
-    """``net`` with each LSTM layer's weights packed once for a tape-free
-    rollout of ``cols`` columns; the arrays themselves are shared, not copied.
+    """``net`` with each LSTM layer's weights packed once for a rollout of
+    ``cols`` columns; the arrays themselves are shared, not copied.
     The layers run one after the other, so their blocks [x; h; 1] share one
     scratch array."""
     layers = (net.layer1, net.layer2)
@@ -120,7 +116,7 @@ def lstm_cell_forward(layer: LstmLayerParams, x, h_prev, c_prev):
     """One cell update; x is (d, M), states are (h, M). Returns (h, c)."""
     h = layer.hidden_size
     state = ad.lstm_cell(layer.W, layer.U, layer.b, x, h_prev, c_prev, layer.pack)
-    return ad.rows(state, 0, h), ad.rows(state, h, 2 * h)
+    return state[:h], state[h:]
 
 
 def zero_state(net: NetParams, batch: int) -> tuple:
@@ -139,7 +135,7 @@ def lstm_stack_forward(net: NetParams, x, state=None):
     state after step n depends only on inputs up to n.
     """
     if state is None:
-        state = zero_state(net, x.shape[1] if isinstance(x, ad.Var) else np.asarray(x).shape[1])
+        state = zero_state(net, x.shape[1])
     (h1, c1), (h2, c2) = state
     h1n, c1n = lstm_cell_forward(net.layer1, x, h1, c1)
     h2n, c2n = lstm_cell_forward(net.layer2, h1n, h2, c2)

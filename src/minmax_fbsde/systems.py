@@ -11,13 +11,11 @@ Each system is defined once, by its factory: its constants (masses, lengths,
 inertias) and its success box are fixed there, and a config only selects the
 system and its noise level.
 
-Drift functions operate on column batches (n, M) and run taped and
-tape-free. Every drift and both quadratic costs are each one
-``autodiff.column_map``: a NumPy forward plus its hand-written
-vector-Jacobian product, so a call records one tape node (the 12-state
-quadcopter drift used to record about 60) and the training adjoint
-(``fbsde.rollout_adjoint``) finds the product it needs. The tape-free path
-runs the same forward, so evaluation is unchanged bit for bit.
+Drift functions operate on column batches (n, M). Every drift and both
+quadratic costs are each one ``autodiff.column_map``: a NumPy forward plus
+its hand-written vector-Jacobian product, which the training adjoint
+(``fbsde.rollout_adjoint``) finds in the ``autodiff.saving`` log. Given a
+tape Var, as the tests' taped oracle gives them, a call records one node.
 
 Angle coordinates are wrapped to (-pi, pi] around the target for cost and
 success evaluation only, never inside integration.

@@ -9,8 +9,8 @@ checkpoint's payload is θ alone: a trained run hands on nothing else.
 
 All stochasticity flows through counter-based streams keyed by the run seed,
 so a (config, seed) pair reproduces every draw bit for bit. A step rolls the
-whole batch out tape-free, samples in columns, tapes only the loss head and
-backpropagates through time with ``fbsde.rollout_adjoint``.
+whole batch out on NumPy arrays, samples in columns, tapes only the loss
+head and backpropagates through time with ``fbsde.rollout_adjoint``.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class StepResult:
 
 
 def _logged_rollout(store, sys, costs, grid, noise, mode):
-    """One tape-free rollout over a (possibly reduced) noise block, with the
-    fused calls that ``fbsde.rollout_adjoint`` reads logged."""
+    """One rollout over a (possibly reduced) noise block, with the fused
+    calls that ``fbsde.rollout_adjoint`` reads logged."""
     with ad.saving() as saved:
         batch = fbsde.rollout_batch(
             store, sys, costs, grid, noise.shape[2], seed=0, mode=mode, noise=noise,
@@ -161,7 +161,7 @@ def training_step(
 ) -> StepResult:
     """Roll the batch out, backpropagate the loss, return the gradients.
 
-    The rollout runs tape-free; only the loss head (loss and weight decay) is
+    The rollout runs on arrays; only the loss head (loss and weight decay) is
     taped, with the rollout's terminal cost and value as leaves. The terminal
     cost's logged VJP turns its cotangent into the terminal state's, and
     ``fbsde.rollout_adjoint`` carries those back through the steps.

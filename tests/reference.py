@@ -4,18 +4,27 @@ The single-vector functions spell out one piece of the FBSDE scheme for a
 single sample, written from its definition rather than from the batched
 kernels: the per-sample noise stream that ``fbsde.sample_noise`` must
 reproduce bit for bit, the feedback controls, the generator h, and one Euler
-step of the forward and of the backward equation. The element-wise ops
-(``sigmoid``, ``tanh``, ``sin``, ``cos``, ``concat_rows``) are what the tests
-compose the fused kernels from, taped or tape-free; the solver's tape has no
-such primitives.
+step of the forward and of the backward equation. The ops ``matmul``,
+``rows``, ``sigmoid``, ``tanh``, ``sin``, ``cos`` and ``concat_rows`` are
+what the tests compose the fused kernels from, taped or tape-free; the
+solver's tape has no such primitives.
+
+``taped_gradients`` is the gradient oracle of a training step. It writes the
+rollout and the loss out step by step on one ``autodiff.Tape``, from the
+fused primitives, ``rows`` and the loss head, never through
+``fbsde.rollout_batch``, and ``Tape.backward`` differentiates it; the
+training adjoint (``fbsde.rollout_adjoint``) must agree with it.
 """
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from minmax_fbsde import autodiff as ad
+from minmax_fbsde import fbsde
+from minmax_fbsde.autodiff import Tape
 from minmax_fbsde.fbsde import HorizonGrid, adversary_control, h_quadratic, minimizing_control
 from minmax_fbsde.systems import CostSpec, SystemModel
 
@@ -114,10 +123,99 @@ def placement(rows, offset, width):
     return place
 
 
+_affine = ad.affine  # the primitive, also where a test swaps ``ad.affine`` for a composition
+
+
+def matmul(a, b):
+    """a @ b as one ``affine`` with a zero bias, which adds nothing."""
+    return _affine(a, b, np.zeros((a.shape[0], 1)))
+
+
+def rows(x, lo, hi):
+    """Rows [lo, hi) of x as one ``column_map``, whose product puts the
+    cotangent back in those rows."""
+    def forward(a):
+        if not 0 <= lo < hi <= a.shape[0]:
+            raise ad.ShapeError(f"rows: bounds [{lo}, {hi}) invalid for {a.shape}")
+        return a[lo:hi], a.shape[0]
+
+    def vjp(g, a, height):
+        full = np.zeros((height, g.shape[1]))
+        full[lo:hi] = g
+        return full
+
+    return ad.column_map(x, forward, vjp)
+
+
 def concat_rows(parts):
     """The parts stacked by rows, as a sum of 0/1 placement products; exact
     for finite inputs."""
     ends = np.cumsum([0] + [part.shape[0] for part in parts])
-    pieces = [ad.matmul(placement(hi - lo, lo, ends[-1]).T, part)
+    pieces = [matmul(placement(hi - lo, lo, ends[-1]).T, part)
               for part, lo, hi in zip(parts, ends, ends[1:])]
     return functools.reduce(ad.add, pieces)
+
+
+def lstm_stack(weights, x, state):
+    """The value-gradient predictor on a tape: both LSTM cells, each
+    [h'; c'] split by ``rows``, then the read-out. ``weights`` are the eight
+    arrays in ``NetParams.arrays()`` order and ``state`` is
+    ((h1, c1), (h2, c2)). Returns (z, new state)."""
+    *cells, w_out, b_out = weights
+    new_state = []
+    for (w, u, b), (h, c) in zip((cells[:3], cells[3:]), state):
+        hid = u.shape[1]
+        cell = ad.lstm_cell(w, u, b, x, h, c)
+        x = rows(cell, 0, hid)
+        new_state.append((x, rows(cell, hid, 2 * hid)))
+    return ad.affine(w_out, x, b_out), tuple(new_state)
+
+
+def taped_gradients(store, sys: SystemModel, costs: CostSpec, grid: HorizonGrid,
+                    noise: np.ndarray, mode: str = "minmax", adversary: bool | None = None):
+    """A training step's loss and gradients, from one tape.
+
+    The step is the one ``training.training_step`` takes on the noise block
+    (steps, m, M): y0 and z0 broadcast to every column, then per step the
+    running cost, the drift and ``fbsde_step`` with x' and y' split off by
+    ``rows``, and the predictor's z_{k+1}, and the training loss on g(x_N)
+    and y_N. Returns (record, loss, gradients by parameter name). ``record``
+    holds the tape and, as ``fbsde.RolloutBatch`` lays them out, the states,
+    values, z_grads, controls, adversary controls and terminal targets read
+    off the node values.
+    """
+    adversary = mode == "minmax" and adversary is not False
+    steps, m, cols = noise.shape
+    tape = Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in store.named_parameters()}
+    *weights, y0, z0 = leaves.values()
+    inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
+    gain = -costs.solve_r(sys.gamma_u.T)
+    step_args = (sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps), sys.sigma,
+                 grid.dt, math.sqrt(grid.dt), inv_eps if adversary else None)
+
+    ones = np.ones((1, cols))
+    x = tape.constant(np.repeat(sys.x0.reshape(-1, 1), cols, axis=1))
+    y = ad.affine(np.zeros((1, 1)), ones, y0)  # 0 1' + y0 1'
+    z = ad.affine(np.zeros((m, 1)), ones, z0)
+    state = tuple((np.zeros((u.shape[1], cols)),) * 2 for u in (weights[1], weights[4]))  # U1, U2
+    record = SimpleNamespace(tape=tape, states=[x.value], values=[y.value], z_grads=[z.value],
+                             controls=[], adversary_controls=[])
+    for k in range(steps):
+        record.controls.append(minimizing_control(z.value, gain))
+        record.adversary_controls.append(
+            adversary_control(z.value, inv_eps) if adversary else np.zeros((m, cols)))
+        consts = ad.StepConstants(noise[k], *step_args)
+        xy = ad.fbsde_step(x, y, z, sys.drift(x), costs.running_expr(x), consts)
+        x, y = rows(xy, 0, sys.n), rows(xy, sys.n, sys.n + 1)
+        z, state = lstm_stack(weights, x, state)
+        record.states.append(x.value)
+        record.values.append(y.value)
+        record.z_grads.append(z.value)
+    y_star = costs.terminal_expr(x)
+    for key in ("states", "values", "z_grads", "controls", "adversary_controls"):
+        setattr(record, key, np.array(getattr(record, key)))
+    record.terminal_targets = y_star.value
+    loss = fbsde.training_loss_expr(y_star, y, weights, costs.beta, costs.weight_decay, cols)
+    grads = tape.backward(loss, list(leaves.values()))
+    return record, float(loss.value[0, 0]), dict(zip(leaves, grads))

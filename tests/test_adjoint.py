@@ -1,9 +1,10 @@
 """The training step's adjoint against the taped oracle.
 
-``training.training_step`` rolls the batch out tape-free, tapes only the
+``training.training_step`` rolls the batch out on arrays, tapes only the
 loss head and carries the cotangents back with ``fbsde.rollout_adjoint``.
-``gradcheck.taped_gradients`` records the same rollout and loss on one tape
-and differentiates it with ``Tape.backward``; the two must agree.
+``reference.taped_gradients`` writes the same rollout and loss on one tape
+and differentiates it with ``Tape.backward``; the two must agree, and the
+oracle itself is checked against central differences.
 """
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 from minmax_fbsde import autodiff as ad
 from minmax_fbsde import fbsde, gradcheck, neural, training
-from minmax_fbsde.autodiff import Tape
+from minmax_fbsde.autodiff import Tape, finite_difference_check
 from minmax_fbsde.config import build_runtime, default_config
+from reference import lstm_stack, taped_gradients
 
 
 def runtime(system, mode, steps=10):
@@ -34,8 +36,7 @@ def step(setup, store, batch, seed=5, iteration=2, **kw):
 
 
 def oracle(setup, store, noise):
-    return gradcheck.taped_gradients(store, setup.system, setup.costs, setup.grid, noise,
-                                     setup.train.mode)
+    return taped_gradients(store, setup.system, setup.costs, setup.grid, noise, setup.train.mode)
 
 
 def assert_gradients_match(grads, expected, rel=1e-12):
@@ -59,7 +60,8 @@ class TestAgainstTape:
         batch, loss, grads = oracle(setup, store, noise)
         assert result.loss == loss
         assert_gradients_match(result.grads, grads)
-        for key in ("states", "values", "z_grads", "terminal_targets"):
+        for key in ("states", "values", "z_grads", "controls", "adversary_controls",
+                    "terminal_targets"):
             assert np.array_equal(getattr(result.batch, key), getattr(batch, key)), key
 
     @pytest.mark.parametrize("system", ["pendulum", "quadcopter", "lq"])
@@ -89,6 +91,53 @@ class TestAgainstTape:
         _, loss, grads = oracle(setup, store, noise)
         assert result.loss == loss
         assert_gradients_match(result.grads, grads)
+
+
+class TestOracle:
+    """The taped oracle itself, against central differences."""
+
+    def test_predictor_matches_central_differences(self):
+        # both cells and the read-out, with every weight, the input and the
+        # carried states perturbed (hidden size 5, input size 3, batch 4)
+        hidden, input_dim, batch = 5, 3, 4
+        rng = np.random.default_rng(3)
+        net0 = neural.init_net(input_dim, hidden, 2, rng)
+        shapes = dict(zip(training.PARAM_NAMES, (a.shape for a in net0.arrays())))
+        shapes.update(x=(input_dim, batch), h1=(hidden, batch), c1=(hidden, batch),
+                      h2=(hidden, batch), c2=(hidden, batch))
+
+        def f(vec):
+            tape = Tape()
+            *weights, x, h1, c1, h2, c2 = leaves = [tape.leaf(view) for _, view
+                                                    in training._views(vec, shapes)]
+            z, _ = lstm_stack(weights, x, ((h1, c1), (h2, c2)))
+            scalar = gradcheck._scalarize(tape, z)
+            grads = tape.backward(scalar, leaves)
+            return float(scalar.value[0, 0]), np.concatenate([g.ravel() for g in grads])
+
+        point = rng.uniform(-0.8, 0.8, size=sum(r * c for r, c in shapes.values()))
+        assert finite_difference_check(f, point) < gradcheck.TOLERANCE
+
+        # and on arrays it is the solver's predictor, bit for bit
+        *weights, x, h1, c1, h2, c2 = [v for _, v in training._views(point, shapes)]
+        state = ((h1, c1), (h2, c2))
+        z_ref, state_ref = lstm_stack(weights, x, state)
+        z, new_state = neural.lstm_stack_forward(neural.NetParams.of(weights), x, state)
+        assert np.array_equal(z, z_ref)
+        for got, want in zip(sum(new_state, ()), sum(state_ref, ())):
+            assert np.array_equal(got, want)
+
+    def test_rollout_loss_matches_central_differences(self):
+        # the audit's training step, differentiated on the tape
+        sys, costs, grid, batch, seed, store = gradcheck.audit_problem()
+        noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, 0, batch, grid.steps, sys.m)
+
+        def f(vec):
+            _, loss, grads = taped_gradients(training.ParamStore(vec, store.shapes), sys, costs,
+                                             grid, noise, "minmax")
+            return loss, np.concatenate([g.ravel() for g in grads.values()])
+
+        assert finite_difference_check(f, store.theta, step=1e-5) < gradcheck.TOLERANCE
 
 
 class TestLossHead:

@@ -4,10 +4,10 @@ The benchmark calls ``training_step`` with ``workers`` and
 ``divergence_tolerance``, reads ``result.batch.handles.tape``, recomputes
 the loss with ``fbsde.training_loss`` and, with ``--trace 1``, wraps public
 entry points by ``setattr`` on their module, class or instance. It exits 3
-when a wrapped layer of its training map records no call in a step, or a
-layer outside that map records one. These tests install counting wrappers
-the same way, so a refactor that moves work off those entry points fails
-here first.
+when a wrapped layer of a workload's map (training or evaluation) records no
+call in an op, or a layer outside that map records one. These tests install
+counting wrappers the same way, so a refactor that moves work off those
+entry points fails here first.
 """
 
 import math
@@ -41,6 +41,14 @@ TRAIN_LAYERS = {
     "config.build_runtime", "training.step", "fbsde.noise", "fbsde.rollout",
     "neural.lstm", "systems.drift", "systems.cost", "autodiff.backward", "neural.adam",
 }
+# the layers one evaluation plus its set-up (a checkpoint saved and loaded
+# back) must call, and only these
+EVAL_LAYERS = {
+    "config.build_runtime", "training.save_checkpoint", "training.load_checkpoint",
+    "evaluation.evaluate", "fbsde.rollout", "fbsde.noise", "neural.lstm",
+    "systems.drift", "systems.cost", "evaluation.summarize",
+}
+SETUP_LAYERS = {"config.build_runtime", "training.save_checkpoint", "training.load_checkpoint"}
 
 
 class CallCounter:
@@ -59,8 +67,8 @@ class CallCounter:
         self.monkeypatch.setattr(owner, attr, counted)
 
 
-def set_up(counter=None):
-    cfg = config.parse_config(None, TINY)
+def set_up(counter=None, overrides=()):
+    cfg = config.parse_config(None, [*TINY, *overrides])
     setup = config.build_runtime(cfg)
     if counter is not None:
         counter.patch(setup.system, "drift", "systems.drift")
@@ -117,3 +125,34 @@ def test_each_step_calls_every_training_layer(monkeypatch, steps):
     assert called == TRAIN_LAYERS
     for layer in TRAIN_LAYERS - {"config.build_runtime"}:
         assert per_step[layer] >= steps, layer
+
+
+def eval_set_up(counter, work_dir):
+    """The benchmark's evaluation set-up: a fresh model through a checkpoint."""
+    setup, store = set_up(counter, ["eval.batch_size=8"])
+    path = str(work_dir / "checkpoint.ckpt")
+    training.save_checkpoint(store, path, seed=setup.train.seed, config_hash=setup.model_hash)
+    store, manifest = training.load_checkpoint(path)
+    training.validate_checkpoint(
+        manifest, training.expected_shapes(setup.system, setup.train.hidden_size),
+        setup.model_hash,
+    )
+    return setup, store
+
+
+@pytest.mark.parametrize("ops", [1, 2])
+def test_each_evaluation_calls_every_evaluation_layer(monkeypatch, tmp_path, ops):
+    counter = CallCounter(monkeypatch)
+    for owner, attr, layer in MODULE_ENTRY_POINTS:
+        counter.patch(owner, attr, layer)
+    setup, store = eval_set_up(counter, tmp_path)
+    after_setup = dict(counter.calls)
+    for k in range(ops):
+        evaluation.evaluate(store, setup.system, setup.costs, setup.grid, setup.eval_batch,
+                            setup.eval_seed + k, mode=setup.train.mode, adversary=False,
+                            workers=setup.workers)
+    per_op = {layer: counter.calls[layer] - after_setup.get(layer, 0) for layer in counter.calls}
+    called = {layer for layer, n in counter.calls.items() if n}
+    assert called == EVAL_LAYERS
+    for layer in EVAL_LAYERS - SETUP_LAYERS:
+        assert per_op[layer] >= ops, layer

@@ -482,6 +482,20 @@ class TestCommands:
         assert main(args) == 1
         assert capsys.readouterr().err == "error: iteration 1: non-finite loss inf\n"
 
+    def test_overflowing_model_is_one_error_line(self, tmp_path, capsys):
+        # one Adam step at lr 1e300 leaves finite weights near 1e300, whose
+        # rollouts overflow every terminal cost: no trajectory is alive
+        out = tmp_path / "out"
+        sets = ["--set", "train.iterations=1", "--set", "train.batch_size=4",
+                "--set", "train.learning_rate=1e300", "--set", "train.steps=5",
+                "--set", "train.hidden_size=4"]
+        assert main(["train", "--out", str(out), *sets]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--out", str(out), *sets, "--set", "eval.batch_size=8"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: only 0 live trajectories; cannot summarize\n"
+        assert not (out / "eval_report.json").exists()
+
     def test_missing_config_file_exits_two(self, capsys):
         code = main(["train", "--config", "/nonexistent/exp.yaml"])
         assert code == 2
@@ -707,3 +721,32 @@ def test_src_defines_only_code_that_runs():
             if not (short in pool or name in TEST_ONLY or audited):
                 unused.append(f"{stem}.{name}")
     assert not unused, f"defined in src/ but only tests or the audit use them: {unused}"
+
+
+def identifiers(node: ast.AST):
+    """Every name, attribute and parameter that ``node`` and its body spell."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.arg):
+            yield sub.arg
+
+
+def test_the_runtime_has_one_mode():
+    """The rollout, its adjoint, the network and the systems run on arrays
+    only: none of them names ``Var``, ``Tape`` or a tape."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    runtime = []
+    for stem in ("fbsde", "neural", "systems"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        runtime += [(stem, node) for node in ast.walk(tree) if isinstance(node, functions)
+                    and (stem != "fbsde" or getattr(node, "name", "") in ("rollout_batch",
+                                                                          "rollout_adjoint"))]
+    assert {node.name for stem, node in runtime if stem == "fbsde"} == {"rollout_batch",
+                                                                       "rollout_adjoint"}
+    taped = sorted({f"{stem}.{getattr(node, 'name', 'lambda')}: {name}" for stem, node in runtime
+                    for name in identifiers(node)
+                    if name in ("Var", "Tape") or "tape" in name.lower()})
+    assert not taped, f"runtime code that names the tape: {taped}"

@@ -180,6 +180,13 @@ class TestVariance:
         with pytest.raises(ValueError, match="live trajectories"):
             total_variance(np.ones((1, 3, 2)))
 
+    def test_overflowing_variance_is_an_error(self):
+        # finite states whose squared spread overflows, without a warning
+        trajs = np.zeros((2, 3, 2))
+        trajs[1] = 2e200
+        with pytest.raises(evaluation.EvaluationError, match="non-finite total_state_variance"):
+            total_variance(trajs)
+
 
 class TestEvaluate:
     def test_report_fields(self):

@@ -410,6 +410,32 @@ class TestRollout:
                                       getattr(reference, key)[:, :, others]), (poison, key)
 
 
+class TestAlive:
+    """A sample is alive only when its states, values and terminal cost are
+    all finite."""
+
+    def make(self):
+        sys, costs = pendulum_costs()
+        grid = HorizonGrid(0.0, 0.1, 5)
+        store = init_store(sys, TrainConfig(iterations=1, batch_size=4, grid=grid, seed=0,
+                                            hidden_size=4))
+        return sys, costs, grid, store, sample_noise(0, PURPOSE_TRAIN, 0, 4, 5, sys.m)
+
+    def test_overflowing_terminal_cost(self):
+        sys, costs, grid, store, noise = self.make()
+        noise[-1, :, 1] = 1e200  # x_N and y_N stay finite, g(x_N) overflows
+        batch = rollout_batch(store, sys, costs, grid, 4, 0, noise=noise)
+        assert np.all(np.isfinite(batch.states)) and np.all(np.isfinite(batch.values))
+        assert not np.isfinite(batch.terminal_targets[0, 1])
+        assert batch.alive.tolist() == [True, False, True, True]
+
+    def test_non_finite_value(self):
+        sys, costs, grid, store, noise = self.make()
+        batch = rollout_batch(store, sys, costs, grid, 4, 0, noise=noise, y0=np.array([[np.inf]]))
+        assert np.all(np.isfinite(batch.states)) and np.all(np.isfinite(batch.terminal_targets))
+        assert batch.diverged == 4
+
+
 class TestTrainingLoss:
     def make_batch(self, y_star, y_term):
         y_star = np.asarray(y_star, dtype=np.float64).reshape(1, -1)

@@ -3,7 +3,7 @@ replace. The compositions below are the oracle: they spell each block out in
 the tape's elementary primitives and the reference ops of
 ``tests/reference.py``, in the same operation order as the fused kernels.
 That includes the system drifts and the quadratic cost, which the solver
-records as one ``column_map`` node each."""
+runs as one ``column_map`` each."""
 
 import math
 
@@ -15,9 +15,9 @@ from minmax_fbsde import fbsde, gradcheck, training
 from minmax_fbsde.autodiff import StepConstants, Tape
 from minmax_fbsde.config import build_runtime, default_config
 from minmax_fbsde.fbsde import h_quadratic
-from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
-from reference import (bsde_step, concat_rows, cos, fsde_step, h_drift, placement, sigmoid,
-                       sin, tanh)
+from minmax_fbsde.systems import pendulum, quadcopter, wrap_angle
+from reference import (bsde_step, concat_rows, cos, fsde_step, h_drift, matmul, placement, rows,
+                       sigmoid, sin, tanh, taped_gradients)
 
 
 def _ones_row(x):
@@ -32,21 +32,21 @@ def lstm_cell_composed(W, U, b, x, h_prev, c_prev, pack=None):
     hid, d = U.shape[1], W.shape[1]
     width = d + hid + 1
     packed = ad.add(
-        ad.add(ad.matmul(W, placement(d, 0, width)), ad.matmul(U, placement(hid, d, width))),
-        ad.matmul(b, placement(1, d + hid, width)),
+        ad.add(matmul(W, placement(d, 0, width)), matmul(U, placement(hid, d, width))),
+        matmul(b, placement(1, d + hid, width)),
     )
-    pre = ad.matmul(packed, concat_rows([x, h_prev, _ones_row(x)]))
-    gate_i = sigmoid(ad.rows(pre, 0, hid))
-    gate_f = sigmoid(ad.rows(pre, hid, 2 * hid))
-    cand = tanh(ad.rows(pre, 2 * hid, 3 * hid))
-    gate_o = sigmoid(ad.rows(pre, 3 * hid, 4 * hid))
+    pre = matmul(packed, concat_rows([x, h_prev, _ones_row(x)]))
+    gate_i = sigmoid(rows(pre, 0, hid))
+    gate_f = sigmoid(rows(pre, hid, 2 * hid))
+    cand = tanh(rows(pre, 2 * hid, 3 * hid))
+    gate_o = sigmoid(rows(pre, 3 * hid, 4 * hid))
     c_new = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
     h_new = ad.mul(gate_o, tanh(c_new))
     return concat_rows([h_new, c_new])
 
 
 def affine_composed(W, x, b):
-    return ad.add(ad.matmul(W, x), ad.matmul(b, _ones_row(x)))
+    return ad.add(matmul(W, x), matmul(b, _ones_row(x)))
 
 
 def fbsde_step_composed(x, y, z, f, q, c):
@@ -58,10 +58,10 @@ def fbsde_step_composed(x, y, z, f, q, c):
         k = k + np.eye(k.shape[0]) * c.inv_eps
     q_mat, g_mat = (k + c.s_mat * 0.5) * c.dt, (c.sigma @ k) * c.dt
     dw_hat = c.dw * c.sqdt
-    w = ad.add(ad.matmul(q_mat, z), dw_hat)
+    w = ad.add(matmul(q_mat, z), dw_hat)
     col_sum = np.ones((1, c.dw.shape[0]))  # 1'(z * w) as a ones-row product
-    y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), ad.matmul(col_sum, ad.mul(z, w)))
-    x_new = ad.add(ad.add(ad.add(x, ad.smul(f, c.dt)), ad.matmul(g_mat, z)), c.sigma @ dw_hat)
+    y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), matmul(col_sum, ad.mul(z, w)))
+    x_new = ad.add(ad.add(ad.add(x, ad.smul(f, c.dt)), matmul(g_mat, z)), c.sigma @ dw_hat)
     return concat_rows([x_new, y_new])
 
 
@@ -71,8 +71,8 @@ def pendulum_drift_composed(sys):
     grav_coeff = sys.params["mass"] * gravity * sys.params["length"]
 
     def drift(X):
-        theta = ad.rows(X, 0, 1)
-        omega = ad.rows(X, 1, 2)
+        theta = rows(X, 0, 1)
+        omega = rows(X, 1, 2)
         acc = ad.smul(ad.add(ad.smul(omega, -damping), ad.smul(sin(theta), -grav_coeff)),
                       1.0 / inertia)
         return concat_rows((omega, acc))
@@ -91,9 +91,9 @@ def quadcopter_drift_composed(sys):
     gravity = sys.params["gravity"]
 
     def drift(X):
-        phi, th, psi = ad.rows(X, 3, 4), ad.rows(X, 4, 5), ad.rows(X, 5, 6)
-        u, v, w = ad.rows(X, 6, 7), ad.rows(X, 7, 8), ad.rows(X, 8, 9)
-        pr, qr, rr = ad.rows(X, 9, 10), ad.rows(X, 10, 11), ad.rows(X, 11, 12)
+        phi, th, psi = rows(X, 3, 4), rows(X, 4, 5), rows(X, 5, 6)
+        u, v, w = rows(X, 6, 7), rows(X, 7, 8), rows(X, 8, 9)
+        pr, qr, rr = rows(X, 9, 10), rows(X, 10, 11), rows(X, 11, 12)
         sphi, cphi = sin(phi), cos(phi)
         sth, cth = sin(th), cos(th)
         spsi, cpsi = sin(psi), cos(psi)
@@ -145,7 +145,7 @@ def quad_composed(costs, X, weights):
         raw = vals[j] - target[j]
         offsets[j] += raw - wrap_angle(raw)
     dev = ad.sub(X, offsets)
-    return ad.smul(ad.matmul(weights.reshape(1, -1), ad.mul(dev, dev)), 0.5)
+    return ad.smul(matmul(weights.reshape(1, -1), ad.mul(dev, dev)), 0.5)
 
 
 def quadcopter_costs():
@@ -320,8 +320,8 @@ def small_runtime(system, mode, steps=8):
 def taped_rollout(setup, store, adversary, batch=5, seed=3):
     noise = fbsde.sample_noise(seed, fbsde.PURPOSE_TRAIN, 0, batch, setup.grid.steps,
                                setup.system.m)
-    return gradcheck.taped_gradients(store, setup.system, setup.costs, setup.grid, noise,
-                                     setup.train.mode, adversary)
+    return taped_gradients(store, setup.system, setup.costs, setup.grid, noise, setup.train.mode,
+                           adversary)
 
 
 ROLLOUTS = [(s, mode, adv) for s in ("pendulum", "quadcopter", "lq")
@@ -413,9 +413,9 @@ def nodes_per_time_step(system):
     setup = build_runtime(default_config(system))
     store = training.init_store(setup.system, setup.train)
     noise = fbsde.sample_noise(0, fbsde.PURPOSE_TRAIN, 0, 4, setup.grid.steps, setup.system.m)
-    batch, _, _ = gradcheck.taped_gradients(store, setup.system, setup.costs, setup.grid,
-                                            noise, setup.train.mode)
-    return len(batch.handles.tape) / setup.grid.steps
+    record, _, _ = taped_gradients(store, setup.system, setup.costs, setup.grid, noise,
+                                   setup.train.mode)
+    return len(record.tape) / setup.grid.steps
 
 
 def test_pendulum_step_node_budget():
@@ -437,13 +437,13 @@ def test_audit_honours_points_and_covers_fused(monkeypatch):
         return real(f, point, step)
 
     monkeypatch.setattr(gradcheck, "finite_difference_check", counting)
-    rows = gradcheck.audit_primitives(points=2)
-    names = [row.name for row in rows]
+    audit = gradcheck.audit_primitives(points=2)
+    names = [row.name for row in audit]
     for fused in ("lstm-cell", "affine", "fbsde-step-minmax", "fbsde-step-baseline",
                   "drift-pendulum", "drift-quadcopter", "drift-lq", "quadratic-cost"):
         assert fused in names
-    assert len(calls) == 2 * len(rows)
-    assert all(row.points == 2 and row.passed for row in rows)
+    assert len(calls) == 2 * len(audit)
+    assert all(row.points == 2 and row.passed for row in audit)
 
 
 def test_every_primitive_has_an_audit_row():

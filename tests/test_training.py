@@ -174,6 +174,30 @@ class TestTrainingStep:
             np.testing.assert_allclose(result.grads[name], clean_run.grads[name],
                                        atol=1e-14)
 
+    def test_overflowing_terminal_cost_is_dropped(self, monkeypatch):
+        # sample 3's states and values stay finite but g(x_N) overflows: it is
+        # dropped like a sample whose state overflows, and the step runs on
+        # the survivors instead of ending on an infinite loss
+        sys, costs, cfg = small_problem(batch=8)
+        store = init_store(sys, cfg)
+        clean = sample_noise(cfg.seed, PURPOSE_TRAIN, 0, 8, cfg.grid.steps, sys.m)
+        noise = clean.copy()
+        noise[-1, :, 3] = 1e200
+        batch = rollout_batch(store, sys, costs, cfg.grid, 8, cfg.seed, noise=noise)
+        assert np.all(np.isfinite(batch.states)) and np.all(np.isfinite(batch.values))
+        assert not np.isfinite(batch.terminal_targets[0, 3])
+
+        monkeypatch.setattr(fbsde, "sample_noise", lambda *a: noise)
+        result = training_step(store, sys, costs, cfg.grid, 8, cfg.seed, 0,
+                               "minmax", divergence_tolerance=0.2)
+        assert result.diverged == 1
+        keep = np.arange(8) != 3
+        monkeypatch.setattr(fbsde, "sample_noise", lambda *a: clean[:, :, keep])
+        clean_run = training_step(store, sys, costs, cfg.grid, 7, cfg.seed, 0, "minmax")
+        assert result.loss == clean_run.loss
+        for name in result.grads:
+            np.testing.assert_array_equal(result.grads[name], clean_run.grads[name])
+
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     def test_poisoned_columns_raise_no_warning(self, poison, monkeypatch):
         # a column that goes non-finite is dropped without a RuntimeWarning,
