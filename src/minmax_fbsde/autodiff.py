@@ -1,46 +1,45 @@
 """Reverse-mode automatic differentiation on a flat tape of 2-D float64 arrays.
 
-The engine is deliberately small: a fixed set of primitives, each with a
-hand-written backward rule, recorded on an append-only tape in evaluation
-order. Values are always dense 2-D arrays of 64-bit reals; vectors are
-columns, scalars are (1, 1). There is no broadcasting: shapes must conform
-exactly; ``affine`` adds a (k, 1) bias to every column.
+The engine is deliberately small: a fixed set of primitives recorded on an
+append-only tape in evaluation order. Values are always dense 2-D arrays of
+64-bit reals; vectors are columns, scalars are (1, 1). There is no
+broadcasting: shapes must conform exactly; ``affine`` adds a (k, 1) bias to
+every column.
 
 Column-wise batches (one sample per column) fall out of the shape rules for
 free, because every primitive either acts element-wise or contracts over
 rows only.
 
-The vocabulary is what the solver runs: the loss head's ``add``, ``sub``,
-``smul`` and ``sumsq``, the ``mul`` and ``total`` that the gradient audit
-scalarizes with, and the four fused primitives below, ten in all. The
-expression helpers accept plain ndarrays and then evaluate eagerly without
-recording; the rollout, the network and the systems only ever pass them
-arrays.
+A primitive is one value, ``Primitive(name, kernel, vjp)``: the forward
+``kernel(vals, aux) -> (value, saved)`` and the hand-written backward
+``vjp(g, vals, saved)``, which returns the cotangents of the input values in
+order. ``Tape`` records and differentiates any primitive through these two
+alone, and ``call`` runs one on its arguments, taped when any is a ``Var``
+and eagerly on arrays otherwise. ``PRIMITIVES`` holds the ten the solver
+runs: the loss head's ``add``, ``sub``, ``smul`` and ``sumsq``, the ``mul``
+and ``total`` that the gradient audit scalarizes with, and four fused ones.
 
 Three fused primitives collapse the blocks that run at every time step into
 one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``; its
 pre-activation is one GEMM of the packed weights ``[W U b]`` over the block
 ``[x; h; 1]``, see ``LstmPack``), ``affine`` (``W x + b 1'``) and
 ``fbsde_step`` (the coupled state/value update, value ``[x'; y']``; its
-constant matrices are folded once per rollout, see ``StepFold``). Each has
-one forward kernel, shared by the taped and the tape-free path, and one
-hand-written backward, a pure function from (output cotangent, input values,
-saved) to input cotangents (``lstm_cell_vjp``, ``affine_vjp`` with
-``weight_vjp``, ``fbsde_step_vjp``). A fused node keeps what its backward
-needs (gate activations, intermediate products, the step constants) in its
-``aux``; only ``value`` counts as the node's output.
-
-A fourth, ``column_map``, is the generic form: the caller supplies the
-forward ``fn(x) -> (value, saved)`` and its vector-Jacobian product
-``vjp(g, x, saved) -> dx``. The system drifts and the quadratic costs are
-written this way, so each records one node per call.
+constant matrices are folded once per rollout, see ``StepFold``). A fused
+node keeps what its backward needs (gate activations, intermediate
+products, the step constants) as its ``saved``; only ``value`` counts as the
+node's output. A fourth, ``column_map``, is the generic form: the caller
+supplies the forward ``fn(x) -> (value, saved)`` and its vector-Jacobian
+product ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic
+costs are written this way, so each records one node per call.
 
 Training does not tape its rollout. It runs it inside ``saving``, which
-logs each fused call's inputs and saved arrays, and the adjoint
-``fbsde.rollout_adjoint`` calls the same backward functions on them; the tape
-holds only the loss head and the audit's probes. The tests' gradient oracle,
-``taped_gradients`` in ``tests/reference.py``, records a whole rollout from
-these primitives and ``column_map`` row splits.
+logs each tape-free call's primitive, inputs and saved arrays, and the
+adjoint ``fbsde.rollout_adjoint`` calls the fused primitives' backward
+functions (``lstm_cell_vjp``, ``affine_vjp`` with ``weight_vjp``,
+``fbsde_step_vjp``) on them; the tape holds only the loss head and the
+audit's probes. The tests' gradient oracle, ``taped_gradients`` in
+``tests/reference.py``, records a whole rollout from these primitives and
+``column_map`` row splits.
 
 The one sigmoid is the LSTM cell's, NumPy's own ``0.5 tanh(a / 2) + 0.5``;
 the package needs no special-function library. The cell folds the ``a / 2``
@@ -101,112 +100,211 @@ class Var:
         return f"Var(idx={self.idx}, shape={self.shape})"
 
 
-class _Node:
-    __slots__ = ("op", "inputs", "value", "aux")
+class Primitive(NamedTuple):
+    """One operation the tape can record: ``kernel(vals, aux) -> (value,
+    saved)`` computes the value from the input values and the caller's
+    non-differentiable ``aux``, keeping in ``saved`` what the backward needs;
+    ``vjp(g, vals, saved)`` returns the cotangents of ``vals``, in order,
+    from the output cotangent ``g``. ``name`` is its public name."""
 
-    def __init__(self, op: str, inputs: tuple[int, ...], value: np.ndarray, aux):
-        self.op = op
+    name: str
+    kernel: Callable
+    vjp: Callable
+
+
+class _Node:
+    __slots__ = ("prim", "inputs", "value", "saved")
+
+    def __init__(self, prim: Primitive | None, inputs: tuple[int, ...], value: np.ndarray, saved):
+        self.prim = prim  # None for a leaf or a constant
         self.inputs = inputs
         self.value = value
-        self.aux = aux
+        self.saved = saved
 
 
-# public names of the primitive set, used in diagnostics and the gradient audit
-PRIMITIVES = {
-    "add": "add",
-    "sub": "subtract",
-    "mul": "element-multiply",
-    "smul": "scalar-multiply",
-    "sum": "sum",
-    "sumsq": "sum-of-squares",
-    "lstm_cell": "lstm-cell",
-    "affine": "affine",
-    "fbsde_step": "fbsde-step",
-    "column_map": "column-map",
-}
+class Tape:
+    """Append-only record of primitive applications, in evaluation order.
+
+    Node indices are a topological order by construction, so the reverse
+    pass is a single deterministic backward sweep over indices.
+    """
+
+    def __init__(self):
+        self._nodes: list[_Node] = []
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def value(self, idx: int) -> np.ndarray:
+        return self._nodes[idx].value
+
+    def _record(self, prim, inputs: tuple[int, ...], value: np.ndarray, saved=None) -> Var:
+        self._nodes.append(_Node(prim, inputs, value, saved))
+        return Var(self, len(self._nodes) - 1)
+
+    def leaf(self, value) -> Var:
+        """A differentiable input (weights, initial conditions)."""
+        return self._record(None, (), as_matrix(value))
+
+    def constant(self, value) -> Var:
+        """A non-differentiable input (data, fixed matrices)."""
+        return self._record(None, (), as_matrix(value))
+
+    def apply(self, prim: Primitive, *inputs: Var, aux=None) -> Var:
+        """Record ``prim`` on Vars of this tape; ``aux`` goes to its kernel."""
+        for v in inputs:
+            if not isinstance(v, Var) or v.tape is not self:
+                raise ValueError(f"{prim.name}: inputs must be Vars of this tape")
+        value, saved = prim.kernel(tuple(v.value for v in inputs), aux)
+        return self._record(prim, tuple(v.idx for v in inputs), value, saved)
+
+    def backward(self, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
+        """Gradients of a scalar-valued node with respect to the given Vars.
+
+        Visits each node at most once, in reverse creation order, accumulating
+        additively over fan-out. Pure function of the tape: repeated calls
+        return bit-identical arrays.
+        """
+        if output.tape is not self:
+            raise ValueError("backward: output Var is not on this tape")
+        if output.shape != (1, 1):
+            raise ShapeError(
+                f"backward: output must be scalar (1, 1), got {output.shape}"
+            )
+        nodes = self._nodes
+        grads: list = [None] * len(nodes)
+        grads[output.idx] = np.ones((1, 1))
+        for idx in range(output.idx, -1, -1):
+            g = grads[idx]
+            node = nodes[idx]
+            if g is None or node.prim is None:  # unreached, or a leaf or constant
+                continue
+            vals = tuple(nodes[i].value for i in node.inputs)
+            for i, piece in zip(node.inputs, node.prim.vjp(g, vals, node.saved)):
+                cur = grads[i]
+                grads[i] = piece if cur is None else cur + piece
+        out = []
+        for v in wrt:
+            if v.tape is not self:
+                raise ValueError("backward: requested Var is not on this tape")
+            g = grads[v.idx]
+            out.append(np.zeros(v.shape) if g is None else g)
+        return out
 
 
-def _same_shape(op: str, a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(
-            f"{PRIMITIVES[op]}: operand shapes {a.shape} and {b.shape} must match"
-        )
+_FLOAT64 = np.dtype(np.float64)  # the one native float64 dtype instance
+# the list that ``saving`` fills; None outside its block. A context variable,
+# like NumPy's errstate, so the block is scoped to its thread and context.
+_saved_log: ContextVar[list | None] = ContextVar("saved_log", default=None)
 
 
-def _forward(op: str, vals: tuple[np.ndarray, ...], aux) -> np.ndarray:
-    if op == "add":
-        _same_shape(op, *vals)
-        return vals[0] + vals[1]
-    if op == "sub":
-        _same_shape(op, *vals)
-        return vals[0] - vals[1]
-    if op == "mul":
-        _same_shape(op, *vals)
-        return vals[0] * vals[1]
-    if op == "smul":
-        return vals[0] * aux
-    if op == "sum":
-        return np.sum(vals[0]).reshape(1, 1)
-    if op == "sumsq":
-        return np.sum(vals[0] * vals[0]).reshape(1, 1)
-    raise KeyError(f"unknown primitive {op!r}")
+@contextmanager
+def saving():
+    """Log every tape-free primitive call made inside the block.
+
+    Yields a list to which each ``call`` on plain arrays appends
+    ``(primitive, input values, saved)``, in call order; ``saved`` is what
+    the primitive's ``vjp`` needs (for ``column_map``, ``(vjp, saved)``).
+    The values are the ones the calls computed anyway, kept rather than
+    copied. Blocks do not nest.
+    """
+    if _saved_log.get() is not None:
+        raise RuntimeError("saving blocks do not nest")
+    log: list = []
+    token = _saved_log.set(log)
+    try:
+        yield log
+    finally:
+        _saved_log.reset(token)
 
 
-def _acc(grads: list, idx: int, piece: np.ndarray) -> None:
-    cur = grads[idx]
-    grads[idx] = piece if cur is None else cur + piece
+def call(prim: Primitive, args: tuple, aux=None):
+    """``prim`` on ``args``. When any argument is a ``Var``, the call is
+    recorded on its tape (the arguments that are not Vars become constants)
+    and returns a ``Var``; otherwise the kernel runs on the float64 arrays,
+    the call is logged inside ``saving``, and the value is returned."""
+    vals = args
+    for a in args:
+        if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
+            tape = next((v.tape for v in args if isinstance(v, Var)), None)
+            if tape is not None:
+                return tape.apply(prim, *[v if isinstance(v, Var) else tape.constant(v)
+                                          for v in args], aux=aux)
+            vals = tuple(np.asarray(v, dtype=np.float64) for v in args)
+            break
+    value, saved = prim.kernel(vals, aux)
+    log = _saved_log.get()
+    if log is not None:
+        log.append((prim, vals, saved))
+    return value
 
 
-def _backward(node: _Node, g: np.ndarray, grads: list, values) -> None:
-    op = node.op
-    ins = node.inputs
-    if op == "add":
-        _acc(grads, ins[0], g)
-        _acc(grads, ins[1], g)
-    elif op == "sub":
-        _acc(grads, ins[0], g)
-        _acc(grads, ins[1], -g)
-    elif op == "mul":
-        _acc(grads, ins[0], g * values(ins[1]))
-        _acc(grads, ins[1], g * values(ins[0]))
-    elif op == "smul":
-        _acc(grads, ins[0], g * node.aux)
-    elif op == "sum":
-        _acc(grads, ins[0], np.full(values(ins[0]).shape, g[0, 0]))
-    elif op == "sumsq":
-        _acc(grads, ins[0], (2.0 * g[0, 0]) * values(ins[0]))
-    elif op in _FUSED:
-        vals = tuple(values(i) for i in ins)
-        if op == "lstm_cell":
-            d_x, d_h, d_c, d_pre = lstm_cell_vjp(g, vals, node.aux)
-            d_w = d_pre @ lstm_block(vals[3], vals[4]).T
-            pieces = (*unpack_lstm(d_w, vals[3].shape[0]), d_x, d_h, d_c)
-        elif op == "affine":
-            d_w, d_b = weight_vjp(g, vals[1])
-            pieces = (d_w, affine_vjp(g, vals), d_b)
-        elif op == "fbsde_step":
-            pieces = fbsde_step_vjp(g[:-1], g[-1:], vals, node.aux)
-        else:
-            vjp, saved = node.aux
-            pieces = (vjp(g, vals[0], saved),)
-        for i, piece in zip(ins, pieces):
-            _acc(grads, i, piece)
-    # leaf / const: nothing flows further
+# ---------------------------------------------------------------------------
+# elementary primitives: the loss head and the audit's scalarization
+
+
+def _binary(name: str, fn: Callable, vjp: Callable) -> Primitive:
+    """An element-wise primitive of two operands of one shape."""
+    def kernel(vals, aux):
+        a, b = vals
+        if a.shape != b.shape:
+            raise ShapeError(f"{name}: operand shapes {a.shape} and {b.shape} must match")
+        return fn(a, b), None
+
+    return Primitive(name, kernel, vjp)
+
+
+ADD = _binary("add", np.add, lambda g, vals, _: (g, g))
+SUB = _binary("subtract", np.subtract, lambda g, vals, _: (g, -g))
+MUL = _binary("element-multiply", np.multiply, lambda g, vals, _: (g * vals[1], g * vals[0]))
+SMUL = Primitive("scalar-multiply", lambda vals, c: (vals[0] * c, c),
+                 lambda g, vals, c: (g * c,))
+SUM = Primitive("sum", lambda vals, _: (np.sum(vals[0]).reshape(1, 1), None),
+                lambda g, vals, _: (np.full(vals[0].shape, g[0, 0]),))
+SUMSQ = Primitive("sum-of-squares", lambda vals, _: (np.sum(vals[0] * vals[0]).reshape(1, 1), None),
+                  lambda g, vals, _: ((2.0 * g[0, 0]) * vals[0],))
+
+
+def add(a, b):
+    return call(ADD, (a, b))
+
+
+def sub(a, b):
+    return call(SUB, (a, b))
+
+
+def mul(a, b):
+    return call(MUL, (a, b))
+
+
+def smul(x, c: float):
+    return call(SMUL, (x,), float(c))
+
+
+def total(x):
+    """Sum of all entries, as a (1, 1) matrix."""
+    return call(SUM, (x,))
+
+
+def sumsq(x):
+    """Sum of squared entries, as a (1, 1) matrix."""
+    return call(SUMSQ, (x,))
 
 
 # ---------------------------------------------------------------------------
 # fused primitives. Each forward kernel maps the input values to
-# (value, saved); the taped path stores ``saved`` as the node's aux for the
+# (value, saved); the taped path stores ``saved`` on the node for the
 # backward, the tape-free path drops it (or, inside ``saving``, logs it). The
 # kernels keep the operation order of the element-wise compositions they
 # replace, so tape-free results are bit-identical to those compositions.
 #
 # Each backward is a pure function from (output cotangent, input values,
-# saved) to input cotangents. ``Tape.backward`` and the training adjoint
-# (``fbsde.rollout_adjoint``) call the same ones. The weight cotangents come
-# from the cotangent of the pre-activation: ``d_pre @ lstm_block(x, h).T``
-# for the packed [W U b] of ``lstm_cell`` (split by ``unpack_lstm``),
-# ``weight_vjp`` for ``affine``; the adjoint sums them over the time steps.
+# saved) to input cotangents. The training adjoint (``fbsde.rollout_adjoint``)
+# calls them directly; each primitive's ``vjp`` calls the same ones and adds
+# the weight cotangents, which come from the cotangent of the
+# pre-activation: ``d_pre @ lstm_block(x, h).T`` for the packed [W U b] of
+# ``lstm_cell`` (split by ``unpack_lstm``), ``weight_vjp`` for ``affine``; the
+# adjoint sums them over the time steps.
 
 
 class LstmPack(NamedTuple):
@@ -325,6 +423,28 @@ def lstm_cell_vjp(g, vals, saved, d_pre=None):
     return d_xh[: x.shape[0]], d_xh[x.shape[0] :], d_c * gate_f, d_pre
 
 
+def _lstm_cell_cotangents(g, vals, saved):
+    """Cotangents of (W, U, b, x, h, c): ``lstm_cell_vjp``'s and, from its
+    pre-activation cotangent, the packed [W U b]'s split into its columns."""
+    d_x, d_h, d_c, d_pre = lstm_cell_vjp(g, vals, saved)
+    d_w = d_pre @ lstm_block(vals[3], vals[4]).T
+    return (*unpack_lstm(d_w, vals[3].shape[0]), d_x, d_h, d_c)
+
+
+LSTM_CELL = Primitive("lstm-cell", _lstm_cell_kernel, _lstm_cell_cotangents)
+
+
+def lstm_cell(W, U, b, x, h, c, pack: LstmPack | None = None):
+    """One LSTM cell: W (4h, d), U (4h, h), b (4h, 1), x (d, M), h and c (h, M).
+
+    Gate rows are (input, forget, cell-candidate, output). Returns the
+    stacked new state [h'; c'], (2h, M). ``pack`` is ``pack_lstm`` of
+    (W, U, b) made once by the caller for many calls with the same weights;
+    without it each call packs its own.
+    """
+    return call(LSTM_CELL, (W, U, b, x, h, c), pack)
+
+
 def weight_vjp(d, x):
     """Cotangents of (W, b) in ``W x + b 1'`` from the output cotangent d."""
     return d @ x.T, d.sum(axis=1, keepdims=True)
@@ -343,6 +463,20 @@ def _affine_kernel(vals, aux):
 def affine_vjp(g, vals):
     """Cotangent of x; ``weight_vjp(g, x)`` gives those of (W, b)."""
     return vals[0].T @ g
+
+
+def _affine_cotangents(g, vals, saved):
+    """Cotangents of (W, x, b)."""
+    d_w, d_b = weight_vjp(g, vals[1])
+    return d_w, affine_vjp(g, vals), d_b
+
+
+AFFINE = Primitive("affine", _affine_kernel, _affine_cotangents)
+
+
+def affine(W, x, b):
+    """W x + b 1': a (k, 1) bias added to every column."""
+    return call(AFFINE, (W, x, b))
 
 
 class StepFold(NamedTuple):
@@ -413,6 +547,17 @@ def fbsde_step_vjp(g_x, g_y, vals, saved):
     return g_x, g_y, d_z, g_x * dt, g_y * -dt
 
 
+FBSDE_STEP = Primitive("fbsde-step", _fbsde_step_kernel,
+                       lambda g, vals, saved: fbsde_step_vjp(g[:-1], g[-1:], vals, saved))
+
+
+def fbsde_step(x, y, z, f, q, consts: StepConstants):
+    """One coupled Euler step from state x (n, M), value y (1, M), value
+    gradient z (m, M), drift f(x) (n, M) and running cost q(x) (1, M).
+    Returns [x'; y'], (n + 1, M); see ``_fbsde_step_kernel``."""
+    return call(FBSDE_STEP, (x, y, z, f, q), consts)
+
+
 def _column_map_kernel(vals, aux):
     """``fn(x)``, whose value must keep the column count of x."""
     fn, vjp = aux
@@ -423,215 +568,9 @@ def _column_map_kernel(vals, aux):
     return out, (vjp, saved)
 
 
-_FUSED = {
-    "lstm_cell": _lstm_cell_kernel,
-    "affine": _affine_kernel,
-    "fbsde_step": _fbsde_step_kernel,
-    "column_map": _column_map_kernel,
-}
-
-
-class Tape:
-    """Append-only record of primitive applications, in evaluation order.
-
-    Node indices are a topological order by construction, so the reverse
-    pass is a single deterministic backward sweep over indices.
-    """
-
-    def __init__(self):
-        self._nodes: list[_Node] = []
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def value(self, idx: int) -> np.ndarray:
-        return self._nodes[idx].value
-
-    def _record(self, op: str, inputs: tuple[int, ...], value: np.ndarray, aux=None) -> Var:
-        self._nodes.append(_Node(op, inputs, value, aux))
-        return Var(self, len(self._nodes) - 1)
-
-    def leaf(self, value) -> Var:
-        """A differentiable input (weights, initial conditions)."""
-        return self._record("leaf", (), as_matrix(value))
-
-    def constant(self, value) -> Var:
-        """A non-differentiable input (data, fixed matrices)."""
-        return self._record("const", (), as_matrix(value))
-
-    def apply(self, op: str, *inputs: Var, aux=None) -> Var:
-        if op not in PRIMITIVES:
-            raise KeyError(f"unknown primitive {op!r}")
-        for v in inputs:
-            if not isinstance(v, Var) or v.tape is not self:
-                raise ValueError(f"{PRIMITIVES[op]}: inputs must be Vars of this tape")
-        vals = tuple(v.value for v in inputs)
-        kernel = _FUSED.get(op)
-        if kernel is None:
-            out = _forward(op, vals, aux)
-        else:
-            out, aux = kernel(vals, aux)
-        return self._record(op, tuple(v.idx for v in inputs), out, aux)
-
-    def backward(self, output: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
-        """Gradients of a scalar-valued node with respect to the given Vars.
-
-        Visits each node at most once, in reverse creation order, accumulating
-        additively over fan-out. Pure function of the tape: repeated calls
-        return bit-identical arrays.
-        """
-        if output.tape is not self:
-            raise ValueError("backward: output Var is not on this tape")
-        if output.shape != (1, 1):
-            raise ShapeError(
-                f"backward: output must be scalar (1, 1), got {output.shape}"
-            )
-        nodes = self._nodes
-        grads: list = [None] * len(nodes)
-        grads[output.idx] = np.ones((1, 1))
-        values = self.value
-        for idx in range(output.idx, -1, -1):
-            g = grads[idx]
-            if g is None:
-                continue
-            node = nodes[idx]
-            if node.op == "leaf" or node.op == "const":
-                continue
-            _backward(node, g, grads, values)
-        out = []
-        for v in wrt:
-            if v.tape is not self:
-                raise ValueError("backward: requested Var is not on this tape")
-            g = grads[v.idx]
-            out.append(np.zeros(v.shape) if g is None else g)
-        return out
-
-
-def _lift(tape: Tape, x) -> Var:
-    if isinstance(x, Var):
-        if x.tape is not tape:
-            raise ValueError("operands belong to different tapes")
-        return x
-    return tape.constant(x)
-
-
-def _tape_of(*args) -> Tape | None:
-    for a in args:
-        if isinstance(a, Var):
-            return a.tape
-    return None
-
-
-# ---------------------------------------------------------------------------
-# dual-mode expression helpers: operate on Vars (recording) or ndarrays (eager)
-
-
-def add(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.asarray(a) + np.asarray(b)
-    return tape.apply("add", _lift(tape, a), _lift(tape, b))
-
-
-def sub(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.asarray(a) - np.asarray(b)
-    return tape.apply("sub", _lift(tape, a), _lift(tape, b))
-
-
-def mul(a, b):
-    tape = _tape_of(a, b)
-    if tape is None:
-        return np.asarray(a) * np.asarray(b)
-    return tape.apply("mul", _lift(tape, a), _lift(tape, b))
-
-
-def smul(x, c: float):
-    if isinstance(x, Var):
-        return x.tape.apply("smul", x, aux=float(c))
-    return np.asarray(x) * float(c)
-
-
-def total(x):
-    """Sum of all entries, as a (1, 1) matrix."""
-    if isinstance(x, Var):
-        return x.tape.apply("sum", x)
-    return np.sum(np.asarray(x)).reshape(1, 1)
-
-
-def sumsq(x):
-    """Sum of squared entries, as a (1, 1) matrix."""
-    if isinstance(x, Var):
-        return x.tape.apply("sumsq", x)
-    arr = np.asarray(x)
-    return np.sum(arr * arr).reshape(1, 1)
-
-
-_FLOAT64 = np.dtype(np.float64)  # the one native float64 dtype instance
-# the list that ``saving`` fills; None outside its block. A context variable,
-# like NumPy's errstate, so the block is scoped to its thread and context.
-_saved_log: ContextVar[list | None] = ContextVar("saved_log", default=None)
-
-
-@contextmanager
-def saving():
-    """Log every tape-free fused call made inside the block.
-
-    Yields a list to which each call of ``lstm_cell``, ``affine``,
-    ``fbsde_step`` or ``column_map`` on plain arrays appends
-    ``(op, input values, saved)``, in call order; ``saved`` is what the
-    primitive's backward needs (for ``column_map``, ``(vjp, saved)``). The
-    values are the ones the calls computed anyway, kept rather than copied.
-    Blocks do not nest.
-    """
-    if _saved_log.get() is not None:
-        raise RuntimeError("saving blocks do not nest")
-    log: list = []
-    token = _saved_log.set(log)
-    try:
-        yield log
-    finally:
-        _saved_log.reset(token)
-
-
-def _fused(op: str, args: tuple, aux=None):
-    vals = args
-    for a in args:
-        if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
-            tape = _tape_of(*args)
-            if tape is not None:
-                return tape.apply(op, *[_lift(tape, a) for a in args], aux=aux)
-            vals = tuple(np.asarray(a, dtype=np.float64) for a in args)
-            break
-    out, saved = _FUSED[op](vals, aux)
-    log = _saved_log.get()
-    if log is not None:
-        log.append((op, vals, saved))
-    return out
-
-
-def lstm_cell(W, U, b, x, h, c, pack: LstmPack | None = None):
-    """One LSTM cell: W (4h, d), U (4h, h), b (4h, 1), x (d, M), h and c (h, M).
-
-    Gate rows are (input, forget, cell-candidate, output). Returns the
-    stacked new state [h'; c'], (2h, M). ``pack`` is ``pack_lstm`` of
-    (W, U, b) made once by the caller for many calls with the same weights;
-    without it each call packs its own.
-    """
-    return _fused("lstm_cell", (W, U, b, x, h, c), pack)
-
-
-def affine(W, x, b):
-    """W x + b 1': a (k, 1) bias added to every column."""
-    return _fused("affine", (W, x, b))
-
-
-def fbsde_step(x, y, z, f, q, consts: StepConstants):
-    """One coupled Euler step from state x (n, M), value y (1, M), value
-    gradient z (m, M), drift f(x) (n, M) and running cost q(x) (1, M).
-    Returns [x'; y'], (n + 1, M); see ``_fbsde_step_kernel``."""
-    return _fused("fbsde_step", (x, y, z, f, q), consts)
+# ``saved`` is the caller's (vjp, saved)
+COLUMN_MAP = Primitive("column-map", _column_map_kernel,
+                       lambda g, vals, saved: (saved[0](g, vals[0], saved[1]),))
 
 
 def column_map(x, fn: Callable, vjp: Callable):
@@ -642,7 +581,11 @@ def column_map(x, fn: Callable, vjp: Callable):
     whatever the forward computed that the product reuses. Tape-free, the
     call is ``fn(x)[0]``.
     """
-    return _fused("column_map", (x,), (fn, vjp))
+    return call(COLUMN_MAP, (x,), (fn, vjp))
+
+
+# the primitive set, in the order of the gradient audit
+PRIMITIVES = (ADD, SUB, MUL, SMUL, SUM, SUMSQ, LSTM_CELL, AFFINE, FBSDE_STEP, COLUMN_MAP)
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,12 @@ def cmd_eval(cfg) -> int:
         store, setup.system, setup.costs, setup.grid,
         setup.eval_batch, setup.eval_seed, mode=cfg.mode, adversary=False,
     )
+    texts = {"eval_report.json": report.to_json(),
+             "trajectories.csv": report.trajectory_csv(condition=cfg.mode)}
     write_run_metadata(cfg.out, cfg, "eval", prefix="eval_")
-    with open(os.path.join(cfg.out, "eval_report.json"), "w") as fh:
-        fh.write(report.to_json())
-    with open(os.path.join(cfg.out, "trajectories.csv"), "w") as fh:
-        fh.write(report.trajectory_csv(condition=cfg.mode))
+    for name, text in texts.items():
+        with open(os.path.join(cfg.out, name), "w") as fh:
+            fh.write(text)
     print(f"success rate       {report.success_rate:.4f}")
     print(f"total state var    {report.total_state_variance:.6g}")
     print(f"mean terminal cost {report.mean_terminal_cost:.6g}")

@@ -85,7 +85,8 @@ class EvalReport:
             "y0": self.y0,
             "noise_scale": self.noise_scale,
             "epsilon": self.epsilon,
-            "success_tolerance": list(self.success_tolerance),
+            # an unconstrained dimension (inf) is null, since JSON has no infinity
+            "success_tolerance": [t if math.isfinite(t) else None for t in self.success_tolerance],
             "state_labels": list(self.state_labels),
         }
 
@@ -120,7 +121,6 @@ def evaluate(
     mode: str = "minmax",
     adversary: bool = False,
     workers: int = 1,
-    noise: np.ndarray | None = None,
 ) -> EvalReport:
     """Roll out the trained feedback controller tape-free and summarize.
 
@@ -136,7 +136,6 @@ def evaluate(
     batch = fbsde.rollout_batch(
         store, sys, costs, grid, batch_size, seed,
         mode=mode, adversary=adversary, purpose=fbsde.PURPOSE_EVAL,
-        noise=noise,
     )
     return summarize(batch, sys, costs, grid, mode=mode, adversary=adversary, seed=seed)
 
@@ -454,8 +453,9 @@ def epsilon_sweep(config, epsilons: Iterable[float], out_dir: str) -> list[dict]
                 store, setup.system, setup.costs, setup.grid,
                 setup.eval_batch, setup.eval_seed, mode=mode, adversary=False,
             )
+            text = report.to_json()
             with open(os.path.join(out_dir, label, "eval_report.json"), "w") as fh:
-                fh.write(report.to_json())
+                fh.write(text)
             if mode == "baseline":
                 baseline = report
             elif baseline is not None:

@@ -340,7 +340,7 @@ def rollout_batch(
 # training adjoint
 
 # the fused calls of one rollout step, in the order ``rollout_batch`` makes them
-_STEP_OPS = ("column_map", "column_map", "fbsde_step", "lstm_cell", "lstm_cell", "affine")
+_STEP_OPS = (ad.COLUMN_MAP, ad.COLUMN_MAP, ad.FBSDE_STEP, ad.LSTM_CELL, ad.LSTM_CELL, ad.AFFINE)
 
 
 def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
@@ -361,7 +361,8 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
     so it gets no cotangent.
     """
     n_steps, extra = divmod(len(saved) - 1, len(_STEP_OPS))
-    if n_steps < 1 or extra or [op for op, _, _ in saved] != [*_STEP_OPS * n_steps, "column_map"]:
+    layout = [*_STEP_OPS * n_steps, ad.COLUMN_MAP]
+    if n_steps < 1 or extra or any(prim is not op for (prim, _, _), op in zip(saved, layout)):
         raise ValueError("rollout_adjoint: the log is not one rollout of the LSTM predictor "
                          "with a one-column_map drift and running cost")
     steps = [saved[i : i + len(_STEP_OPS)] for i in range(0, len(saved) - 1, len(_STEP_OPS))]

@@ -1,7 +1,8 @@
 """Gradient audits: every reverse-mode derivative in the package is compared
 against central finite differences at random points, 15 rows in all. Each
-entry of ``autodiff.PRIMITIVES`` has a row: the six elementary ones
-(``add``, ``subtract``, ``element-multiply``, ``scalar-multiply``, ``sum``,
+``Primitive`` in ``autodiff.PRIMITIVES`` has a row under its ``name``, which
+checks its ``vjp`` against its ``kernel``: the six elementary ones (``add``,
+``subtract``, ``element-multiply``, ``scalar-multiply``, ``sum``,
 ``sum-of-squares``), the fused ``lstm-cell`` (its one-GEMM packed kernel),
 ``affine`` and ``fbsde-step`` (minmax and baseline form), and
 ``column-map`` through its callers: the hand-written products of the system

@@ -178,8 +178,12 @@ class TestSaving:
             logged = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 5, 1)
         for key in ("states", "values", "z_grads", "controls", "terminal_targets"):
             assert np.array_equal(getattr(plain, key), getattr(logged, key)), key
-        step_ops = ["column_map", "column_map", "fbsde_step", "lstm_cell", "lstm_cell", "affine"]
-        assert [op for op, _, _ in saved] == step_ops * 4 + ["column_map"]
+        step_ops = [ad.COLUMN_MAP, ad.COLUMN_MAP, ad.FBSDE_STEP, ad.LSTM_CELL, ad.LSTM_CELL,
+                    ad.AFFINE]
+        expected = step_ops * 4 + [ad.COLUMN_MAP]
+        logged = [prim for prim, _, _ in saved]
+        assert [prim.name for prim in logged] == [prim.name for prim in expected]
+        assert all(prim is op for prim, op in zip(logged, expected))
 
     def test_logs_nothing_outside_the_block(self):
         with ad.saving() as saved:
@@ -275,7 +279,7 @@ class TestFolding:
             with ad.saving() as saved:
                 fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 4, 1)
             counts[steps, "rollout"] = len(folds)
-            logged = [aux[0] for op, _, aux in saved if op == "fbsde_step"]
+            logged = [aux[0] for prim, _, aux in saved if prim is ad.FBSDE_STEP]
             assert len(logged) == steps and all(fold is folds[0] for fold in logged)
             del folds[:]
             step(setup, store, 4)

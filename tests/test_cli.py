@@ -24,6 +24,10 @@ from minmax_fbsde.config import (
     validate_config,
 )
 
+# one Adam step at this learning rate ruins the model
+RUINOUS = ["--set", "train.iterations=1", "--set", "train.batch_size=4",
+           "--set", "train.learning_rate=1e300", "--set", "train.steps=5",
+           "--set", "train.hidden_size=4"]
 MICRO = [
     "--set", "system=lq",
     "--set", "train.iterations=2",
@@ -484,17 +488,55 @@ class TestCommands:
 
     def test_overflowing_model_is_one_error_line(self, tmp_path, capsys):
         # one Adam step at lr 1e300 leaves finite weights near 1e300, whose
-        # rollouts overflow every terminal cost: no trajectory is alive
+        # rollouts overflow every terminal cost: no trajectory is alive.
+        # ``train`` writes no checkpoint of such a model, so this test saves it
         out = tmp_path / "out"
-        sets = ["--set", "train.iterations=1", "--set", "train.batch_size=4",
-                "--set", "train.learning_rate=1e300", "--set", "train.steps=5",
-                "--set", "train.hidden_size=4"]
-        assert main(["train", "--out", str(out), *sets]) == 0
-        capsys.readouterr()
-        assert main(["eval", "--out", str(out), *sets, "--set", "eval.batch_size=8"]) == 1
+        cfg = resolve_config(build_parser().parse_args(["train", "--out", str(out), *RUINOUS]))
+        setup = build_runtime(cfg)
+        store, _ = training.train(setup.system, setup.costs, setup.train)
+        out.mkdir()
+        training.save_checkpoint(store, setup.checkpoint_path, seed=cfg.seed,
+                                 config_hash=setup.model_hash)
+        assert main(["eval", "--out", str(out), *RUINOUS, "--set", "eval.batch_size=8"]) == 1
         err = capsys.readouterr().err
         assert err == "error: only 0 live trajectories; cannot summarize\n"
         assert not (out / "eval_report.json").exists()
+
+    def test_a_ruinous_last_update_leaves_no_checkpoint(self, tmp_path, capsys):
+        # the one row's loss predates the update that ruins the model
+        out = tmp_path / "out"
+        assert main(["train", "--out", str(out), *RUINOUS]) == 1
+        assert capsys.readouterr().err == ("error: final parameters: 4/4 samples of their "
+                                           "rollout diverged\n")
+        assert not (out / "checkpoint.ckpt").exists()
+        rows = (out / "loss_history.csv").read_text().splitlines()
+        assert len(rows) == 3 and rows[2].startswith("0,")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_quadcopter_reports_are_strict_json(self, tmp_path, command):
+        # nine of its twelve dimensions have no success tolerance (inf)
+        out = tmp_path / "quad"
+        sets = ["--set", "system=quadcopter", "--set", "train.iterations=1",
+                "--set", "train.batch_size=4", "--set", "train.steps=3",
+                "--set", "train.hidden_size=4", "--set", "eval.batch_size=8",
+                "--set", "sweep.epsilons=[0.5]"]
+        if command == "eval":
+            assert main(["train", "--out", str(out), *sets]) == 0
+        assert main([command, "--out", str(out), *sets]) == 0
+        paths = ([out / "eval_report.json"] if command == "eval"
+                 else [out / label / "eval_report.json" for label in ("baseline", "eps_0.5")])
+        for path in paths:
+            text = path.read_text()
+            assert "Infinity" not in text
+
+            def reject(constant):
+                raise ValueError(f"{path}: {constant}")
+
+            tolerance = json.loads(text, parse_constant=reject)["success_tolerance"]
+            assert tolerance.count(None) == 9 and all(t is None or t > 0 for t in tolerance)
+        if command == "sweep":  # every condition was evaluated
+            rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:]))
+            assert len(rows) == 2 and all(row["success_rate"] for row in rows), rows
 
     def test_missing_config_file_exits_two(self, capsys):
         code = main(["train", "--config", "/nonexistent/exp.yaml"])
@@ -732,6 +774,29 @@ def identifiers(node: ast.AST):
             yield sub.attr
         elif isinstance(sub, ast.arg):
             yield sub.arg
+
+
+def test_the_tape_knows_no_primitive():
+    """``Tape`` runs every primitive through its ``kernel`` and ``vjp``
+    alone: no method names a primitive, its helper, kernel or backward, or a
+    per-op table, and none compares against a string such as an op's name."""
+    tree = ast.parse((PACKAGE / "autodiff.py").read_text())
+    (tape,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Tape"]
+    defined = {name for name in module_level_definitions(tree) if "." not in name}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        defined |= {target.id for target in targets if isinstance(target, ast.Name)}
+    # the module's names, less the ones a tape is made of
+    forbidden = (defined | {"_forward", "_backward", "_FUSED"}) - {
+        "Tape", "Var", "_Node", "Primitive", "ShapeError", "as_matrix"}
+    methods = [node for node in tape.body if isinstance(node, ast.FunctionDef)]
+    named = sorted({f"Tape.{method.name}: {name}" for method in methods
+                    for name in identifiers(method) if name in forbidden})
+    compared = sorted({f"Tape.{method.name}: line {node.lineno}" for method in methods
+                       for node in ast.walk(method) if isinstance(node, ast.Compare)
+                       and any(isinstance(side, ast.Constant) and isinstance(side.value, str)
+                               for side in (node.left, *node.comparators))})
+    assert not named and not compared, f"the tape knows primitives: {named + compared}"
 
 
 def test_the_runtime_has_one_mode():

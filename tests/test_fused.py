@@ -447,10 +447,10 @@ def test_audit_honours_points_and_covers_fused(monkeypatch):
 
 
 def test_every_primitive_has_an_audit_row():
-    """Each ``PRIMITIVES`` entry names an audit row, or the prefix of some
-    (``fbsde-step-minmax``); ``column-map`` is audited through its callers,
-    the drifts and the quadratic cost."""
+    """The ``name`` of each primitive in ``PRIMITIVES`` is an audit row's, or
+    the prefix of some (``fbsde-step-minmax``); ``column-map`` is audited
+    through its callers, the drifts and the quadratic cost."""
     names = [row.name for row in gradcheck.audit_primitives(points=1)]
-    for public in ad.PRIMITIVES.values():
+    for public in (prim.name for prim in ad.PRIMITIVES):
         prefixes = ("drift", "quadratic-cost") if public == "column-map" else (public,)
         assert any(name == p or name.startswith(f"{p}-") for name in names for p in prefixes), public
