@@ -15,19 +15,19 @@ A primitive is one value, ``Primitive(name, kernel, vjp)``: the forward
 ``vjp(g, vals, saved)``, which returns the cotangents of the input values in
 order. ``Tape`` records and differentiates any primitive through these two
 alone, and ``call`` runs one on its arguments, taped when any is a ``Var``
-and eagerly on arrays otherwise. ``PRIMITIVES`` holds the ten the solver
-runs: the loss head's ``add``, ``sub``, ``smul`` and ``sumsq``, the ``mul``
-and ``total`` that the gradient audit scalarizes with, and four fused ones.
+and eagerly on arrays otherwise. ``PRIMITIVES`` holds the eight the solver
+runs: the loss head's ``add``, ``sub``, ``smul`` and ``sumsq``, and four
+fused ones.
 
 Three fused primitives collapse the blocks that run at every time step into
 one node each: ``lstm_cell`` (one recurrent cell, value ``[h'; c']``; its
 pre-activation is one GEMM of the packed weights ``[W U b]`` over the block
 ``[x; h; 1]``, see ``LstmPack``), ``affine`` (``W x + b 1'``) and
-``fbsde_step`` (the coupled state/value update, value ``[x'; y']``; its
-constant matrices are folded once per rollout, see ``StepFold``). A fused
-node keeps what its backward needs (gate activations, intermediate
-products, the step constants) as its ``saved``; only ``value`` counts as the
-node's output. A fourth, ``column_map``, is the generic form: the caller
+``fbsde_step`` (the coupled state/value update, value ``[x'; y']``; the
+caller folds its constant matrices once per rollout with ``fold_step``). A
+fused node keeps what its backward needs (gate activations, intermediate
+products, the fold) as its ``saved``; only ``value`` counts as the node's
+output. A fourth, ``column_map``, is the generic form: the caller
 supplies the forward ``fn(x) -> (value, saved)`` and its vector-Jacobian
 product ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic
 costs are written this way, so each records one node per call.
@@ -36,9 +36,10 @@ Training does not tape its rollout. It runs it inside ``saving``, which
 logs each tape-free call's primitive, inputs and saved arrays, and the
 adjoint ``fbsde.rollout_adjoint`` calls the fused primitives' backward
 functions (``lstm_cell_vjp``, ``affine_vjp`` with ``weight_vjp``,
-``fbsde_step_vjp``) on them; the tape holds only the loss head and the
-audit's probes. The tests' gradient oracle, ``taped_gradients`` in
-``tests/reference.py``, records a whole rollout from these primitives and
+``fbsde_step_vjp``) on them; the tape holds only the loss head. The gradient
+audit (``gradcheck``) takes the same log entry of one call and checks the
+primitive's ``vjp`` on it. The tests' gradient oracle, ``taped_gradients``
+in ``tests/reference.py``, records a whole rollout from these primitives and
 ``column_map`` row splits.
 
 The one sigmoid is the LSTM cell's, NumPy's own ``0.5 tanh(a / 2) + 0.5``;
@@ -49,6 +50,7 @@ so one tanh covers all gate rows.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, NamedTuple, Sequence
@@ -116,7 +118,7 @@ class _Node:
     __slots__ = ("prim", "inputs", "value", "saved")
 
     def __init__(self, prim: Primitive | None, inputs: tuple[int, ...], value: np.ndarray, saved):
-        self.prim = prim  # None for a leaf or a constant
+        self.prim = prim  # None for a leaf
         self.inputs = inputs
         self.value = value
         self.saved = saved
@@ -143,11 +145,7 @@ class Tape:
         return Var(self, len(self._nodes) - 1)
 
     def leaf(self, value) -> Var:
-        """A differentiable input (weights, initial conditions)."""
-        return self._record(None, (), as_matrix(value))
-
-    def constant(self, value) -> Var:
-        """A non-differentiable input (data, fixed matrices)."""
+        """An input: weights and initial conditions, or data and fixed matrices."""
         return self._record(None, (), as_matrix(value))
 
     def apply(self, prim: Primitive, *inputs: Var, aux=None) -> Var:
@@ -177,7 +175,7 @@ class Tape:
         for idx in range(output.idx, -1, -1):
             g = grads[idx]
             node = nodes[idx]
-            if g is None or node.prim is None:  # unreached, or a leaf or constant
+            if g is None or node.prim is None:  # unreached, or a leaf
                 continue
             vals = tuple(nodes[i].value for i in node.inputs)
             for i, piece in zip(node.inputs, node.prim.vjp(g, vals, node.saved)):
@@ -220,7 +218,7 @@ def saving():
 
 def call(prim: Primitive, args: tuple, aux=None):
     """``prim`` on ``args``. When any argument is a ``Var``, the call is
-    recorded on its tape (the arguments that are not Vars become constants)
+    recorded on its tape (the arguments that are not Vars become leaves)
     and returns a ``Var``; otherwise the kernel runs on the float64 arrays,
     the call is logged inside ``saving``, and the value is returned."""
     vals = args
@@ -228,7 +226,7 @@ def call(prim: Primitive, args: tuple, aux=None):
         if type(a) is not np.ndarray or a.dtype is not _FLOAT64:
             tape = next((v.tape for v in args if isinstance(v, Var)), None)
             if tape is not None:
-                return tape.apply(prim, *[v if isinstance(v, Var) else tape.constant(v)
+                return tape.apply(prim, *[v if isinstance(v, Var) else tape.leaf(v)
                                           for v in args], aux=aux)
             vals = tuple(np.asarray(v, dtype=np.float64) for v in args)
             break
@@ -240,7 +238,7 @@ def call(prim: Primitive, args: tuple, aux=None):
 
 
 # ---------------------------------------------------------------------------
-# elementary primitives: the loss head and the audit's scalarization
+# elementary primitives: the loss head
 
 
 def _binary(name: str, fn: Callable, vjp: Callable) -> Primitive:
@@ -256,11 +254,8 @@ def _binary(name: str, fn: Callable, vjp: Callable) -> Primitive:
 
 ADD = _binary("add", np.add, lambda g, vals, _: (g, g))
 SUB = _binary("subtract", np.subtract, lambda g, vals, _: (g, -g))
-MUL = _binary("element-multiply", np.multiply, lambda g, vals, _: (g * vals[1], g * vals[0]))
 SMUL = Primitive("scalar-multiply", lambda vals, c: (vals[0] * c, c),
                  lambda g, vals, c: (g * c,))
-SUM = Primitive("sum", lambda vals, _: (np.sum(vals[0]).reshape(1, 1), None),
-                lambda g, vals, _: (np.full(vals[0].shape, g[0, 0]),))
 SUMSQ = Primitive("sum-of-squares", lambda vals, _: (np.sum(vals[0] * vals[0]).reshape(1, 1), None),
                   lambda g, vals, _: ((2.0 * g[0, 0]) * vals[0],))
 
@@ -273,17 +268,8 @@ def sub(a, b):
     return call(SUB, (a, b))
 
 
-def mul(a, b):
-    return call(MUL, (a, b))
-
-
 def smul(x, c: float):
     return call(SMUL, (x,), float(c))
-
-
-def total(x):
-    """Sum of all entries, as a (1, 1) matrix."""
-    return call(SUM, (x,))
 
 
 def sumsq(x):
@@ -480,82 +466,72 @@ def affine(W, x, b):
 
 
 class StepFold(NamedTuple):
-    """The constant matrices of ``fbsde_step``, folded once (``fold_step``)."""
+    """The constants of ``fbsde_step``, folded once per rollout (``fold_step``)."""
 
-    k: np.ndarray  # (m, m); Gamma_u u* + v* = K z: Gamma_u gain [+ I / epsilon]
     q: np.ndarray  # (m, m); (K + S / 2) dt, S the generator's quadratic form
     g: np.ndarray  # (n, m); dt Sigma K
-    ones: np.ndarray  # (1, m); the column-sum row
-
-
-class StepConstants(NamedTuple):
-    """The non-differentiable inputs of one ``fbsde_step``.
-
-    ``inv_eps`` scales the adversary v* = z / epsilon; None leaves the
-    adversary out of the drift change altogether. ``fold`` is their ``fold_step``.
-    """
-
-    dw: np.ndarray  # (m, M) unit-normal increments
-    gamma_u: np.ndarray  # (m, p)
-    gain: np.ndarray  # (p, m); u* = gain z
-    s_mat: np.ndarray  # (m, m); generator quadratic form
     sigma: np.ndarray  # (n, m)
+    ones: np.ndarray  # (1, m); the column-sum row
     dt: float
     sqdt: float
-    inv_eps: float | None
-    fold: StepFold | None = None
 
 
-def fold_step(c: StepConstants) -> StepFold:
-    """K, Q and G of ``c``; with the adversary off, K has no I / epsilon term at all."""
-    k = c.gamma_u @ c.gain
-    if c.inv_eps is not None:
-        k += np.eye(k.shape[0]) * c.inv_eps
-    return StepFold(k, (k + c.s_mat * 0.5) * c.dt, (c.sigma @ k) * c.dt, np.ones((1, len(k))))
+def fold_step(gamma_u, gain, s_mat, sigma, dt: float, inv_eps: float | None) -> StepFold:
+    """Q and G of the step with u* = gain z, generator quadratic form S and
+    time step dt, from K with Gamma_u u* + v* = K z: Gamma_u gain, plus
+    I / epsilon when the adversary v* = z inv_eps acts (``inv_eps`` None
+    leaves it out of K altogether)."""
+    k = gamma_u @ gain
+    if inv_eps is not None:
+        k += np.eye(k.shape[0]) * inv_eps
+    return StepFold((k + s_mat * 0.5) * dt, (sigma @ k) * dt, sigma, np.ones((1, len(k))), dt,
+                    math.sqrt(dt) if dt > 0 else 0.0)
 
 
-def _fbsde_step_kernel(vals, c: StepConstants):
+def _fbsde_step_kernel(vals, aux):
     """Euler step of the state and the compensated value; returns [x'; y'].
 
+    ``aux`` is (fold, dw), dw the (m, M) unit-normal increments.
     w = Q z + dw sqrt(dt), y' = y - q dt + 1'(z * w) and
     x' = x + f dt + G z + Sigma dw sqrt(dt), with Q and G from the fold.
     """
+    fold, dw = aux
     x, y, z, f, q = vals
     n, cols = x.shape
     m = z.shape[0]
     if (y.shape != (1, cols) or z.shape[1] != cols or f.shape != x.shape
-            or q.shape != (1, cols) or c.dw.shape != z.shape or c.sigma.shape != (n, m)):
+            or q.shape != (1, cols) or dw.shape != z.shape or fold.sigma.shape != (n, m)):
         raise ShapeError(
             f"fbsde-step: x {x.shape}, y {y.shape}, z {z.shape}, f {f.shape}, "
-            f"q {q.shape}, dw {c.dw.shape}, sigma {c.sigma.shape} do not conform"
+            f"q {q.shape}, dw {dw.shape}, sigma {fold.sigma.shape} do not conform"
         )
-    fold = c.fold if c.fold is not None else fold_step(c)
-    dw_hat = c.dw * c.sqdt
+    dw_hat = dw * fold.sqdt
     w = fold.q @ z + dw_hat
     out = np.empty((n + 1, cols))
-    out[n:] = y - q * c.dt + fold.ones @ (z * w)
-    out[:n] = x + f * c.dt + fold.g @ z + c.sigma @ dw_hat
-    return out, (fold, w, c.dt)
+    out[n:] = y - q * fold.dt + fold.ones @ (z * w)
+    out[:n] = x + f * fold.dt + fold.g @ z + fold.sigma @ dw_hat
+    return out, (fold, w)
 
 
 def fbsde_step_vjp(g_x, g_y, vals, saved):
     """Cotangents of (x, y, z, f, q) from those of x' and y'."""
-    fold, w, dt = saved
+    fold, w = saved
     d_z = g_y * w
     d_z += fold.q.T @ (g_y * vals[2])
     d_z += fold.g.T @ g_x
-    return g_x, g_y, d_z, g_x * dt, g_y * -dt
+    return g_x, g_y, d_z, g_x * fold.dt, g_y * -fold.dt
 
 
 FBSDE_STEP = Primitive("fbsde-step", _fbsde_step_kernel,
                        lambda g, vals, saved: fbsde_step_vjp(g[:-1], g[-1:], vals, saved))
 
 
-def fbsde_step(x, y, z, f, q, consts: StepConstants):
+def fbsde_step(x, y, z, f, q, fold: StepFold, dw):
     """One coupled Euler step from state x (n, M), value y (1, M), value
-    gradient z (m, M), drift f(x) (n, M) and running cost q(x) (1, M).
+    gradient z (m, M), drift f(x) (n, M) and running cost q(x) (1, M), with
+    the rollout's ``fold_step`` and the increments dw (m, M).
     Returns [x'; y'], (n + 1, M); see ``_fbsde_step_kernel``."""
-    return call(FBSDE_STEP, (x, y, z, f, q), consts)
+    return call(FBSDE_STEP, (x, y, z, f, q), (fold, dw))
 
 
 def _column_map_kernel(vals, aux):
@@ -585,7 +561,7 @@ def column_map(x, fn: Callable, vjp: Callable):
 
 
 # the primitive set, in the order of the gradient audit
-PRIMITIVES = (ADD, SUB, MUL, SMUL, SUM, SUMSQ, LSTM_CELL, AFFINE, FBSDE_STEP, COLUMN_MAP)
+PRIMITIVES = (ADD, SUB, SMUL, SUMSQ, LSTM_CELL, AFFINE, FBSDE_STEP, COLUMN_MAP)
 
 
 # ---------------------------------------------------------------------------

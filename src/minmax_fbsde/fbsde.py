@@ -21,7 +21,8 @@ and the generator
 The baseline (risk-neutral) mode drops the 1/epsilon terms and hard-zeroes
 the adversary; it is the epsilon -> infinity limit of the min-max mode.
 
-A rollout folds a step's constants once (``autodiff.fold_step``): with
+A rollout folds a step's constants once (``autodiff.fold_step``) and
+passes the fold to every ``autodiff.fbsde_step``: with
 Gamma_u u* + v* = K z, Q = (K + S / 2) dt and G = dt Sigma K (S the
 quadratic form of h), a step is w = Q z + dw sqrt(dt), y' = y - q dt + z'w
 and x' = x + f dt + G z + Sigma dw sqrt(dt): the updates above, to rounding.
@@ -52,7 +53,6 @@ column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -274,7 +274,6 @@ def rollout_batch(
     y0 = params.y0 if y0 is None else y0
     z0 = params.z0 if z0 is None else z0
     dt = grid.dt
-    sqdt = math.sqrt(dt) if dt > 0 else 0.0
     inv_eps = (1.0 / costs.epsilon) if mode == "minmax" else 0.0
 
     gain = -costs.solve_r(sys.gamma_u.T)  # (p, m)
@@ -296,8 +295,7 @@ def rollout_batch(
     z_grads[0] = z_cur
 
     lstm_state = None
-    step_args = (sys.gamma_u, gain, s_mat, sys.sigma, dt, sqdt, inv_eps if adversary else None)
-    fold = ad.fold_step(ad.StepConstants(None, *step_args))  # once per rollout
+    fold = ad.fold_step(sys.gamma_u, gain, s_mat, sys.sigma, dt, inv_eps if adversary else None)
     with np.errstate(all="ignore"):
         for step in range(n_steps):
             minimizing_control(z_cur, gain, controls[step])
@@ -306,8 +304,7 @@ def rollout_batch(
 
             q_run = costs.running_expr(x_cur)
             f_drift = sys.drift(x_cur)
-            consts = ad.StepConstants(noise[step], *step_args, fold)
-            xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, consts)
+            xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, fold, noise[step])
             x_cur, y_cur = xy[: sys.n], xy[sys.n :]
 
             if z_fn is not None:

@@ -1,16 +1,19 @@
 """Gradient audits: every reverse-mode derivative in the package is compared
-against central finite differences at random points, 15 rows in all. Each
+against central finite differences at random points, 13 rows in all. Each
 ``Primitive`` in ``autodiff.PRIMITIVES`` has a row under its ``name``, which
-checks its ``vjp`` against its ``kernel``: the six elementary ones (``add``,
-``subtract``, ``element-multiply``, ``scalar-multiply``, ``sum``,
+checks its ``vjp`` against its ``kernel`` as the runtime calls them: one call
+on plain arrays inside ``autodiff.saving``, whose logged inputs and saved
+arrays go to the ``vjp``, as in the training adjoint. The rows are the four
+elementary ones (``add``, ``subtract``, ``scalar-multiply``,
 ``sum-of-squares``), the fused ``lstm-cell`` (its one-GEMM packed kernel),
-``affine`` and ``fbsde-step`` (minmax and baseline form), and
-``column-map`` through its callers: the hand-written products of the system
-drifts (``drift-pendulum``, ``drift-quadcopter``, ``drift-lq``) and of the
-angle-wrapped quadratic cost (``quadratic-cost``). Then a full multi-step
-rollout including the training loss, differentiated by the adjoint that
-training uses (``adjoint-rollout-loss-pendulum``). The taped oracle that the
-adjoint is also checked against lives in ``tests/reference.py``.
+``affine`` and ``fbsde-step`` (minmax and baseline form, each on a
+``fold_step`` fold), and ``column-map`` through its callers: the
+hand-written products of the system drifts (``drift-pendulum``,
+``drift-quadcopter``, ``drift-lq``) and of the angle-wrapped quadratic cost
+(``quadratic-cost``). Then a full multi-step rollout including the training
+loss, differentiated by the adjoint that training uses
+(``adjoint-rollout-loss-pendulum``). The taped oracle that the adjoint is
+also checked against lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, finite_difference_check
+from .autodiff import finite_difference_check
 from .fbsde import HorizonGrid
 from .systems import CostSpec, lq_double_integrator, pendulum, quadcopter
 from .training import ParamStore, TrainConfig, init_store, training_step
@@ -49,15 +52,12 @@ def _weights(shape: tuple[int, int]) -> np.ndarray:
     return w
 
 
-def _scalarize(tape: Tape, var: ad.Var) -> ad.Var:
-    """Contract any node to (1,1) with a fixed random weighting so the
-    finite-difference probe exercises every output entry."""
-    return ad.total(ad.mul(var, tape.constant(_weights(var.shape))))
-
-
 def _audit(op_name: str, fn, shapes, points: int, seed: int) -> AuditRow:
-    """``fn`` applied to one leaf per shape, probed at ``points`` random points
-    drawn uniformly from [-2, 2]."""
+    """``fn``, one primitive call, applied to one array per shape and probed
+    at ``points`` random points drawn uniformly from [-2, 2]. A fixed random
+    weighting W of the call's value makes it scalar, so the probe exercises
+    every output entry; its gradient is the primitive's ``vjp`` of W on what
+    the call logged."""
     rng = np.random.default_rng(seed)
     sizes = [int(np.prod(shape)) for shape in shapes]
     bounds = np.cumsum([0] + sizes)
@@ -66,47 +66,36 @@ def _audit(op_name: str, fn, shapes, points: int, seed: int) -> AuditRow:
         vec0 = rng.uniform(-2.0, 2.0, size=bounds[-1])
 
         def f(vec):
-            tape = Tape()
-            leaves = [tape.leaf(vec[lo:hi].reshape(shape))
-                      for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
-            out = _scalarize(tape, fn(*leaves))
-            grads = tape.backward(out, leaves)
-            return float(out.value[0, 0]), np.concatenate([g.ravel() for g in grads])
+            args = [vec[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+            with ad.saving() as log:
+                value = fn(*args)
+            ((prim, vals, saved),) = log
+            weights = _weights(value.shape)
+            grads = prim.vjp(weights, vals, saved)
+            return float(np.sum(value * weights)), np.concatenate([g.ravel() for g in grads])
 
         worst = max(worst, finite_difference_check(f, vec0))
     return AuditRow(op_name, points, worst, TOLERANCE)
 
 
-def _step_constants(mode: str) -> ad.StepConstants:
-    """Random constants for a step with n=3, m=2, p=2 on two columns. S is
-    deliberately not symmetric, so the audit covers the general quadratic form."""
+def _step_args(mode: str) -> tuple[ad.StepFold, np.ndarray]:
+    """The fold and increments of a step with n=3, m=2, p=2 on two columns. S
+    is deliberately not symmetric, so the audit covers the general quadratic form."""
     rng = np.random.default_rng(7)
-    n, m, p, cols, dt = 3, 2, 2, 2, 0.1
-    return ad.StepConstants(
-        dw=rng.normal(size=(m, cols)),
-        gamma_u=rng.normal(size=(m, p)),
-        gain=rng.normal(size=(p, m)),
-        s_mat=rng.normal(size=(m, m)),
-        sigma=rng.normal(size=(n, m)),
-        dt=dt,
-        sqdt=float(np.sqrt(dt)),
-        inv_eps=0.7 if mode == "minmax" else None,
-    )
+    n, m, p, cols = 3, 2, 2, 2
+    dw, gamma_u, gain, s_mat, sigma = (rng.normal(size=shape) for shape
+                                       in ((m, cols), (m, p), (p, m), (m, m), (n, m)))
+    return ad.fold_step(gamma_u, gain, s_mat, sigma, 0.1, 0.7 if mode == "minmax" else None), dw
 
 
 def audit_primitives(points: int = 100) -> list[AuditRow]:
     """Every primitive, fused ones included, at ``points`` random points each."""
-    unary = [
-        ("scalar-multiply", lambda x: ad.smul(x, -1.7)),
-        ("sum", ad.total),
-        ("sum-of-squares", ad.sumsq),
-    ]
     rows = [
         _audit("add", ad.add, [(3, 4), (3, 4)], points, seed=1),
         _audit("subtract", ad.sub, [(3, 4), (3, 4)], points, seed=1),
-        _audit("element-multiply", ad.mul, [(3, 4), (3, 4)], points, seed=1),
+        _audit("scalar-multiply", lambda x: ad.smul(x, -1.7), [(3, 4)], points, seed=0),
+        _audit("sum-of-squares", ad.sumsq, [(3, 4)], points, seed=0),
     ]
-    rows += [_audit(name, fn, [(3, 4)], points, seed=0) for name, fn in unary]
     hid, d, cols = 2, 3, 2
     rows.append(_audit(
         "lstm-cell", ad.lstm_cell,
@@ -115,12 +104,12 @@ def audit_primitives(points: int = 100) -> list[AuditRow]:
     ))
     rows.append(_audit("affine", ad.affine, [(2, 3), (3, 4), (2, 1)], points, seed=2))
     for mode in ("minmax", "baseline"):
-        consts = _step_constants(mode)
-        n, m = consts.sigma.shape
-        cols = consts.dw.shape[1]
+        fold, dw = _step_args(mode)
+        n, m = fold.sigma.shape
+        cols = dw.shape[1]
         rows.append(_audit(
             f"fbsde-step-{mode}",
-            lambda x, y, z, f, q, c=consts: ad.fbsde_step(x, y, z, f, q, c),
+            lambda x, y, z, f, q, fold=fold, dw=dw: ad.fbsde_step(x, y, z, f, q, fold, dw),
             [(n, cols), (1, cols), (m, cols), (n, cols), (1, cols)],
             points, seed=2,
         ))

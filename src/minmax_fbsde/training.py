@@ -238,9 +238,9 @@ def train(
     """Run the full optimization. Under ``out_dir``, when given, writes the
     loss history and, after the last step, the checkpoint; a checkpoint
     already there is removed before the first step, so a run that diverges
-    leaves none. Before the checkpoint is written, the final θ is rolled out
-    once on the next iteration's training noise, and more than
-    ``divergence_tolerance`` diverged samples there end the run as well.
+    leaves none. After the last step, the final θ is rolled out once on the
+    next iteration's training noise, and more than ``divergence_tolerance``
+    diverged samples there end the run as well, with or without ``out_dir``.
     """
     store = init_store(sys, cfg)
     history: list[HistoryRow] = []
@@ -266,12 +266,12 @@ def train(
             history.append(row)
             if progress is not None:
                 progress(row)
-        if ckpt_path:  # a row's loss predates its update, which may still ruin the model
-            final = fbsde.rollout_batch(store, sys, costs, cfg.grid, cfg.batch_size, cfg.seed,
-                                        mode=cfg.mode, iteration=cfg.iterations)
-            if final.diverged > cfg.divergence_tolerance * cfg.batch_size:
-                raise TrainingDiverged(f"final parameters: {final.diverged}/{cfg.batch_size} "
-                                       "samples of their rollout diverged")
+        # a row's loss predates its update, which may still ruin the model
+        final = fbsde.rollout_batch(store, sys, costs, cfg.grid, cfg.batch_size, cfg.seed,
+                                    mode=cfg.mode, iteration=cfg.iterations)
+        if final.diverged > cfg.divergence_tolerance * cfg.batch_size:
+            raise TrainingDiverged(f"final parameters: {final.diverged}/{cfg.batch_size} "
+                                   "samples of their rollout diverged")
     except (TrainingDiverged, neural.NonFiniteGradient):
         flush()
         raise

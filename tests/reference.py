@@ -4,10 +4,11 @@ The single-vector functions spell out one piece of the FBSDE scheme for a
 single sample, written from its definition rather than from the batched
 kernels: the per-sample noise stream that ``fbsde.sample_noise`` must
 reproduce bit for bit, the feedback controls, the generator h, and one Euler
-step of the forward and of the backward equation. The ops ``matmul``,
-``rows``, ``sigmoid``, ``tanh``, ``sin``, ``cos`` and ``concat_rows`` are
-what the tests compose the fused kernels from, taped or tape-free; the
-solver's tape has no such primitives.
+step of the forward and of the backward equation. The ops ``mul``,
+``total``, ``matmul``, ``rows``, ``sigmoid``, ``tanh``, ``sin``, ``cos`` and
+``concat_rows`` are what the tests compose the fused kernels from and
+scalarize with, taped or tape-free; the solver's tape has no such
+primitives.
 
 ``taped_gradients`` is the gradient oracle of a training step. It writes the
 rollout and the loss out step by step on one ``autodiff.Tape``, from the
@@ -90,6 +91,21 @@ def bsde_step(y: float, z, h: float, u, v, gamma_u, dw, grid: HorizonGrid) -> fl
     k = gamma_u @ u + v
     drift = -float(h) + float((z.T @ k)[0, 0])
     return float(y) + drift * grid.dt + float((z.T @ dw)[0, 0]) * math.sqrt(grid.dt)
+
+
+MUL = ad._binary("element-multiply", np.multiply, lambda g, vals, _: (g * vals[1], g * vals[0]))
+SUM = ad.Primitive("sum", lambda vals, _: (np.sum(vals[0]).reshape(1, 1), None),
+                   lambda g, vals, _: (np.full(vals[0].shape, g[0, 0]),))
+
+
+def mul(a, b):
+    """a * b entry by entry; the shapes must match."""
+    return ad.call(MUL, (a, b))
+
+
+def total(x):
+    """Sum of all entries, as a (1, 1) matrix."""
+    return ad.call(SUM, (x,))
 
 
 def _elementwise(fn, slope):
@@ -191,11 +207,11 @@ def taped_gradients(store, sys: SystemModel, costs: CostSpec, grid: HorizonGrid,
     *weights, y0, z0 = leaves.values()
     inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
     gain = -costs.solve_r(sys.gamma_u.T)
-    step_args = (sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps), sys.sigma,
-                 grid.dt, math.sqrt(grid.dt), inv_eps if adversary else None)
+    fold = ad.fold_step(sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps), sys.sigma,
+                        grid.dt, inv_eps if adversary else None)
 
     ones = np.ones((1, cols))
-    x = tape.constant(np.repeat(sys.x0.reshape(-1, 1), cols, axis=1))
+    x = tape.leaf(np.repeat(sys.x0.reshape(-1, 1), cols, axis=1))
     y = ad.affine(np.zeros((1, 1)), ones, y0)  # 0 1' + y0 1'
     z = ad.affine(np.zeros((m, 1)), ones, z0)
     state = tuple((np.zeros((u.shape[1], cols)),) * 2 for u in (weights[1], weights[4]))  # U1, U2
@@ -205,8 +221,7 @@ def taped_gradients(store, sys: SystemModel, costs: CostSpec, grid: HorizonGrid,
         record.controls.append(minimizing_control(z.value, gain))
         record.adversary_controls.append(
             adversary_control(z.value, inv_eps) if adversary else np.zeros((m, cols)))
-        consts = ad.StepConstants(noise[k], *step_args)
-        xy = ad.fbsde_step(x, y, z, sys.drift(x), costs.running_expr(x), consts)
+        xy = ad.fbsde_step(x, y, z, sys.drift(x), costs.running_expr(x), fold, noise[k])
         x, y = rows(xy, 0, sys.n), rows(xy, sys.n, sys.n + 1)
         z, state = lstm_stack(weights, x, state)
         record.states.append(x.value)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -487,13 +488,15 @@ class TestCommands:
         assert capsys.readouterr().err == "error: iteration 1: non-finite loss inf\n"
 
     def test_overflowing_model_is_one_error_line(self, tmp_path, capsys):
-        # one Adam step at lr 1e300 leaves finite weights near 1e300, whose
-        # rollouts overflow every terminal cost: no trajectory is alive.
-        # ``train`` writes no checkpoint of such a model, so this test saves it
+        # finite weights near 1e300, like those one Adam step at lr 1e300
+        # leaves, overflow every terminal cost of their rollouts: no trajectory
+        # is alive. ``train`` saves no such model, so this test does
         out = tmp_path / "out"
         cfg = resolve_config(build_parser().parse_args(["train", "--out", str(out), *RUINOUS]))
         setup = build_runtime(cfg)
-        store, _ = training.train(setup.system, setup.costs, setup.train)
+        store = training.init_store(setup.system, setup.train)
+        store.theta *= 1e300
+        assert np.all(np.isfinite(store.theta))
         out.mkdir()
         training.save_checkpoint(store, setup.checkpoint_path, seed=cfg.seed,
                                  config_hash=setup.model_hash)
@@ -611,6 +614,16 @@ class TestCommands:
         assert game > 1.05 * neutral
         assert f"(minmax mode, oracle value {game:.6f})" in stdout
 
+    def test_oracle_check_of_a_ruinous_run_is_one_error_line(self, capsys):
+        # the last update ruins the model: the final-θ check ends training
+        # before any comparison with the oracle, which would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle-check", *RUINOUS]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: final parameters: 4/4 samples of their rollout diverged\n"
+        assert "trained" not in captured.out
+
     def test_oracle_check_below_the_breakdown_is_one_error_line(self, tmp_path, capsys):
         # epsilon = 0.01 lies below epsilon* ~ 0.0323 at T = 1: the game has no value
         code = main(["oracle-check", "--mode", "minmax", "--set", "cost.epsilon=0.01",
@@ -695,8 +708,6 @@ TEST_ONLY = {
 # defined in src/ and called only by the gradient audit, on purpose; outside
 # its own module the audit is no caller of anything else
 AUDIT_ONLY = {
-    "mul": "weights every entry of an audited output before it is summed",
-    "total": "sums the weighted entries to the (1, 1) the backward sweep starts from",
     "finite_difference_check": "the central differences every audit row is checked against",
 }
 
@@ -800,11 +811,13 @@ def test_the_tape_knows_no_primitive():
 
 
 def test_the_runtime_has_one_mode():
-    """The rollout, its adjoint, the network and the systems run on arrays
-    only: none of them names ``Var``, ``Tape`` or a tape."""
+    """The rollout, its adjoint, the network, the systems and the gradient
+    audit run on arrays only: none of them names ``Var``, ``Tape`` or a tape.
+    The audit checks each primitive's ``vjp`` on a logged tape-free call, as
+    the training adjoint runs it."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     runtime = []
-    for stem in ("fbsde", "neural", "systems"):
+    for stem in ("fbsde", "neural", "systems", "gradcheck"):
         tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
         runtime += [(stem, node) for node in ast.walk(tree) if isinstance(node, functions)
                     and (stem != "fbsde" or getattr(node, "name", "") in ("rollout_batch",

@@ -6,18 +6,19 @@ That includes the system drifts and the quadratic cost, which the solver
 runs as one ``column_map`` each."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from minmax_fbsde import autodiff as ad
 from minmax_fbsde import fbsde, gradcheck, training
-from minmax_fbsde.autodiff import StepConstants, Tape
+from minmax_fbsde.autodiff import Tape
 from minmax_fbsde.config import build_runtime, default_config
 from minmax_fbsde.fbsde import h_quadratic
 from minmax_fbsde.systems import pendulum, quadcopter, wrap_angle
-from reference import (bsde_step, concat_rows, cos, fsde_step, h_drift, matmul, placement, rows,
-                       sigmoid, sin, tanh, taped_gradients)
+from reference import (bsde_step, concat_rows, cos, fsde_step, h_drift, matmul, mul, placement,
+                       rows, sigmoid, sin, tanh, taped_gradients, total)
 
 
 def _ones_row(x):
@@ -40,8 +41,8 @@ def lstm_cell_composed(W, U, b, x, h_prev, c_prev, pack=None):
     gate_f = sigmoid(rows(pre, hid, 2 * hid))
     cand = tanh(rows(pre, 2 * hid, 3 * hid))
     gate_o = sigmoid(rows(pre, 3 * hid, 4 * hid))
-    c_new = ad.add(ad.mul(gate_f, c_prev), ad.mul(gate_i, cand))
-    h_new = ad.mul(gate_o, tanh(c_new))
+    c_new = ad.add(mul(gate_f, c_prev), mul(gate_i, cand))
+    h_new = mul(gate_o, tanh(c_new))
     return concat_rows([h_new, c_new])
 
 
@@ -49,20 +50,27 @@ def affine_composed(W, x, b):
     return ad.add(matmul(W, x), matmul(b, _ones_row(x)))
 
 
-def fbsde_step_composed(x, y, z, f, q, c):
-    """The step in the folded order: K, Q and G from their definitions, then
-    w = Q z + dw sqrt(dt), y' = y - q dt + 1'(z * w) and
-    x' = x + f dt + G z + Sigma dw sqrt(dt)."""
-    k = c.gamma_u @ c.gain
-    if c.inv_eps is not None:
-        k = k + np.eye(k.shape[0]) * c.inv_eps
-    q_mat, g_mat = (k + c.s_mat * 0.5) * c.dt, (c.sigma @ k) * c.dt
-    dw_hat = c.dw * c.sqdt
-    w = ad.add(matmul(q_mat, z), dw_hat)
-    col_sum = np.ones((1, c.dw.shape[0]))  # 1'(z * w) as a ones-row product
-    y_new = ad.add(ad.sub(y, ad.smul(q, c.dt)), matmul(col_sum, ad.mul(z, w)))
-    x_new = ad.add(ad.add(ad.add(x, ad.smul(f, c.dt)), matmul(g_mat, z)), c.sigma @ dw_hat)
+def fbsde_step_composed(x, y, z, f, q, fold, dw):
+    """The step in the folded order: w = Q z + dw sqrt(dt),
+    y' = y - q dt + 1'(z * w) and x' = x + f dt + G z + Sigma dw sqrt(dt),
+    with Q, G, Sigma, dt and sqrt(dt) read from ``fold``."""
+    dw_hat = dw * fold.sqdt
+    w = ad.add(matmul(fold.q, z), dw_hat)
+    col_sum = np.ones((1, dw.shape[0]))  # 1'(z * w) as a ones-row product
+    y_new = ad.add(ad.sub(y, ad.smul(q, fold.dt)), matmul(col_sum, mul(z, w)))
+    x_new = ad.add(ad.add(ad.add(x, ad.smul(f, fold.dt)), matmul(fold.g, z)), fold.sigma @ dw_hat)
     return concat_rows([x_new, y_new])
+
+
+def fold_from_definitions(gamma_u, gain, s_mat, sigma, dt, inv_eps):
+    """The step's constants worked out here, not by ``fold_step``: K =
+    Gamma_u gain (+ I inv_eps when the adversary acts), Q = (K + S / 2) dt,
+    G = Sigma K dt and sqrt(dt)."""
+    k = gamma_u @ gain
+    if inv_eps is not None:
+        k = k + np.eye(k.shape[0]) * inv_eps
+    return SimpleNamespace(q=(k + s_mat * 0.5) * dt, g=(sigma @ k) * dt, sigma=sigma, dt=dt,
+                           sqdt=math.sqrt(dt))
 
 
 def pendulum_drift_composed(sys):
@@ -82,7 +90,7 @@ def pendulum_drift_composed(sys):
 
 def _one_like(x):
     if isinstance(x, ad.Var):
-        return x.tape.constant(np.ones(x.shape))
+        return x.tape.leaf(np.ones(x.shape))
     return np.ones(np.asarray(x).shape)
 
 
@@ -98,32 +106,32 @@ def quadcopter_drift_composed(sys):
         sth, cth = sin(th), cos(th)
         spsi, cpsi = sin(psi), cos(psi)
         pn_dot = ad.add(
-            ad.mul(ad.mul(cth, cpsi), u),
+            mul(mul(cth, cpsi), u),
             ad.add(
-                ad.mul(ad.sub(ad.mul(ad.mul(sphi, sth), cpsi), ad.mul(cphi, spsi)), v),
-                ad.mul(ad.add(ad.mul(ad.mul(cphi, sth), cpsi), ad.mul(sphi, spsi)), w),
+                mul(ad.sub(mul(mul(sphi, sth), cpsi), mul(cphi, spsi)), v),
+                mul(ad.add(mul(mul(cphi, sth), cpsi), mul(sphi, spsi)), w),
             ),
         )
         pe_dot = ad.add(
-            ad.mul(ad.mul(cth, spsi), u),
+            mul(mul(cth, spsi), u),
             ad.add(
-                ad.mul(ad.add(ad.mul(ad.mul(sphi, sth), spsi), ad.mul(cphi, cpsi)), v),
-                ad.mul(ad.sub(ad.mul(ad.mul(cphi, sth), spsi), ad.mul(sphi, cpsi)), w),
+                mul(ad.add(mul(mul(sphi, sth), spsi), mul(cphi, cpsi)), v),
+                mul(ad.sub(mul(mul(cphi, sth), spsi), mul(sphi, cpsi)), w),
             ),
         )
         pd_dot = ad.add(
-            ad.mul(ad.smul(sth, -1.0), u),
-            ad.add(ad.mul(ad.mul(sphi, cth), v), ad.mul(ad.mul(cphi, cth), w)),
+            mul(ad.smul(sth, -1.0), u),
+            ad.add(mul(mul(sphi, cth), v), mul(mul(cphi, cth), w)),
         )
-        u_dot = ad.sub(ad.sub(ad.mul(rr, v), ad.mul(qr, w)), ad.smul(sth, gravity))
-        v_dot = ad.add(ad.sub(ad.mul(pr, w), ad.mul(rr, u)), ad.smul(ad.mul(cth, sphi), gravity))
+        u_dot = ad.sub(ad.sub(mul(rr, v), mul(qr, w)), ad.smul(sth, gravity))
+        v_dot = ad.add(ad.sub(mul(pr, w), mul(rr, u)), ad.smul(mul(cth, sphi), gravity))
         w_dot = ad.add(
-            ad.sub(ad.mul(qr, u), ad.mul(pr, v)),
-            ad.smul(ad.sub(ad.mul(cth, cphi), _one_like(u)), gravity),
+            ad.sub(mul(qr, u), mul(pr, v)),
+            ad.smul(ad.sub(mul(cth, cphi), _one_like(u)), gravity),
         )
-        p_dot = ad.smul(ad.mul(qr, rr), (jy - jz) / jx)
-        q_dot = ad.smul(ad.mul(pr, rr), (jz - jx) / jy)
-        r_dot = ad.smul(ad.mul(pr, qr), (jx - jy) / jz)
+        p_dot = ad.smul(mul(qr, rr), (jy - jz) / jx)
+        q_dot = ad.smul(mul(pr, rr), (jz - jx) / jy)
+        r_dot = ad.smul(mul(pr, qr), (jx - jy) / jz)
         return concat_rows(
             (pn_dot, pe_dot, pd_dot, pr, qr, rr, u_dot, v_dot, w_dot, p_dot, q_dot, r_dot)
         )
@@ -145,7 +153,7 @@ def quad_composed(costs, X, weights):
         raw = vals[j] - target[j]
         offsets[j] += raw - wrap_angle(raw)
     dev = ad.sub(X, offsets)
-    return ad.smul(matmul(weights.reshape(1, -1), ad.mul(dev, dev)), 0.5)
+    return ad.smul(matmul(weights.reshape(1, -1), mul(dev, dev)), 0.5)
 
 
 def quadcopter_costs():
@@ -166,26 +174,34 @@ def affine_inputs(rng, k=4, d=5, cols=7):
 
 
 def step_inputs(rng, mode, n=3, m=2, p=2, cols=7):
-    consts = StepConstants(
-        dw=rng.normal(size=(m, cols)), gamma_u=rng.normal(size=(m, p)),
-        gain=rng.normal(size=(p, m)), s_mat=rng.normal(size=(m, m)),
-        sigma=rng.normal(size=(n, m)), dt=0.02, sqdt=math.sqrt(0.02),
-        inv_eps=0.5 if mode == "minmax" else None,
-    )
+    """Input values, (fold, dw) and the raw draws the fold was made from,
+    for one step; S is not symmetric."""
+    dw, gamma_u, gain, s_mat, sigma = (rng.normal(size=shape) for shape
+                                       in ((m, cols), (m, p), (p, m), (m, m), (n, m)))
+    raw = (gamma_u, gain, s_mat, sigma, 0.02, 0.5 if mode == "minmax" else None)
     vals = (rng.normal(size=(n, cols)), rng.normal(size=(1, cols)),
             rng.normal(size=(m, cols)), rng.normal(size=(n, cols)),
             rng.normal(size=(1, cols)))
-    return vals, consts
+    return vals, (ad.fold_step(*raw), dw), raw
 
 
 def make_case(name, rng):
-    """(fused, composed, input values, trailing constants) for one primitive."""
+    """(fused, composed, input values, trailing constants) for one primitive.
+
+    The composed step leaves the fold it is passed unread and uses
+    ``fold_from_definitions`` of the same draws, so the comparison checks
+    ``fold_step`` as well as the kernel."""
     if name == "lstm_cell":
         return ad.lstm_cell, lstm_cell_composed, lstm_inputs(rng), ()
     if name == "affine":
         return ad.affine, affine_composed, affine_inputs(rng), ()
-    vals, consts = step_inputs(rng, name.rsplit("_", 1)[1])
-    return ad.fbsde_step, fbsde_step_composed, vals, (consts,)
+    vals, extra, raw = step_inputs(rng, name.rsplit("_", 1)[1])
+    defined = fold_from_definitions(*raw)
+
+    def composed(x, y, z, f, q, _fold, dw):
+        return fbsde_step_composed(x, y, z, f, q, defined, dw)
+
+    return ad.fbsde_step, composed, vals, extra
 
 
 CASES = ["lstm_cell", "affine", "fbsde_step_minmax", "fbsde_step_baseline"]
@@ -197,7 +213,7 @@ def taped(fn, vals, extra):
     leaves = [tape.leaf(v) for v in vals]
     out = fn(*leaves, *extra)
     w = np.random.default_rng(99).normal(size=out.shape)
-    loss = ad.total(ad.mul(out, w))
+    loss = total(mul(out, w))
     return out.value, tape.backward(loss, leaves)
 
 
@@ -235,9 +251,9 @@ class TestPrimitives:
         Wa, xa, ba = affine_inputs(rng)
         with pytest.raises(ad.ShapeError, match="affine"):
             ad.affine(Wa, xa, ba[:2])
-        vals, consts = step_inputs(rng, "minmax")
+        vals, (fold, dw), _ = step_inputs(rng, "minmax")
         with pytest.raises(ad.ShapeError, match="fbsde-step"):
-            ad.fbsde_step(vals[0], vals[1], vals[2], vals[3][:2], vals[4], consts)
+            ad.fbsde_step(vals[0], vals[1], vals[2], vals[3][:2], vals[4], fold, dw)
 
 
 def map_points(rng, n, cols=9, spread=6.0):
@@ -370,10 +386,9 @@ class TestRollout:
         dw = rng.normal(size=(sys.m, cols))
         inv_eps = 1.0 / costs.epsilon if mode == "minmax" else 0.0
         gain = -costs.solve_r(sys.gamma_u.T)
-        consts = StepConstants(dw, sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps),
-                               sys.sigma, grid.dt, math.sqrt(grid.dt),
-                               inv_eps if adversary else None)
-        xy = ad.fbsde_step(x, y, z, sys.drift(x), costs.running_expr(x), consts)
+        fold = ad.fold_step(sys.gamma_u, gain, h_quadratic(costs, sys.gamma_u, inv_eps),
+                            sys.sigma, grid.dt, inv_eps if adversary else None)
+        xy = ad.fbsde_step(x, y, z, sys.drift(x), costs.running_expr(x), fold, dw)
         for i in range(cols):
             u = gain @ z[:, i]
             v = z[:, i] * inv_eps if adversary else np.zeros(sys.m)
@@ -395,7 +410,8 @@ class TestFold:
         sys, costs, dt = setup.system, setup.costs, setup.grid.dt
         folds = []
         original = ad.fold_step
-        monkeypatch.setattr(ad, "fold_step", lambda c: folds.append(original(c)) or folds[-1])
+        monkeypatch.setattr(ad, "fold_step",
+                            lambda *args: folds.append(original(*args)) or folds[-1])
         fbsde.rollout_batch(store, sys, costs, setup.grid, 3, 2, mode=mode, adversary=adversary)
         (fold,) = folds
         eye = np.eye(sys.m)
@@ -403,9 +419,9 @@ class TestFold:
         u_gain = sys.gamma_u @ -costs.solve_r(sys.gamma_u.T)  # Gamma_u u* = u_gain z
         k = u_gain + eye * inv_eps if adversary else u_gain
         s_mat = sys.gamma_u @ costs.solve_r(sys.gamma_u.T) - inv_eps * eye
-        assert_close_rel(fold.k, k, rel=1e-15)
         assert_close_rel(fold.q, (k + 0.5 * s_mat) * dt, rel=1e-15)
         assert_close_rel(fold.g, dt * (sys.sigma @ k), rel=1e-15)
+        assert (fold.dt, fold.sqdt) == (dt, math.sqrt(dt))
 
 
 def nodes_per_time_step(system):
@@ -454,3 +470,29 @@ def test_every_primitive_has_an_audit_row():
     for public in (prim.name for prim in ad.PRIMITIVES):
         prefixes = ("drift", "quadratic-cost") if public == "column-map" else (public,)
         assert any(name == p or name.startswith(f"{p}-") for name in names for p in prefixes), public
+
+
+def _without_c(vjp):
+    """The cell's vjp less the cotangent of c, f * g_c'."""
+    return lambda g, vals, saved: (*vjp(g, vals, saved)[:5], np.zeros_like(vals[5]))
+
+
+def _without_b(vjp):
+    """The affine vjp less the cotangent of b."""
+    return lambda g, vals, saved: (*vjp(g, vals, saved)[:2], np.zeros_like(vals[2]))
+
+
+def _without_g(vjp):
+    """The step's vjp less the ``fold.g.T @ g_x`` term of the cotangent of z."""
+    return lambda g, vals, saved: vjp(g, vals, (saved[0]._replace(g=0 * saved[0].g), saved[1]))
+
+
+@pytest.mark.parametrize("prim,drop,failing", [
+    ("LSTM_CELL", _without_c, ["lstm-cell"]),
+    ("AFFINE", _without_b, ["affine"]),
+    ("FBSDE_STEP", _without_g, ["fbsde-step-minmax", "fbsde-step-baseline"]),
+])
+def test_the_audit_catches_a_wrong_vjp(prim, drop, failing, monkeypatch):
+    """A primitive whose vjp drops one term fails its own rows and no other."""
+    monkeypatch.setattr(ad, prim, getattr(ad, prim)._replace(vjp=drop(getattr(ad, prim).vjp)))
+    assert [row.name for row in gradcheck.audit_primitives(points=2) if not row.passed] == failing

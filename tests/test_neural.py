@@ -102,7 +102,7 @@ class TestCellGradient:
         def f(vec):
             tape = Tape()
             leaves = [tape.leaf(view) for _, view in _views(vec, shapes)]
-            out, _ = lstm_stack(leaves, tape.constant(x0), zero_state(net0, 2))
+            out, _ = lstm_stack(leaves, tape.leaf(x0), zero_state(net0, 2))
             y = ad.sumsq(out)
             grads = tape.backward(y, leaves)
             return float(y.value[0, 0]), np.concatenate([g.ravel() for g in grads])
