@@ -27,9 +27,12 @@ pre-activation is one GEMM of the packed weights ``[W U b]`` over the block
 caller folds its constant matrices once per rollout with ``fold_step``). A
 fused node keeps what its backward needs (gate activations, intermediate
 products, the fold) as its ``saved``; only ``value`` counts as the node's
-output. A fourth, ``column_map``, is the generic form: the caller
-supplies the forward ``fn(x) -> (value, saved)`` and its vector-Jacobian
-product ``vjp(g, x, saved) -> dx``. The system drifts and the quadratic
+output. What is cheap to rebuild is not kept: the cell saves c', a view of
+its own value, and its backward rebuilds tanh c' with the same ``np.tanh``,
+as it rebuilds the block [x; h; 1] from its inputs. A fourth,
+``column_map``, is the generic form: the caller supplies the forward
+``fn(x) -> (value, saved)`` and its vector-Jacobian product
+``vjp(g, x, saved) -> dx``. The system drifts and the quadratic
 costs are written this way, so each records one node per call.
 
 Training does not tape its rollout. It runs it inside ``saving``, which
@@ -304,7 +307,8 @@ class LstmPack(NamedTuple):
     weights), so the product equals 0.5 ([W U b] @ [x; h; 1]) bit for bit.
     ``wu`` is [W U] unscaled, whose transpose maps the pre-activation
     cotangent to those of x and h. ``block`` (d + h + 1, M) is where each
-    cell writes its [x; h; 1]: no cell keeps its block, so one scratch array
+    cell writes its [x; h; 1]: ``pack_lstm`` writes its ones row once, so a
+    cell writes only x and h. No cell keeps its block, so one scratch array
     serves every cell of a rollout, and a pack serves one rollout at a time.
     """
 
@@ -314,13 +318,15 @@ class LstmPack(NamedTuple):
 
 
 def pack_lstm(W, U, b, block: np.ndarray) -> LstmPack:
-    """The ``LstmPack`` of (W, U, b) with the scratch ``block``; the weights
-    are copied, so the pack is stale once they change."""
+    """The ``LstmPack`` of (W, U, b) with the scratch ``block``, whose ones
+    row this writes; the weights are copied, so the pack is stale once they
+    change."""
     hid = U.shape[1]
     wu = np.hstack((W, U))
     gates = np.hstack((wu, b))
     gates[: 2 * hid] *= 0.5
     gates[3 * hid :] *= 0.5
+    block[-1] = 1.0
     return LstmPack(gates, wu, block)
 
 
@@ -331,25 +337,28 @@ def unpack_lstm(packed, d: int):
 
 
 def lstm_block(x, h, out=None):
-    """The block [x; h; 1] that the packed [W U b] multiplies (written into
-    ``out`` when given)."""
+    """The block [x; h; 1] that the packed [W U b] multiplies. ``out`` is a
+    pack's ``block``, whose ones row is already written, so only x and h go
+    into it; without it a new block is made."""
     if out is None:
         out = np.empty((x.shape[0] + h.shape[0] + 1, x.shape[1]))
+        out[-1] = 1.0
     out[: x.shape[0]] = x
     out[x.shape[0] : -1] = h
-    out[-1] = 1.0
     return out
 
 
 def _lstm_cell_kernel(vals, pack):
     """Gates from one GEMM ``[W U b] [x; h; 1]``; returns [h'; c'] and
-    (activations, tanh c', the pack).
+    (activations, c', the pack), c' a view of that value.
 
     ``pack`` is ``pack_lstm(W, U, b, scratch)``, built here when None. With
     the sigmoid rows of the pack already halved, one tanh covers all 4h gate
     rows and the sigmoid rows only need ``* 0.5 + 0.5``. The block goes into
     the pack's scratch and is not saved: a backward rebuilds it from x and h,
-    which it has anyway, so no call keeps a copy of its inputs.
+    which it has anyway, so no call keeps a copy of its inputs. Nor is
+    tanh c' saved: a backward rebuilds it from c' with the same ``np.tanh``,
+    bit for bit.
     """
     W, U, b, x, h_prev, c_prev = vals
     hid = U.shape[1]
@@ -374,36 +383,55 @@ def _lstm_cell_kernel(vals, pack):
     gate_i, gate_f = act[:hid], act[hid : 2 * hid]
     cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
     out = np.empty((2 * hid, cols))
-    c_new = np.multiply(gate_f, c_prev, out=out[hid:])
-    tanh_c = np.multiply(gate_i, cand)
-    c_new += tanh_c
-    np.tanh(c_new, out=tanh_c)
-    np.multiply(gate_o, tanh_c, out=out[:hid])
-    return out, (act, tanh_c, pack)
+    h_new, c_new = out[:hid], out[hid:]
+    np.multiply(gate_f, c_prev, out=c_new)
+    c_new += np.multiply(gate_i, cand, out=h_new)
+    np.tanh(c_new, out=h_new)
+    h_new *= gate_o
+    return out, (act, c_new, pack)
 
 
-def lstm_cell_vjp(g, vals, saved, d_pre=None):
-    """Cotangents of (x, h, c) from g = [g_h'; g_c'], and the cotangent
-    ``d_pre`` of the pre-activation ``[W U b] [x; h; 1]`` (written into
-    ``d_pre`` when given); ``d_pre @ lstm_block(x, h).T`` is that of [W U b]."""
+def lstm_vjp_scratch(hid: int, cols: int) -> tuple:
+    """The arrays that ``lstm_cell_vjp`` writes for a cell of ``hid`` units
+    on ``cols`` columns: tanh c', the cotangent of c', the activations' slope
+    and the pre-activation cotangent."""
+    return (np.empty((hid, cols)), np.empty((hid, cols)),
+            np.empty((4 * hid, cols)), np.empty((4 * hid, cols)))
+
+
+def lstm_cell_vjp(g_h, g_c, vals, saved, scratch=None):
+    """Cotangents of (x, h, c) from those of h' and c', and the cotangent
+    ``d_pre`` of the pre-activation ``[W U b] [x; h; 1]``;
+    ``d_pre @ lstm_block(x, h).T`` is that of [W U b].
+
+    tanh c' is rebuilt from the saved c'. ``scratch`` is
+    ``lstm_vjp_scratch`` of the cell's size, made here when None; a caller
+    that passes one reuses it at every call, and the returned ``d_pre`` is
+    its last array."""
     x, c_prev = vals[3], vals[5]
-    act, tanh_c, pack = saved
-    hid = tanh_c.shape[0]
+    act, c_new, pack = saved
+    hid = c_new.shape[0]
+    if scratch is None:
+        scratch = lstm_vjp_scratch(hid, c_new.shape[1])
+    tanh_c, d_c, slope, d_pre = scratch
     gate_i, gate_f = act[:hid], act[hid : 2 * hid]
     cand, gate_o = act[2 * hid : 3 * hid], act[3 * hid :]
-    g_h, g_c = g[:hid], g[hid:]
-    d_c = g_h * gate_o
-    d_c *= 1.0 - tanh_c * tanh_c
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(g_h, tanh_c, out=d_pre[3 * hid :])
+    np.multiply(g_h, gate_o, out=d_c)
+    tanh_c *= tanh_c
+    d_c *= np.subtract(1.0, tanh_c, out=tanh_c)
     d_c += g_c
-    # gradient at the activations, then through them to the pre-activations
-    if d_pre is None:
-        d_pre = np.empty_like(act)
+    # gradient at the activations, then through them to the pre-activations:
+    # sigma (1 - sigma) on the sigmoid rows, 1 - tanh^2 on the candidate's
     np.multiply(d_c, cand, out=d_pre[:hid])
     np.multiply(d_c, c_prev, out=d_pre[hid : 2 * hid])
     np.multiply(d_c, gate_i, out=d_pre[2 * hid : 3 * hid])
-    np.multiply(g_h, tanh_c, out=d_pre[3 * hid :])
-    slope = act * (1.0 - act)
-    slope[2 * hid : 3 * hid] = 1.0 - cand * cand
+    for rows in (slice(0, 2 * hid), slice(3 * hid, 4 * hid)):
+        np.subtract(1.0, act[rows], out=slope[rows])
+        np.multiply(act[rows], slope[rows], out=slope[rows])
+    cand_slope = np.multiply(cand, cand, out=slope[2 * hid : 3 * hid])
+    np.subtract(1.0, cand_slope, out=cand_slope)
     d_pre *= slope
     d_xh = pack.wu.T @ d_pre
     return d_xh[: x.shape[0]], d_xh[x.shape[0] :], d_c * gate_f, d_pre
@@ -412,7 +440,8 @@ def lstm_cell_vjp(g, vals, saved, d_pre=None):
 def _lstm_cell_cotangents(g, vals, saved):
     """Cotangents of (W, U, b, x, h, c): ``lstm_cell_vjp``'s and, from its
     pre-activation cotangent, the packed [W U b]'s split into its columns."""
-    d_x, d_h, d_c, d_pre = lstm_cell_vjp(g, vals, saved)
+    hid = vals[4].shape[0]
+    d_x, d_h, d_c, d_pre = lstm_cell_vjp(g[:hid], g[hid:], vals, saved)
     d_w = d_pre @ lstm_block(vals[3], vals[4]).T
     return (*unpack_lstm(d_w, vals[3].shape[0]), d_x, d_h, d_c)
 

@@ -2,10 +2,12 @@
 
 Every command resolves one ExperimentConfig (YAML file, then repeatable
 ``--set dotted.key=value`` overrides, then the direct flags), echoes the
-resolved config and run metadata into the output directory (``eval`` as
-``eval_config.yaml`` and ``eval_run.json``, so that evaluating into the
-training directory keeps ``train``'s record), and exits nonzero with a
-message on any failure. Outputs carry no timestamps, so a repeated run with
+resolved config and run metadata into the output directory, and exits
+nonzero with a message on any failure. Only ``train`` writes them as
+``config.yaml`` and ``run.json``; ``eval``, ``grad-check``, ``oracle-check``
+and ``sweep`` prefix them with ``eval_``, ``gradcheck_``, ``oracle_`` and
+``sweep_``, so that running one into a training directory keeps the record
+of the checkpoint there. Outputs carry no timestamps, so a repeated run with
 the same seed reproduces its files byte for byte.
 ``train`` and ``sweep`` train through ``training.train_or_load``, so a re-run
 reuses a checkpoint that the same config and solver source produced.
@@ -68,9 +70,9 @@ def resolve_config(args) -> config_mod.ExperimentConfig:
 
 
 def write_run_metadata(out_dir: str, cfg, command: str, prefix: str = "") -> None:
-    """``<prefix>config.yaml`` and ``<prefix>run.json`` in ``out_dir``. ``eval``
-    uses the prefix ``eval_``, so it keeps what ``train`` wrote beside the
-    checkpoint."""
+    """``<prefix>config.yaml`` and ``<prefix>run.json`` in ``out_dir``. Every
+    command but ``train`` passes a prefix of its own, so it keeps what
+    ``train`` wrote beside the checkpoint."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, prefix + "config.yaml"), "w") as fh:
         fh.write(cfg.to_yaml())
@@ -130,7 +132,7 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_sweep(cfg) -> int:
-    write_run_metadata(cfg.out, cfg, "sweep")
+    write_run_metadata(cfg.out, cfg, "sweep", prefix="sweep_")
     rows = evaluation.epsilon_sweep(cfg, cfg.sweep.epsilons, cfg.out)
     print(f"{'epsilon':>10s} {'mode':>9s} {'status':>7s} {'success':>8s} {'variance':>12s} "
           f"{'reduction %':>11s}")
@@ -205,7 +207,7 @@ def cmd_oracle_check(cfg) -> int:
     for name, ok, detail in checks:
         print(f"  [{'ok' if ok else 'FAIL'}] {name}: {detail}")
     if cfg.out:
-        write_run_metadata(cfg.out, cfg, "oracle-check")
+        write_run_metadata(cfg.out, cfg, "oracle-check", prefix="oracle_")
         payload = {
             "schema": "minmax-fbsde.oracle-report.v1",
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
@@ -224,7 +226,7 @@ def cmd_grad_check(cfg) -> int:
     rows = gradcheck.run_all()
     print(gradcheck.format_report(rows))
     if cfg.out:
-        write_run_metadata(cfg.out, cfg, "grad-check")
+        write_run_metadata(cfg.out, cfg, "grad-check", prefix="gradcheck_")
         payload = {
             "schema": "minmax-fbsde.gradcheck-report.v1",
             "rows": [

@@ -35,9 +35,10 @@ the terminal state and value; training tapes only the loss head.
 A rollout packs each LSTM layer's weights once (``neural.pack_net``):
 [W U b] as one array whose sigmoid rows are halved, since
 sigma(a) = 0.5 tanh(a / 2) + 0.5 and halving is exact. Each cell is one GEMM
-over the block [x; h; 1] and one tanh over all gate rows, and keeps no copy
-of its block: the adjoint rebuilds each step's in one reused array and forms
-that step's share of the [W U b] gradient with one GEMM.
+over the block [x; h; 1] and one tanh over all gate rows, and keeps neither
+its block nor tanh c': the adjoint rebuilds each step's in arrays reused at
+every step and forms that step's share of the [W U b] gradient with one
+GEMM.
 
 The adjoint is tested against an independent oracle, ``taped_gradients`` in
 ``tests/reference.py``, which writes the same rollout and loss step by step
@@ -350,12 +351,14 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
     state and value. Returns its gradients as (NetParams, d y0, d z0).
 
     The reverse loop carries only the recurrent cotangents (x, y, z and the
-    LSTM states) through the primitives' own backward kernels. Each cell's
-    pre-activation cotangent and its block [x; h; 1], rebuilt from the
-    logged x and h, go into arrays reused at every step, and one GEMM of the
-    two adds that step's share of the packed [W U b] gradient; nothing is
-    kept per step beyond the log. The last step's LSTM pass feeds nothing,
-    so it gets no cotangent.
+    LSTM states) through the primitives' own backward kernels. Per layer,
+    the arrays a step writes are made once per rollout and reused at every
+    step: ``lstm_cell_vjp``'s scratch (the rebuilt tanh c', the cotangent of
+    c', the activations' slope and the pre-activation cotangent), the pack's
+    block [x; h; 1], rebuilt from the logged x and h, and the GEMM of the
+    two, the step's share of the packed [W U b] gradient. Nothing is kept
+    per step beyond the log. The last step's LSTM pass feeds nothing, so it
+    gets no cotangent.
     """
     n_steps, extra = divmod(len(saved) - 1, len(_STEP_OPS))
     layout = [*_STEP_OPS * n_steps, ad.COLUMN_MAP]
@@ -367,13 +370,11 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
     hid1, hid2 = cell1[1].shape[1], cell2[1].shape[1]
     n, cols = g_x.shape
     # gradients of each layer's packed [W U b] and of the read-out, summed
-    # over the live steps; the pre-activation cotangents and the packs'
-    # block scratch are reused at every step
+    # over the live steps
     d_p1, d_p2 = np.zeros_like(pack1.gates), np.zeros_like(pack2.gates)
+    prod1, prod2 = np.empty_like(pack1.gates), np.empty_like(pack2.gates)
     d_w_out, d_b_out = np.zeros_like(read[0]), np.zeros_like(read[2])
-    d_pre1, d_pre2 = np.empty((4 * hid1, cols)), np.empty((4 * hid2, cols))
-    g_cell1 = np.empty((2 * hid1, cols))
-    g_cell2 = np.empty((2 * hid2, cols))
+    work1, work2 = ad.lstm_vjp_scratch(hid1, cols), ad.lstm_vjp_scratch(hid2, cols)
     g_h1, g_c1 = np.zeros((hid1, cols)), np.zeros((hid1, cols))
     g_h2, g_c2 = np.zeros((hid2, cols)), np.zeros((hid2, cols))
     g_z = None
@@ -384,14 +385,13 @@ def rollout_adjoint(saved: list, g_x: np.ndarray, g_y: np.ndarray):
             d_w, d_b = ad.weight_vjp(g_z, vo[1])
             d_w_out += d_w
             d_b_out += d_b
-            np.add(ad.affine_vjp(g_z, vo), g_h2, out=g_cell2[:hid2])
-            g_cell2[hid2:] = g_c2
-            d_h1, g_h2, g_c2, _ = ad.lstm_cell_vjp(g_cell2, v2, s2, d_pre2)
-            d_p2 += d_pre2 @ ad.lstm_block(v2[3], v2[4], pack2.block).T
-            np.add(g_h1, d_h1, out=g_cell1[:hid1])
-            g_cell1[hid1:] = g_c1
-            d_x, g_h1, g_c1, _ = ad.lstm_cell_vjp(g_cell1, v1, s1, d_pre1)
-            d_p1 += d_pre1 @ ad.lstm_block(v1[3], v1[4], pack1.block).T
+            g_h = ad.affine_vjp(g_z, vo)
+            g_h += g_h2
+            d_h1, g_h2, g_c2, d_pre2 = ad.lstm_cell_vjp(g_h, g_c2, v2, s2, work2)
+            d_p2 += np.matmul(d_pre2, ad.lstm_block(v2[3], v2[4], pack2.block).T, out=prod2)
+            d_h1 += g_h1
+            d_x, g_h1, g_c1, d_pre1 = ad.lstm_cell_vjp(d_h1, g_c1, v1, s1, work1)
+            d_p1 += np.matmul(d_pre1, ad.lstm_block(v1[3], v1[4], pack1.block).T, out=prod1)
             g_x = g_x + d_x
         d_x, g_y, g_z, d_f, d_q = ad.fbsde_step_vjp(g_x, g_y, step[1], step[2])
         for (_, (x,), (vjp, aux)), g in ((drift, d_f), (cost, d_q)):

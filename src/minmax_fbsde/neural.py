@@ -103,11 +103,12 @@ def pack_net(net: NetParams, cols: int) -> NetParams:
     """``net`` with each LSTM layer's weights packed once for a rollout of
     ``cols`` columns; the arrays themselves are shared, not copied.
     The layers run one after the other, so their blocks [x; h; 1] share one
-    scratch array."""
+    scratch array. Each block is its trailing rows, so the two share its last
+    row, the ones, and a cell writes only its x and h."""
     layers = (net.layer1, net.layer2)
     rows = [layer.W.shape[1] + layer.hidden_size + 1 for layer in layers]
     scratch = np.empty((max(rows), cols))
-    layer1, layer2 = (LstmLayerParams(l.W, l.U, l.b, ad.pack_lstm(l.W, l.U, l.b, scratch[:r]))
+    layer1, layer2 = (LstmLayerParams(l.W, l.U, l.b, ad.pack_lstm(l.W, l.U, l.b, scratch[-r:]))
                       for l, r in zip(layers, rows))
     return NetParams(layer1, layer2, net.out_w, net.out_b)
 

@@ -287,9 +287,13 @@ def train(
 
 
 def source_hash() -> str:
-    """sha256 of the source of every module that shapes the trained numbers."""
+    """sha256 of the source of every module that shapes the trained numbers:
+    ``config`` among them, which builds the grid, R_u and ``TrainConfig``."""
+    from . import config  # imported here: config imports this module
+
     digest = hashlib.sha256()
-    for path in (ad.__file__, neural.__file__, fbsde.__file__, systems.__file__, __file__):
+    for path in (ad.__file__, neural.__file__, fbsde.__file__, systems.__file__, __file__,
+                 config.__file__):
         with open(path, "rb") as fh:
             digest.update(os.path.basename(path).encode() + b"\0" + fh.read())
     return digest.hexdigest()

@@ -185,6 +185,43 @@ class TestSaving:
         assert [prim.name for prim in logged] == [prim.name for prim in expected]
         assert all(prim is op for prim, op in zip(logged, expected))
 
+    @staticmethod
+    def logged_bytes(saved) -> int:
+        """Bytes of the distinct arrays that own what the log's values and
+        saved tuples reference, each owner counted once."""
+        owners = {}
+
+        def visit(obj):
+            if isinstance(obj, np.ndarray):
+                while isinstance(obj.base, np.ndarray):
+                    obj = obj.base
+                owners[id(obj)] = obj.nbytes
+            elif isinstance(obj, tuple):
+                for item in obj:
+                    visit(item)
+
+        for _, vals, kept in saved:
+            visit((vals, kept))
+        return sum(owners.values())
+
+    @pytest.mark.parametrize("system,steps,batch,budget", [
+        ("pendulum", 4, 5, 115_448),
+        ("quadcopter", 3, 4, 386_728),
+    ], ids=["pendulum", "quadcopter"])
+    def test_log_byte_budget(self, system, steps, batch, budget):
+        # a cell saves c', a view of its own value, not tanh c': with one
+        # (h, M) array more per cell the log would hold 2 N h M 8 bytes more
+        setup, store = runtime(system, "minmax", steps=steps)
+        with ad.saving() as saved:
+            fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, batch, 1)
+        assert self.logged_bytes(saved) == budget
+        cells = [(vals, kept) for prim, vals, kept in saved if prim is ad.LSTM_CELL]
+        # each layer's cell feeds its value [h'; c'] to that layer's next cell
+        for (_, (_, c_new, _)), (vals, _) in zip(cells, cells[2:]):
+            assert np.shares_memory(c_new, vals[5]) and np.array_equal(c_new, vals[5])
+        value, (_, c_new, _) = ad.LSTM_CELL.kernel(cells[0][0], None)
+        assert np.shares_memory(c_new, value) and np.array_equal(c_new, value[len(c_new):])
+
     def test_logs_nothing_outside_the_block(self):
         with ad.saving() as saved:
             pass

@@ -382,6 +382,24 @@ class TestCommands:
         assert meta["command"] == "eval"
         assert (out / "eval_config.yaml").read_bytes() == written["config.yaml"]
 
+    @pytest.mark.parametrize("command,extra,prefix", [
+        ("grad-check", [], "gradcheck_"),
+        ("oracle-check", [], "oracle_"),
+        ("sweep", ["--set", "sweep.epsilons=[0.5]"], "sweep_"),
+    ], ids=["grad-check", "oracle-check", "sweep"])
+    def test_no_other_command_rewrites_the_train_record(self, tmp_path, command, extra,
+                                                        prefix):
+        out = tmp_path / "run"
+        assert main(["train", *MICRO, "--out", str(out)]) == 0
+        written = {name: (out / name).read_bytes() for name in ("run.json", "config.yaml")}
+        # oracle-check's 2-iteration model fails its comparison and exits 1;
+        # the record is written either way
+        main([command, *MICRO, *extra, "--out", str(out)])
+        for name, before in written.items():
+            assert (out / name).read_bytes() == before, name
+        assert json.loads((out / f"{prefix}run.json").read_text())["command"] == command
+        assert (out / f"{prefix}config.yaml").exists()
+
     def test_eval_refuses_another_seed_or_budget(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", *MICRO, "--seed", "0", "--out", str(out)]) == 0

@@ -2,11 +2,12 @@ import copy
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minmax_fbsde import fbsde, neural, training
+from minmax_fbsde import config, fbsde, neural, training
 from minmax_fbsde.cli import main
 from minmax_fbsde.evaluation import evaluate
 from minmax_fbsde.fbsde import PURPOSE_TRAIN, HorizonGrid, rollout_batch, sample_noise, training_loss
@@ -600,6 +601,14 @@ class TestTrainOrLoad:
         assert history is not None
         _, history = training.train_or_load(self.setup_for(), job)
         assert history is None
+
+    def test_source_covers_the_config_module(self, tmp_path, monkeypatch):
+        # config.build_runtime makes R_u, the grid and TrainConfig
+        edited = tmp_path / "config.py"
+        edited.write_bytes(Path(config.__file__).read_bytes() + b"# edited\n")
+        before = training.source_hash()
+        monkeypatch.setattr(config, "__file__", str(edited))
+        assert training.source_hash() != before
 
     @pytest.mark.parametrize("stale", ["source", "v2"])
     def test_stale_checkpoint_retrains(self, tmp_path, stale):
