@@ -184,6 +184,7 @@ def cmd_oracle_check(cfg) -> int:
     inv_eps = 1.0 / setup.costs.epsilon if cfg.mode == "minmax" else 0.0
     try:
         oracle = riccati_oracle(bench, setup.grid, inv_epsilon=inv_eps)
+        v_euler = evaluation.discrete_riccati(bench, setup.grid, inv_eps).value(bench.x0, 0)
     except RiccatiBlowUp as exc:
         raise RiccatiBlowUp(
             f"{exc}: the game has no value on this horizon (T={setup.grid.end - setup.grid.start:g}) "
@@ -193,6 +194,7 @@ def cmd_oracle_check(cfg) -> int:
     z0_ref = oracle.z_of(bench.x0.reshape(-1, 1), 0)
 
     print(f"training the linear benchmark ({cfg.mode} mode, oracle value {v0:.6f})")
+    print(f"value of the Euler scheme it simulates (discrete Riccati): {v_euler:.6f}")
     store, history = training.train(setup.system, setup.costs, setup.train,
                                     out_dir=None, config_hash=setup.model_hash)
     y0 = float(store.y0[0, 0])
@@ -213,6 +215,7 @@ def cmd_oracle_check(cfg) -> int:
             "checks": [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks],
             "mode": cfg.mode,
             "oracle_value": v0,
+            "euler_value": v_euler,
             "trained_value": y0,
             "final_loss": history[-1].loss,
         }

@@ -1,10 +1,10 @@
 """Evaluation: tape-free rollouts of a trained controller, dispersion and
-success metrics, the epsilon sweep, and the closed-form linear-quadratic
-oracle used to validate the solver end to end.
+success metrics, the epsilon sweep, and on the linear-quadratic problem the
+closed-form oracle and the value of the Euler scheme the solver runs.
 
-At test time the adversary is switched off; the code path for the
-adversarial control is simply never invoked (not merely given a zero
-multiplier), which a structural test can verify by stubbing it out.
+At test time the adversary is switched off: the rollout folds no adversary
+term into its steps (``autodiff.fold_step`` with ``inv_eps`` None, not a
+zero multiplier), which a structural test verifies by wrapping the fold.
 """
 
 from __future__ import annotations
@@ -268,20 +268,24 @@ class RiccatiSolution:
     """Backward Riccati pass sampled on the rollout grid.
 
     V(x, t_k) = 0.5 x' P_k x + c_k;  value gradient P_k x;  the diffusion
-    adds cost through c'(t) = -0.5 tr(P Sigma Sigma').
+    adds cost through c'(t) = -0.5 tr(P Sigma Sigma'). ``z_gains`` (N+1, m, n)
+    replaces Sigma' P_k as the map from x to the feedback's z when given.
     """
 
     grid: HorizonGrid
     p_mats: np.ndarray  # (N+1, n, n)
     c_offs: np.ndarray  # (N+1,)
     bench: LqBenchmark
+    z_gains: np.ndarray | None = None
 
     def value(self, x, k: int) -> float:
         x = np.asarray(x, dtype=np.float64).ravel()
         return 0.5 * float(x @ self.p_mats[k] @ x) + float(self.c_offs[k])
 
     def z_of(self, x_cols: np.ndarray, k: int) -> np.ndarray:
-        """Sigma' Vx for a column batch (n, M) -> (m, M)."""
+        """Sigma' Vx, or ``z_gains[k] x``, for a column batch (n, M) -> (m, M)."""
+        if self.z_gains is not None:
+            return self.z_gains[k] @ x_cols
         return self.bench.sigma.T @ (self.p_mats[k] @ x_cols)
 
 
@@ -325,6 +329,33 @@ def riccati_oracle(bench: LqBenchmark, grid: HorizonGrid, inv_epsilon: float = 0
         p_mats[k - 1] = p_cur
         c_offs[k - 1] = c_cur
     return RiccatiSolution(grid=grid, p_mats=p_mats, c_offs=c_offs, bench=bench)
+
+
+def discrete_riccati(bench: LqBenchmark, grid: HorizonGrid, inv_epsilon: float = 0.0) -> RiccatiSolution:
+    """The value of the Euler scheme the rollout runs: x' = A_d x + B_d w + Sigma dw sqrt(dt)
+    with w = [u; v], A_d = I + A dt, B_d = [B dt, Sigma dt] and the step cost
+    0.5 (x'Q x dt + w'W w), W = diag(R dt, -epsilon I dt), v maximizing. With P = P_{k+1}, the
+    saddle point -(W + B_d'P B_d)^{-1} B_d'P A_d x moves the mean of x' to F x,
+    F = (I + dt S P)^{-1} A_d, S = B R^{-1} B' - inv_epsilon Sigma Sigma' as in ``riccati_oracle``;
+    P_k = Q dt + A_d'P F and c_k = c_{k+1} + 0.5 tr(P Sigma Sigma') dt. ``z_of`` is
+    z = Sigma'P F x: its u* = -R^{-1} B'P F x and v* = z / epsilon are the saddle point.
+    ``RiccatiBlowUp`` when the adversary's block -epsilon I dt + dt^2 Sigma'P Sigma of
+    W + B_d'P B_d is not negative definite."""
+    dt, n, sig = grid.dt, bench.n, bench.sigma
+    a_d = np.eye(n) + bench.a_mat * dt
+    s_mat = bench.b_mat @ np.linalg.solve(bench.r_mat, bench.b_mat.T) - inv_epsilon * sig @ sig.T
+    p_mats, z_gains = np.empty((grid.steps + 1, n, n)), np.empty((grid.steps + 1, sig.shape[1], n))
+    c_offs = np.zeros(grid.steps + 1)
+    p_mats[-1], z_gains[-1] = bench.qf_mat, sig.T @ bench.qf_mat
+    for k in range(grid.steps - 1, -1, -1):
+        p_next = p_mats[k + 1]
+        if inv_epsilon * dt * np.linalg.eigvalsh(sig.T @ p_next @ sig).max() >= 1.0:
+            raise RiccatiBlowUp(f"the adversary's step is unbounded at t={grid.start + k * dt:.4f}")
+        p_f = p_next @ np.linalg.solve(np.eye(n) + dt * s_mat @ p_next, a_d)
+        p_mats[k] = bench.q_mat * dt + a_d.T @ p_f
+        z_gains[k] = sig.T @ p_f
+        c_offs[k] = c_offs[k + 1] + 0.5 * float(np.trace(p_next @ sig @ sig.T)) * dt
+    return RiccatiSolution(grid=grid, p_mats=p_mats, c_offs=c_offs, bench=bench, z_gains=z_gains)
 
 
 def bsde_consistency_gaps(

@@ -161,16 +161,6 @@ def sample_noise(seed: int, purpose: int, iteration: int, batch: int, steps: int
     return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
-def minimizing_control(z, gain, out=None):
-    """u* = gain @ z (into ``out``) with gain = -R_u^{-1} Gamma_u' precomputed."""
-    return np.matmul(gain, z, out=out)
-
-
-def adversary_control(z, inv_epsilon: float, out=None):
-    """v* = z / epsilon (into ``out``)."""
-    return np.multiply(z, float(inv_epsilon), out=out)
-
-
 def h_quadratic(costs: CostSpec, gamma_u: np.ndarray, inv_epsilon: float) -> np.ndarray:
     """S = Gamma_u R_u^{-1} Gamma_u' - inv_epsilon * I, the generator's quadratic form."""
     m = gamma_u.shape[0]
@@ -192,13 +182,12 @@ class TapeHandles:
 
 @dataclass
 class RolloutBatch:
-    """Recorded trajectories; the sample index is always the last axis."""
+    """Recorded trajectories; the sample index is always the last axis. The controls
+    follow from ``z_grads``: u* = gain z, and v* = z / epsilon while the adversary acts."""
 
     states: np.ndarray  # (N+1, n, M)
     values: np.ndarray  # (N+1, 1, M)
     z_grads: np.ndarray  # (N+1, m, M)
-    controls: np.ndarray  # (N, p, M)
-    adversary_controls: np.ndarray  # (N, m, M)
     noise: np.ndarray  # (N, m, M)
     terminal_targets: np.ndarray  # (1, M), g(x_N)
     alive: np.ndarray  # (M,) bool
@@ -237,7 +226,8 @@ def rollout_batch(
     (m, 1). The network's weights are packed once at the start
     (``neural.pack_net``), so they must not change during the call. Training
     runs it inside ``autodiff.saving`` and differentiates it with
-    ``rollout_adjoint``.
+    ``rollout_adjoint``; the log references the batch's records, which must
+    not change before that.
     ``z_fn(x_values, step) -> (m, M)`` substitutes an external value-gradient
     predictor.
 
@@ -280,58 +270,33 @@ def rollout_batch(
     gain = -costs.solve_r(sys.gamma_u.T)  # (p, m)
     s_mat = h_quadratic(costs, sys.gamma_u, inv_eps)
 
-    # (k, 1) -> (k, M) through an explicit ones row
-    ones = np.ones((1, batch))
-    x_cur = np.repeat(sys.x0.reshape(-1, 1), batch, axis=1)
-    y_cur = np.asarray(y0, dtype=np.float64).reshape(-1, 1) @ ones
-    z_cur = np.asarray(z0, dtype=np.float64).reshape(-1, 1) @ ones
+    states, values, z_grads = (np.empty((n_steps + 1, k, batch)) for k in (sys.n, 1, sys.m))
+    for record, start in ((states, sys.x0), (values, y0), (z_grads, z0)):
+        record[0] = np.reshape(start, (-1, 1))  # (k, 1) broadcast to (k, M)
 
-    states = np.empty((n_steps + 1, sys.n, batch))
-    values = np.empty((n_steps + 1, 1, batch))
-    z_grads = np.empty((n_steps + 1, sys.m, batch))
-    controls = np.empty((n_steps, sys.p, batch))
-    adv_controls = np.zeros((n_steps, sys.m, batch))
-    states[0] = x_cur
-    values[0] = y_cur
-    z_grads[0] = z_cur
-
+    # every step reads its inputs from the record rows, so a logged call
+    # references the records instead of keeping a copy of its own
+    x_cur, y_cur, z_cur = states[0], values[0], z_grads[0]
     lstm_state = None
     fold = ad.fold_step(sys.gamma_u, gain, s_mat, sys.sigma, dt, inv_eps if adversary else None)
     with np.errstate(all="ignore"):
         for step in range(n_steps):
-            minimizing_control(z_cur, gain, controls[step])
-            if adversary:
-                adversary_control(z_cur, inv_eps, adv_controls[step])
-
             q_run = costs.running_expr(x_cur)
             f_drift = sys.drift(x_cur)
             xy = ad.fbsde_step(x_cur, y_cur, z_cur, f_drift, q_run, fold, noise[step])
-            x_cur, y_cur = xy[: sys.n], xy[sys.n :]
-
+            x_cur, y_cur, z_cur = states[step + 1], values[step + 1], z_grads[step + 1]
+            x_cur[...], y_cur[...] = xy[: sys.n], xy[sys.n :]
             if z_fn is not None:
-                z_cur = z_fn(x_cur, step + 1)
+                z_cur[...] = z_fn(x_cur, step + 1)
             else:
-                z_cur, lstm_state = neural.lstm_stack_forward(net, x_cur, lstm_state)
-
-            states[step + 1] = x_cur
-            values[step + 1] = y_cur
-            z_grads[step + 1] = z_cur
+                z_cur[...], lstm_state = neural.lstm_stack_forward(net, x_cur, lstm_state)
 
         y_star = costs.terminal_expr(x_cur)
     alive = np.isfinite(y_star[0])
     for record in (states, values):
         alive &= np.all(np.isfinite(record), axis=(0, 1))
-    return RolloutBatch(
-        states=states,
-        values=values,
-        z_grads=z_grads,
-        controls=controls,
-        adversary_controls=adv_controls,
-        noise=noise,
-        terminal_targets=y_star.reshape(1, batch),
-        alive=alive,
-        mode=mode,
-    )
+    return RolloutBatch(states=states, values=values, z_grads=z_grads, noise=noise,
+                        terminal_targets=y_star.reshape(1, batch), alive=alive, mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ The single-vector functions spell out one piece of the FBSDE scheme for a
 single sample, written from its definition rather than from the batched
 kernels: the per-sample noise stream that ``fbsde.sample_noise`` must
 reproduce bit for bit, the feedback controls, the generator h, and one Euler
-step of the forward and of the backward equation. The ops ``mul``,
+step of the forward and of the backward equation. ``feedback_controls``
+derives the controls u* and v* of a whole rollout from its recorded value
+gradients, since ``fbsde.RolloutBatch`` keeps only z: the rollout folds the
+controls into each step's constants (``autodiff.fold_step``). The ops ``mul``,
 ``total``, ``matmul``, ``rows``, ``sigmoid``, ``tanh``, ``sin``, ``cos`` and
 ``concat_rows`` are what the tests compose the fused kernels from and
 scalarize with, taped or tape-free; the solver's tape has no such
@@ -26,7 +29,7 @@ import numpy as np
 from minmax_fbsde import autodiff as ad
 from minmax_fbsde import fbsde
 from minmax_fbsde.autodiff import Tape
-from minmax_fbsde.fbsde import HorizonGrid, adversary_control, h_quadratic, minimizing_control
+from minmax_fbsde.fbsde import HorizonGrid, h_quadratic
 from minmax_fbsde.systems import CostSpec, SystemModel
 
 
@@ -40,6 +43,34 @@ def noise_block(seed: int, purpose: int, iteration: int, sample: int, steps: int
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(purpose, iteration, sample))
     gen = np.random.Generator(np.random.Philox(ss))
     return gen.standard_normal((steps, m))
+
+
+def minimizing_control(z, gain, out=None):
+    """u* = gain @ z (into ``out``) with gain = -R_u^{-1} Gamma_u' precomputed."""
+    return np.matmul(gain, z, out=out)
+
+
+def adversary_control(z, inv_epsilon: float, out=None):
+    """v* = z / epsilon (into ``out``)."""
+    return np.multiply(z, float(inv_epsilon), out=out)
+
+
+def feedback_controls(z_grads, sys: SystemModel, costs: CostSpec, mode: str = "minmax",
+                      adversary: bool | None = None):
+    """The controls of a rollout's N steps, u* (N, p, M) and v* (N, m, M),
+    from its recorded value gradients z_grads (N+1, m, M). ``mode`` and
+    ``adversary`` are the rollout's, with ``rollout_batch``'s defaults: v*
+    is zero unless the adversary acts."""
+    adversary = mode == "minmax" and adversary is not False
+    z = z_grads[:-1]
+    gain = -costs.solve_r(sys.gamma_u.T)
+    u = np.empty((len(z), gain.shape[0], z.shape[2]))
+    v = np.zeros_like(z)
+    for k, z_k in enumerate(z):
+        minimizing_control(z_k, gain, u[k])
+        if adversary:
+            adversary_control(z_k, 1.0 / costs.epsilon, v[k])
+    return u, v
 
 
 def optimal_controls(z, gamma_u, r_u, epsilon: float):

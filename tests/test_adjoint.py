@@ -14,7 +14,7 @@ from minmax_fbsde import autodiff as ad
 from minmax_fbsde import fbsde, gradcheck, neural, training
 from minmax_fbsde.autodiff import Tape, finite_difference_check
 from minmax_fbsde.config import build_runtime, default_config
-from reference import lstm_stack, mul, taped_gradients, total
+from reference import feedback_controls, lstm_stack, mul, taped_gradients, total
 
 
 def runtime(system, mode, steps=10):
@@ -60,9 +60,12 @@ class TestAgainstTape:
         batch, loss, grads = oracle(setup, store, noise)
         assert result.loss == loss
         assert_gradients_match(result.grads, grads)
-        for key in ("states", "values", "z_grads", "controls", "adversary_controls",
-                    "terminal_targets"):
+        for key in ("states", "values", "z_grads", "terminal_targets"):
             assert np.array_equal(getattr(result.batch, key), getattr(batch, key)), key
+        # the oracle applies u* and v* step by step; the batch keeps only z
+        derived = feedback_controls(result.batch.z_grads, setup.system, setup.costs, mode)
+        for got, want in zip(derived, (batch.controls, batch.adversary_controls)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("system", ["pendulum", "quadcopter", "lq"])
     def test_matches_after_divergence_rebuild(self, system, monkeypatch):
@@ -176,7 +179,7 @@ class TestSaving:
         plain = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 5, 1)
         with ad.saving() as saved:
             logged = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, 5, 1)
-        for key in ("states", "values", "z_grads", "controls", "terminal_targets"):
+        for key in ("states", "values", "z_grads", "terminal_targets"):
             assert np.array_equal(getattr(plain, key), getattr(logged, key)), key
         step_ops = [ad.COLUMN_MAP, ad.COLUMN_MAP, ad.FBSDE_STEP, ad.LSTM_CELL, ad.LSTM_CELL,
                     ad.AFFINE]
@@ -186,9 +189,10 @@ class TestSaving:
         assert all(prim is op for prim, op in zip(logged, expected))
 
     @staticmethod
-    def logged_bytes(saved) -> int:
+    def logged_bytes(saved, batch) -> int:
         """Bytes of the distinct arrays that own what the log's values and
-        saved tuples reference, each owner counted once."""
+        saved tuples reference, each owner counted once, beyond the arrays
+        that ``batch`` returns anyway."""
         owners = {}
 
         def visit(obj):
@@ -202,19 +206,33 @@ class TestSaving:
 
         for _, vals, kept in saved:
             visit((vals, kept))
+        for record in vars(batch).values():
+            if isinstance(record, np.ndarray):
+                owners.pop(id(record), None)
         return sum(owners.values())
 
     @pytest.mark.parametrize("system,steps,batch,budget", [
-        ("pendulum", 4, 5, 115_448),
-        ("quadcopter", 3, 4, 386_728),
+        ("pendulum", 4, 5, 114_688),
+        ("quadcopter", 3, 4, 384_680),
     ], ids=["pendulum", "quadcopter"])
     def test_log_byte_budget(self, system, steps, batch, budget):
         # a cell saves c', a view of its own value, not tanh c': with one
-        # (h, M) array more per cell the log would hold 2 N h M 8 bytes more
+        # (h, M) array more per cell the log would hold 2 N h M 8 bytes more.
+        # Every step reads x, y and z from the record rows, so the log keeps
+        # no copy of a state, value or z of its own
         setup, store = runtime(system, "minmax", steps=steps)
         with ad.saving() as saved:
-            fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, batch, 1)
-        assert self.logged_bytes(saved) == budget
+            record = fbsde.rollout_batch(store, setup.system, setup.costs, setup.grid, batch, 1)
+        assert self.logged_bytes(saved, record) == budget
+        layout = fbsde._STEP_OPS
+        for t in range(steps):
+            cost, drift, step, cell1 = (vals for _, vals, _ in saved[t * len(layout):][:4])
+            for x in (cost[0], drift[0], step[0]):
+                assert np.shares_memory(x, record.states[t])
+            assert np.shares_memory(step[1], record.values[t])
+            assert np.shares_memory(step[2], record.z_grads[t])
+            assert np.shares_memory(cell1[3], record.states[t + 1])
+        assert np.shares_memory(saved[-1][1][0], record.states[steps])
         cells = [(vals, kept) for prim, vals, kept in saved if prim is ad.LSTM_CELL]
         # each layer's cell feeds its value [h'; c'] to that layer's next cell
         for (_, (_, c_new, _)), (vals, _) in zip(cells, cells[2:]):

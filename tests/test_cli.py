@@ -626,11 +626,14 @@ class TestCommands:
         bench = evaluation.lq_benchmark(setup)
         game = evaluation.riccati_oracle(bench, setup.grid, inv_epsilon=5.0).value(bench.x0, 0)
         neutral = evaluation.riccati_oracle(bench, setup.grid).value(bench.x0, 0)
+        euler = evaluation.discrete_riccati(bench, setup.grid, inv_epsilon=5.0).value(bench.x0, 0)
         assert code == 1
         assert payload["mode"] == "minmax"
         assert payload["oracle_value"] == game
+        assert payload["euler_value"] == euler
         assert game > 1.05 * neutral
         assert f"(minmax mode, oracle value {game:.6f})" in stdout
+        assert f"(discrete Riccati): {euler:.6f}" in stdout
 
     def test_oracle_check_of_a_ruinous_run_is_one_error_line(self, capsys):
         # the last update ruins the model: the final-θ check ends training

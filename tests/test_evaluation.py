@@ -13,6 +13,7 @@ from minmax_fbsde.evaluation import (
     LqBenchmark,
     RiccatiBlowUp,
     bsde_consistency_gaps,
+    discrete_riccati,
     epsilon_sweep,
     evaluate,
     lq_benchmark,
@@ -22,9 +23,10 @@ from minmax_fbsde.evaluation import (
     terminal_success,
     variance_reduction,
 )
-from minmax_fbsde.fbsde import HorizonGrid, RolloutBatch, rollout_batch, sample_noise
+from minmax_fbsde.fbsde import PURPOSE_EVAL, HorizonGrid, RolloutBatch, rollout_batch, sample_noise
 from minmax_fbsde.systems import CostSpec, pendulum, quadcopter, wrap_angle
 from minmax_fbsde.training import TrainConfig, init_store, load_checkpoint
+from reference import feedback_controls
 
 
 def pendulum_setup(steps=5, batch=8):
@@ -146,7 +148,6 @@ def total_variance(trajs):
     steps, _, m = states.shape
     batch = RolloutBatch(
         states=states, values=np.zeros((steps, 1, m)), z_grads=np.zeros((steps, 1, m)),
-        controls=np.zeros((steps - 1, 1, m)), adversary_controls=np.zeros((steps - 1, 1, m)),
         noise=np.zeros((steps - 1, 1, m)), terminal_targets=np.zeros((1, m)),
         alive=np.ones(m, dtype=bool), mode="minmax",
     )
@@ -370,6 +371,77 @@ class TestRiccati:
         cols = np.column_stack([x, 2 * x])
         np.testing.assert_allclose(
             ric.z_of(cols, 2), bench.sigma.T @ ric.p_mats[2] @ cols)
+
+
+class TestDiscreteRiccati:
+    """The value of the Euler problem that ``rollout_batch`` simulates."""
+
+    @pytest.mark.parametrize("epsilon,value", [(1e6, 2.0075), (1.0, 2.0415), (0.2, 2.1995),
+                                               (0.1, 2.4690), (0.05, 3.6453)])
+    def test_euler_values_of_the_lq_task(self, epsilon, value):
+        setup = lq_setup()
+        bench = lq_benchmark(setup)
+        got = discrete_riccati(bench, setup.grid, inv_epsilon=1.0 / epsilon).value(bench.x0, 0)
+        assert got == pytest.approx(value, abs=5e-5)
+
+    @pytest.mark.parametrize("inv_epsilon", [0.0, 1.0])
+    def test_converges_to_the_continuous_oracle(self, inv_epsilon):
+        # the Euler scheme's error is first order in dt
+        bench = lq_benchmark(lq_setup())
+        errors = []
+        for steps in (50, 100, 200, 400):
+            grid = HorizonGrid(0.0, 1.0, steps)
+            discrete = discrete_riccati(bench, grid, inv_epsilon).value(bench.x0, 0)
+            errors.append(abs(discrete - riccati_oracle(bench, grid, inv_epsilon).value(bench.x0, 0)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.9 < coarse / fine < 2.1
+        assert errors[-1] < 5e-3
+
+    def test_no_adversary_is_the_risk_neutral_limit(self):
+        setup = lq_setup()
+        bench = lq_benchmark(setup)
+        neutral = discrete_riccati(bench, setup.grid)
+        limit = discrete_riccati(bench, setup.grid, inv_epsilon=1e-9)
+        np.testing.assert_allclose(limit.p_mats, neutral.p_mats, rtol=1e-7)
+        np.testing.assert_allclose(limit.z_gains, neutral.z_gains, rtol=1e-7)
+
+    def test_breakdown_is_bracketed(self):
+        # the Euler game loses its value at an epsilon* in (0.0336, 0.0337),
+        # above the continuous-time game's, which lies in (0.0323, 0.0324)
+        setup = lq_setup()
+        bench = lq_benchmark(setup)
+        assert math.isfinite(discrete_riccati(bench, setup.grid, 1 / 0.0337).value(bench.x0, 0))
+        for epsilon in (0.0336, 0.01):
+            with pytest.raises(RiccatiBlowUp, match="adversary"):
+                discrete_riccati(bench, setup.grid, 1 / epsilon)
+        riccati_oracle(bench, setup.grid, 1 / 0.0324)
+        with pytest.raises(RiccatiBlowUp):
+            riccati_oracle(bench, setup.grid, 1 / 0.0323)
+
+    @pytest.mark.parametrize("epsilon", [1e6, 1.0])
+    def test_its_feedback_costs_its_value(self, epsilon):
+        # both players' feedback through the rollout, u* and v* from the
+        # recorded z: the mean game cost sum (q + u'R u / 2 - epsilon |v|^2 / 2)
+        # dt + g(x_N) on 16,384 paths lies within two standard errors of V(x0, 0),
+        # and the continuous-time value, 1.8% lower, well outside them
+        setup = lq_setup(epsilon=epsilon)
+        sys, costs, grid = setup.system, setup.costs, setup.grid
+        bench = lq_benchmark(setup)
+        sol = discrete_riccati(bench, grid, inv_epsilon=1.0 / epsilon)
+        x0 = bench.x0.reshape(-1, 1)
+        batch = rollout_batch(None, sys, costs, grid, 16_384, 11, mode="minmax", adversary=True,
+                              purpose=PURPOSE_EVAL, z_fn=sol.z_of, y0=np.array([[sol.value(x0, 0)]]),
+                              z0=sol.z_of(x0, 0))
+        assert batch.diverged == 0
+        u, v = feedback_controls(batch.z_grads, sys, costs, "minmax", adversary=True)
+        running = np.array([costs.running_expr(x)[0] for x in batch.states[:-1]])
+        running += 0.5 * np.einsum("kpm,pq,kqm->km", u, costs.r_u, u)
+        running -= 0.5 * epsilon * np.sum(v * v, axis=1)
+        cost = grid.dt * running.sum(axis=0) + batch.terminal_targets[0]
+        se = cost.std(ddof=1) / math.sqrt(cost.size)
+        assert abs(cost.mean() - sol.value(x0, 0)) < 2 * se
+        continuous = riccati_oracle(bench, grid, inv_epsilon=1.0 / epsilon).value(x0, 0)
+        assert abs(cost.mean() - continuous) > 10 * se
 
 
 class TestLqBenchmarkFromSetup:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minmax_fbsde import autodiff as ad
 from minmax_fbsde import fbsde
 from minmax_fbsde.config import build_runtime, parse_config
 from minmax_fbsde.fbsde import (
@@ -18,7 +19,7 @@ from minmax_fbsde.fbsde import (
 )
 from minmax_fbsde.systems import CostSpec, SystemModel, pendulum
 from minmax_fbsde.training import TrainConfig, init_store
-from reference import bsde_step, fsde_step, h_drift, noise_block, optimal_controls
+from reference import bsde_step, feedback_controls, fsde_step, h_drift, noise_block, optimal_controls
 
 
 def pendulum_costs(epsilon=1.0, beta=0.8):
@@ -258,7 +259,6 @@ class TestRollout:
         assert batch.states.shape == (6, 2, 4)
         assert batch.values.shape == (6, 1, 4)
         assert batch.z_grads.shape == (6, 1, 4)
-        assert batch.controls.shape == (5, 1, 4)
         assert batch.noise.shape == (5, 1, 4)
         assert batch.terminal_targets.shape == (1, 4)
         assert batch.alive.shape == (4,)
@@ -305,8 +305,7 @@ class TestRollout:
         x0 = batch.states[0, :, i]
         y0 = batch.values[0, 0, i]
         z0 = batch.z_grads[0, :, i]
-        u0 = batch.controls[0, :, i]
-        v0 = batch.adversary_controls[0, :, i]
+        u0, v0 = optimal_controls(z0, sys.gamma_u, costs.r_u, costs.epsilon)
         dw = batch.noise[0, :, i]
         h0 = h_drift(x0, z0, costs, sys.gamma_u, mode=batch.mode)
         np.testing.assert_allclose(
@@ -315,14 +314,22 @@ class TestRollout:
             batch.values[1, 0, i], abs=1e-12)
 
     def test_controls_consistent_with_recorded_z(self):
+        # the batch keeps z only: at every step and sample, the controls of
+        # the recorded z must explain the recorded state and value updates
         sys, costs, grid, store, batch = self.make(batch=3, steps=4, seed=2)
+        controls, adversary = feedback_controls(batch.z_grads, sys, costs, batch.mode)
         for k in range(grid.steps):
             for i in range(3):
                 u_ref, v_ref = optimal_controls(
                     batch.z_grads[k, :, i], sys.gamma_u, costs.r_u, costs.epsilon)
-                np.testing.assert_allclose(batch.controls[k, :, i], u_ref, atol=1e-12)
-                np.testing.assert_allclose(
-                    batch.adversary_controls[k, :, i], v_ref, atol=1e-12)
+                np.testing.assert_allclose(controls[k, :, i], u_ref, atol=1e-12)
+                np.testing.assert_allclose(adversary[k, :, i], v_ref, atol=1e-12)
+                x, z, dw = batch.states[k, :, i], batch.z_grads[k, :, i], batch.noise[k, :, i]
+                np.testing.assert_allclose(fsde_step(x, u_ref, v_ref, dw, sys, grid),
+                                           batch.states[k + 1, :, i], rtol=1e-12, atol=1e-12)
+                h = h_drift(x, z, costs, sys.gamma_u, mode=batch.mode)
+                assert bsde_step(batch.values[k, 0, i], z, h, u_ref, v_ref, sys.gamma_u, dw,
+                                 grid) == pytest.approx(batch.values[k + 1, 0, i], abs=1e-12)
 
     def test_risk_neutral_limit_matches_baseline(self):
         sys, costs = pendulum_costs(epsilon=1e12)
@@ -335,23 +342,34 @@ class TestRollout:
         assert np.max(np.abs(mm.values - bl.values)) < 1e-6
         assert np.max(np.abs(mm.z_grads - bl.z_grads)) < 1e-6
 
-    def test_baseline_never_calls_adversary(self, monkeypatch):
-        def boom(z, inv_epsilon):
-            raise AssertionError("adversary control evaluated in baseline mode")
+    @staticmethod
+    def folded_inv_eps(monkeypatch) -> list:
+        """The ``inv_eps`` of every ``autodiff.fold_step`` call: the adversary
+        acts on the dynamics only through the fold's I/epsilon term."""
+        seen = []
+        original = ad.fold_step
 
-        monkeypatch.setattr(fbsde, "adversary_control", boom)
-        sys, costs, grid, store, _ = self.make(mode="baseline", batch=2, steps=2)
+        def recorded(*args):
+            seen.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(ad, "fold_step", recorded)
+        return seen
+
+    def test_baseline_never_calls_adversary(self, monkeypatch):
+        seen = self.folded_inv_eps(monkeypatch)
+        self.make(mode="baseline", batch=2, steps=2)
+        assert seen == [None]
 
     def test_eval_mode_never_calls_adversary(self, monkeypatch):
-        def boom(z, inv_epsilon):
-            raise AssertionError("adversary control evaluated with adversary off")
+        seen = self.folded_inv_eps(monkeypatch)
+        self.make(mode="minmax", adversary=False, batch=2, steps=2)
+        assert seen == [None]
 
-        sys, costs = pendulum_costs()
-        grid = HorizonGrid(0.0, 0.04, 2)
-        cfg = TrainConfig(iterations=1, batch_size=2, grid=grid, seed=0, hidden_size=4)
-        store = init_store(sys, cfg)
-        monkeypatch.setattr(fbsde, "adversary_control", boom)
-        rollout_batch(store, sys, costs, grid, 2, 0, mode="minmax", adversary=False)
+    def test_adversary_folds_one_over_epsilon(self, monkeypatch):
+        seen = self.folded_inv_eps(monkeypatch)
+        sys, costs, *_ = self.make(mode="minmax", adversary=True, batch=2, steps=2)
+        assert seen == [1.0 / costs.epsilon]
 
     @pytest.mark.parametrize("system", ["pendulum", "quadcopter", "lq"])
     def test_adversary_off_moves_the_state_as_baseline(self, system):
@@ -368,10 +386,12 @@ class TestRollout:
         base = run(mode="baseline")
         np.testing.assert_array_equal(off.states, base.states)
         np.testing.assert_array_equal(off.z_grads, base.z_grads)
-        zero = np.zeros(setup.system.m)
+        controls, adversary = feedback_controls(off.z_grads, setup.system, setup.costs,
+                                                adversary=False)
+        assert not adversary.any()
         for k in range(setup.grid.steps):
             for i in range(4):
-                step = fsde_step(off.states[k, :, i], off.controls[k, :, i], zero,
+                step = fsde_step(off.states[k, :, i], controls[k, :, i], adversary[k, :, i],
                                  off.noise[k, :, i], setup.system, setup.grid)
                 np.testing.assert_allclose(off.states[k + 1, :, i], step, rtol=1e-12, atol=1e-12)
 
@@ -445,7 +465,6 @@ class TestTrainingLoss:
         values[-1, 0, :] = y_term
         return fbsde.RolloutBatch(
             states=np.zeros((2, 1, m)), values=values, z_grads=np.zeros((2, 1, m)),
-            controls=np.zeros((1, 1, m)), adversary_controls=np.zeros((1, 1, m)),
             noise=np.zeros((1, 1, m)), terminal_targets=y_star,
             alive=np.ones(m, dtype=bool), mode="minmax",
         )

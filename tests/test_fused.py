@@ -362,9 +362,10 @@ class TestRollout:
                                          6, 2, mode=mode, adversary=adversary)
         plain_taped, plain_loss, plain_grads = taped_rollout(setup, store, adversary)
 
+        for key in ("states", "values", "z_grads", "terminal_targets"):
+            assert np.array_equal(getattr(fused_free, key), getattr(plain_free, key)), key
         for key in ("states", "values", "z_grads", "controls", "adversary_controls",
                     "terminal_targets"):
-            assert np.array_equal(getattr(fused_free, key), getattr(plain_free, key)), key
             np.testing.assert_allclose(getattr(fused_taped, key), getattr(plain_taped, key),
                                        rtol=0, atol=1e-12)
         assert fused_loss == pytest.approx(plain_loss, rel=1e-12, abs=1e-12)
